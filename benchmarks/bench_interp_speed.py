@@ -1,12 +1,14 @@
 """Interpreter speed — host wall-time of the SIMT slot loop, not a figure.
 
-Times ``process_batch`` for YCSB-A/B/C across all four systems under three
+Times ``process_batch`` for YCSB-A/B/C/E across all four systems under three
 execution modes (reference sequential interpreter, vectorized fast path,
 fast path + :class:`~repro.sharding.ParallelShardedSystem` workers) and
 writes ``benchmarks/results/BENCH_interp.json``. Every mode computes
 bit-identical counters — this file measures only how fast the simulator
 itself runs, so its numbers are machine-dependent and the golden-drift
-gate never looks at them.
+gate never looks at them. YCSB-E is the row set that exercises the
+launcher's one-lane inline path (each Eirene range request runs as a
+one-lane warp); the A/B/C rows launch wide warps and barely touch it.
 
 Assertions are the CI ``perf-smoke`` floor: the vectorized path must not be
 slower than the sequential one by more than noise (>= 1.5x on the headline
@@ -33,7 +35,7 @@ def test_interp_speed(benchmark, results_dir):
     (results_dir / "BENCH_interp.json").write_text(fig.to_json(indent=2) + "\n")
 
     for system in SYSTEM_ROWS:
-        for mix in ("YCSB-A", "YCSB-B", "YCSB-C"):
+        for mix in ("YCSB-A", "YCSB-B", "YCSB-C", "YCSB-E"):
             speedup = fig.value(f"{system} {mix}", "speedup")
             # fast rows at this scale finish in ~0.1 s; allow scheduler noise
             # but never a real regression

@@ -24,6 +24,8 @@ build and workload generation are excluded (only ``process_batch`` is
 timed), every (system, mix, mode) cell rebuilds its system from scratch so
 repeats see identical state, and the best of ``repeats`` runs is kept —
 single-core noise only ever inflates a run, so min is the honest estimator.
+The three modes alternate within each repeat, so a slow spell of the host
+cannot land on every run of one mode.
 """
 
 from __future__ import annotations
@@ -35,11 +37,14 @@ import numpy as np
 from ..config import ExecutionConfig, set_execution_config
 from ..factory import make_system
 from ..sharding import ParallelShardedSystem
-from ..workloads import YCSB_A, YCSB_B, YCSB_C, YcsbWorkload, build_key_pool
+from ..workloads import YCSB_A, YCSB_B, YCSB_C, YCSB_E, YcsbWorkload, build_key_pool
 from .experiment import SYSTEMS, ExperimentConfig
 from .report import FigureResult
 
-MIXES = {"YCSB-A": YCSB_A, "YCSB-B": YCSB_B, "YCSB-C": YCSB_C}
+#: YCSB-E's range requests reach the launcher's one-lane inline path
+#: (Eirene launches each range scan as its own one-lane warp); A/B/C launch
+#: wide warps
+MIXES = {"YCSB-A": YCSB_A, "YCSB-B": YCSB_B, "YCSB-C": YCSB_C, "YCSB-E": YCSB_E}
 
 #: the reference interpreter, exactly as the escape hatch selects it
 SEQUENTIAL = ExecutionConfig(vectorize_slots=False, park_barrier_waits=False)
@@ -47,25 +52,23 @@ SEQUENTIAL = ExecutionConfig(vectorize_slots=False, park_barrier_waits=False)
 VECTORIZED = ExecutionConfig()
 
 
-def _timed(make_fn, batches, repeats: int) -> float:
-    """Best-of-``repeats`` wall seconds over the ``process_batch`` loop."""
-    best = float("inf")
-    for _ in range(repeats):
-        sys_ = make_fn()
-        t0 = time.perf_counter()
-        for batch in batches:
-            sys_.process_batch(batch, engine="simt")
-        best = min(best, time.perf_counter() - t0)
-        close = getattr(sys_, "close", None)
-        if close is not None:
-            close()
-    return best
+def _timed(make_fn, batches) -> float:
+    """Wall seconds of one ``process_batch`` loop on a freshly built system."""
+    sys_ = make_fn()
+    t0 = time.perf_counter()
+    for batch in batches:
+        sys_.process_batch(batch, engine="simt")
+    elapsed = time.perf_counter() - t0
+    close = getattr(sys_, "close", None)
+    if close is not None:
+        close()
+    return elapsed
 
 
 def interp_speed(
     cfg: ExperimentConfig | None = None,
     systems: tuple[str, ...] = SYSTEMS,
-    mixes: tuple[str, ...] = ("YCSB-A", "YCSB-B", "YCSB-C"),
+    mixes: tuple[str, ...] = tuple(MIXES),
     repeats: int = 2,
     n_shards: int = 4,
     shard_workers: int = 2,
@@ -111,11 +114,16 @@ def interp_speed(
                 )
 
             for system in systems:
-                set_execution_config(SEQUENTIAL)
-                seq_s = _timed(make_plain, batches, repeats)
-                set_execution_config(VECTORIZED)
-                vec_s = _timed(make_plain, batches, repeats)
-                par_s = _timed(make_fleet, batches, repeats)
+                # modes alternate within each repeat, so a slow spell of the
+                # host inflates one run of every mode rather than all runs
+                # of one mode
+                seq_s = vec_s = par_s = float("inf")
+                for _ in range(repeats):
+                    set_execution_config(SEQUENTIAL)
+                    seq_s = min(seq_s, _timed(make_plain, batches))
+                    set_execution_config(VECTORIZED)
+                    vec_s = min(vec_s, _timed(make_plain, batches))
+                    par_s = min(par_s, _timed(make_fleet, batches))
                 fig.add_row(
                     f"{system} {mix_name}",
                     seq_s,

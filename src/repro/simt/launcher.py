@@ -17,6 +17,20 @@ batch contents, so runs stay reproducible while varying across batches.
 Timing: each SM accumulates the issue and memory cycles of its own warps'
 steps; the kernel's device time is the maximum over SMs (the straggler SM),
 matching how a real grid retires.
+
+One-lane warps run inline: when :meth:`~repro.simt.warp.Warp.inline_lane`
+allows it (``vectorize_slots`` on, no probe, no load deferral), the round
+loop resumes the warp's only lane itself instead of calling
+:meth:`~repro.simt.warp.Warp.step`. A one-lane slot is one op, so each op
+kind has a fixed charge, precomputed with the same timing expression the
+loop applies to ``Warp.step`` results. Counters, ``finish_cycle`` and
+``service_steps``, arena words, lane results and the round in which each
+warp retires (hence the scheduling-rng stream) are bit-for-bit those of the
+reference ``Warp._step_slow``. ``Noop``/``WaitGE`` cost nothing and never
+park. Eirene launches each range request as its own one-lane warp: on the
+benchmark's ``ycsb-e-zipf-sharded`` workload about 96.5 % of warp steps
+run inline, on ``ycsb-a-simt`` none. ``REPRO_SLOW_PATH=1`` and attached
+probes keep every warp on the reference path.
 """
 
 from __future__ import annotations
@@ -27,6 +41,18 @@ from ..config import DeviceConfig, ExecutionConfig
 from ..errors import SimulationError
 from ..memory import MemoryArena
 from .counters import KernelCounters
+from .instructions import (
+    Alu,
+    AtomicAdd,
+    AtomicCAS,
+    AtomicExch,
+    Branch,
+    Load,
+    Mark,
+    Noop,
+    Store,
+    WaitGE,
+)
 from .warp import Warp
 
 
@@ -100,6 +126,21 @@ class KernelLaunch:
 
         warps = self._warps
         steps = [w.step for w in warps]
+        # one-lane warps run inline (None = call Warp.step): one slot is one
+        # op of one lane, so its charges are fixed per op kind. The costs use
+        # the timing expression below verbatim, keeping sm_cycles identical.
+        solo = [w.inline_lane() for w in warps]
+        data = self.arena.data
+        item = data.item
+        size = data.size
+        c_issue = 1 * cpi + 0 * cpm + 0 * cpa
+        c_mem = 1 * cpi + 1 * cpm + 0 * cpa
+        c_conflict = 1 * cpi + 1 * cpm + 1 * cpa
+        finish_cycle = counters.finish_cycle
+        service_steps = counters.service_steps
+        n_load = n_store = n_branch = n_alu = n_alu_ops = 0
+        n_atomic = n_conflicts = n_mark = 0
+
         rng = self.rng
         active = list(range(len(warps)))
         while active:
@@ -110,12 +151,100 @@ class KernelLaunch:
             else:
                 order = active
             for wi in order:
-                sm = sm_of[wi]
-                issue, trans, conflicts = steps[wi](counters, sm_cycles[sm])
-                sm_cycles[sm] += issue * cpi + trans * cpm + conflicts * cpa
-                if warps[wi].active:
-                    append(wi)
+                lane = solo[wi]
+                if lane is None:
+                    sm = sm_of[wi]
+                    issue, trans, conflicts = steps[wi](counters, sm_cycles[sm])
+                    sm_cycles[sm] += issue * cpi + trans * cpm + conflicts * cpa
+                    if warps[wi].active:
+                        append(wi)
+                    continue
+                try:
+                    op = lane.send(lane.send_value)
+                except StopIteration as stop:
+                    lane.active = False
+                    lane.result = stop.value
+                    warps[wi].active = False
+                    continue
+                append(wi)
+                t = type(op)
+                if t is Load:
+                    addr = op.addr
+                    if not 0 <= addr < size:
+                        raise SimulationError(f"load address {addr} out of bounds")
+                    lane.send_value = item(addr)
+                    lane.steps += 1
+                    n_load += 1
+                    sm_cycles[sm_of[wi]] += c_mem
+                elif t is Branch:
+                    lane.send_value = None
+                    lane.steps += 1
+                    n_branch += 1
+                    sm_cycles[sm_of[wi]] += c_issue
+                elif t is Alu:
+                    lane.send_value = None
+                    lane.steps += 1
+                    n_alu += op.count
+                    n_alu_ops += 1
+                    sm_cycles[sm_of[wi]] += c_issue
+                elif t is Mark:
+                    lane.send_value = None
+                    steps_now = lane.steps + 1
+                    lane.steps = steps_now
+                    sm = sm_of[wi]
+                    finish_cycle[op.request_id] = sm_cycles[sm]
+                    service_steps[op.request_id] = steps_now - lane.mark_base
+                    lane.mark_base = steps_now
+                    n_mark += 1
+                    sm_cycles[sm] += c_issue
+                elif t is Store:
+                    addr = op.addr
+                    if not 0 <= addr < size:
+                        raise SimulationError(f"store address {addr} out of bounds")
+                    data[addr] = op.value
+                    lane.send_value = None
+                    lane.steps += 1
+                    n_store += 1
+                    sm_cycles[sm_of[wi]] += c_mem
+                elif t is AtomicCAS or t is AtomicAdd or t is AtomicExch:
+                    addr = op.addr
+                    if not 0 <= addr < size:
+                        raise SimulationError(f"atomic address {addr} out of bounds")
+                    old = item(addr)
+                    if t is AtomicCAS:
+                        if old == op.expected:
+                            data[addr] = op.desired
+                            sm_cycles[sm_of[wi]] += c_mem
+                        else:
+                            n_conflicts += 1
+                            sm_cycles[sm_of[wi]] += c_conflict
+                    else:
+                        data[addr] = old + op.delta if t is AtomicAdd else op.value
+                        sm_cycles[sm_of[wi]] += c_mem
+                    lane.send_value = old
+                    lane.steps += 1
+                    n_atomic += 1
+                elif t is Noop or t is WaitGE:
+                    # zero cost, no service step, and no parking: the lane is
+                    # simply resumed again next round, as on the reference path
+                    lane.send_value = None
+                else:
+                    raise SimulationError(f"unknown op {op!r}")
             active = still
+
+        counters.load_inst += n_load
+        counters.store_inst += n_store
+        counters.mem_inst += n_load + n_store
+        counters.control_inst += n_branch
+        counters.alu_inst += n_alu
+        counters.atomic_inst += n_atomic
+        counters.atomic_transactions += n_atomic
+        counters.atomic_conflicts += n_conflicts
+        counters.transactions += n_load + n_store + n_atomic
+        # a one-lane slot issues exactly one op kind: never divergent
+        counters.issued_slots += (
+            n_load + n_store + n_branch + n_alu_ops + n_atomic + n_mark
+        )
         counters.cycles = max(sm_cycles) if sm_cycles else 0.0
         if self.probe is not None:
             self.probe.end_launch(counters)

@@ -30,9 +30,18 @@ Two interpreter paths implement the identical semantics (see DESIGN.md §9):
   :meth:`~repro.memory.MemoryArena.gather` (off by default at warp width
   32, where scalar fetches measure faster).
 
+A third, narrowest path lives in the launcher: a one-lane warp that would
+take the fast path without load deferral (:meth:`Warp.inline_lane`) is
+resumed directly by :meth:`~repro.simt.launcher.KernelLaunch.run`, again
+bit-for-bit identical to :meth:`Warp._step_slow`. Eirene launches every
+range request as a one-lane warp, so on range-scan workloads nearly all warp
+steps take it.
+
 Attaching an analysis probe (race sanitizer, hotspot profiler) always
 selects the reference path, so probes observe every op exactly as before.
-``REPRO_SLOW_PATH=1`` (see :mod:`repro.config`) forces it globally.
+``REPRO_SLOW_PATH=1`` (see :mod:`repro.config`) forces it globally. Every
+path rejects a load, store or atomic address outside ``[0, data.size)``
+with the same :class:`~repro.errors.SimulationError`.
 """
 
 from __future__ import annotations
@@ -161,6 +170,19 @@ class Warp:
             return self._step_slow(counters, cycle)
         return self._step_fast(counters, cycle)
 
+    def inline_lane(self) -> Lane | None:
+        """This warp's only lane if a launcher may run it inline, else None.
+
+        A one-lane warp that :meth:`step` would send down the fast path
+        without load deferral has nothing to batch, park or coalesce; the
+        launcher then resumes its lane directly (see
+        :meth:`KernelLaunch.run`) with the reference path's exact charges.
+        """
+        lanes = self.lanes
+        if len(lanes) == 1 and self._fast and not self._defer and self.probe is None:
+            return lanes[0]
+        return None
+
     # ------------------------------------------------------------------ #
     # reference interpreter (the executable specification)
     # ------------------------------------------------------------------ #
@@ -216,9 +238,12 @@ class Warp:
                 counters.store_inst += 1
                 kinds |= 2
             elif t is AtomicCAS:
-                old = int(data[op.addr])
+                addr = op.addr
+                if not 0 <= addr < size:
+                    raise SimulationError(f"atomic address {addr} out of bounds")
+                old = int(data[addr])
                 if old == op.expected:
-                    data[op.addr] = op.desired
+                    data[addr] = op.desired
                 else:
                     atomic_conflicts += 1
                 lane.send_value = old
@@ -227,16 +252,22 @@ class Warp:
                 transactions += 1
                 kinds |= 4
             elif t is AtomicAdd:
-                old = int(data[op.addr])
-                data[op.addr] = old + op.delta
+                addr = op.addr
+                if not 0 <= addr < size:
+                    raise SimulationError(f"atomic address {addr} out of bounds")
+                old = int(data[addr])
+                data[addr] = old + op.delta
                 lane.send_value = old
                 counters.atomic_inst += 1
                 counters.atomic_transactions += 1
                 transactions += 1
                 kinds |= 4
             elif t is AtomicExch:
-                old = int(data[op.addr])
-                data[op.addr] = op.value
+                addr = op.addr
+                if not 0 <= addr < size:
+                    raise SimulationError(f"atomic address {addr} out of bounds")
+                old = int(data[addr])
+                data[addr] = op.value
                 lane.send_value = old
                 counters.atomic_inst += 1
                 counters.atomic_transactions += 1
@@ -396,11 +427,14 @@ class Warp:
                     n_store += 1
                     kinds |= 2
                 elif t is AtomicCAS:
+                    addr = op.addr
+                    if not 0 <= addr < size:
+                        raise SimulationError(f"atomic address {addr} out of bounds")
                     if defer:
                         flush()
-                    old = int(data[op.addr])
+                    old = int(data[addr])
                     if old == op.expected:
-                        data[op.addr] = op.desired
+                        data[addr] = op.desired
                     else:
                         atomic_conflicts += 1
                     lane.send_value = old
@@ -408,19 +442,25 @@ class Warp:
                     transactions += 1
                     kinds |= 4
                 elif t is AtomicAdd:
+                    addr = op.addr
+                    if not 0 <= addr < size:
+                        raise SimulationError(f"atomic address {addr} out of bounds")
                     if defer:
                         flush()
-                    old = int(data[op.addr])
-                    data[op.addr] = old + op.delta
+                    old = int(data[addr])
+                    data[addr] = old + op.delta
                     lane.send_value = old
                     n_atomic += 1
                     transactions += 1
                     kinds |= 4
                 elif t is AtomicExch:
+                    addr = op.addr
+                    if not 0 <= addr < size:
+                        raise SimulationError(f"atomic address {addr} out of bounds")
                     if defer:
                         flush()
-                    old = int(data[op.addr])
-                    data[op.addr] = op.value
+                    old = int(data[addr])
+                    data[addr] = op.value
                     lane.send_value = old
                     n_atomic += 1
                     transactions += 1
@@ -550,6 +590,7 @@ def run_subroutine(gen: Generator, arena: MemoryArena) -> object:
     memory ops directly, returns its return value. No counters are charged.
     """
     data = arena.data
+    size = data.size
     send: int | None = None
     while True:
         try:
@@ -559,20 +600,25 @@ def run_subroutine(gen: Generator, arena: MemoryArena) -> object:
         send = None
         t = type(op)
         if t is Load:
-            send = int(data[op.addr])
+            addr = op.addr
+            if not 0 <= addr < size:
+                raise SimulationError(f"load address {addr} out of bounds")
+            send = int(data[addr])
         elif t is Store:
-            data[op.addr] = op.value
-        elif t is AtomicCAS:
-            old = int(data[op.addr])
-            if old == op.expected:
-                data[op.addr] = op.desired
-            send = old
-        elif t is AtomicAdd:
-            old = int(data[op.addr])
-            data[op.addr] = old + op.delta
-            send = old
-        elif t is AtomicExch:
-            old = int(data[op.addr])
-            data[op.addr] = op.value
-            send = old
+            addr = op.addr
+            if not 0 <= addr < size:
+                raise SimulationError(f"store address {addr} out of bounds")
+            data[addr] = op.value
+        elif t is AtomicCAS or t is AtomicAdd or t is AtomicExch:
+            addr = op.addr
+            if not 0 <= addr < size:
+                raise SimulationError(f"atomic address {addr} out of bounds")
+            send = old = int(data[addr])
+            if t is AtomicCAS:
+                if old == op.expected:
+                    data[addr] = op.desired
+            elif t is AtomicAdd:
+                data[addr] = old + op.delta
+            else:
+                data[addr] = op.value
         # Alu / Branch / Mark / Noop / WaitGE: no data effect

@@ -11,16 +11,22 @@ arrays are bit-for-bit identical on the reference path
   construct the fast path *parks* on),
 * the bulk-load deferral path (``gather_threshold=1``) including host
   mutation mid-kernel via a full Eirene batch,
-* whole-system batches for every system kind,
+* grids mixing one-lane warps (run inline by the launcher) with 8-lane
+  warps under a seeded warp-order rng,
+* whole-system batches for every system kind, plus Eirene range scans
+  (one one-lane warp per range request),
 
 plus the probe fallback rule (an attached probe must see every op, i.e.
 the reference path runs), the ``REPRO_SLOW_PATH=1`` escape hatch, the
 :class:`~repro.sharding.ParallelShardedSystem` worker-count invariance, and
-the arena's bulk/lazy accounting satellites.
+the arena's bulk/lazy accounting satellites, and the address bounds check
+every interpreter path applies to loads, stores and atomics.
 
 Random programs respect the ``WaitGE`` contract: the condition sequence is
 only ever advanced by same-warp lanes, and each waiting program keeps its
-own ``while`` re-check around the yield.
+own ``while`` re-check around the yield. The one exception is the grid's
+one-lane waiter, advanced by another warp: one-lane warps never park, so
+every path must resume it in exactly the reference rounds.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import numpy as np
 import pytest
 
 from repro.config import DeviceConfig, ExecutionConfig, execution_config, set_execution_config
+from repro.errors import SimulationError
 from repro.memory import MemoryArena
 from repro.sharding import ParallelShardedSystem, ShardedSystem
 from repro.simt import (
@@ -46,6 +53,7 @@ from repro.simt import (
     Store,
     WaitGE,
 )
+from repro.simt.warp import run_subroutine
 
 SEQUENTIAL = ExecutionConfig(vectorize_slots=False, park_barrier_waits=False)
 
@@ -194,6 +202,137 @@ def test_barrier_parking_disabled_still_equivalent():
 
 
 # --------------------------------------------------------------------- #
+# grids of one-lane and 8-lane warps (the launcher's inline path)
+# --------------------------------------------------------------------- #
+def grid_programs(seed: int):
+    """Seeded lane programs per warp for :func:`run_grid`, plus the number
+    of request ids they mark.
+
+    One-lane warps carry random programs plus three special ones: a ticker
+    advancing a shared counter, a waiter spinning on it with ``Noop`` and
+    ``WaitGE`` (advanced from outside its warp, so only a reference-exact
+    resume schedule keeps its later ops in the same rounds), and a program
+    that returns on its first resume.
+    """
+    rng = np.random.default_rng((555, seed))
+    ticks = [0]
+
+    def ticker(rid):
+        for _ in range(6):
+            yield Alu(1)
+            ticks[0] += 1
+        yield Mark(rid)
+        return ticks[0]
+
+    def waiter(rid):
+        yield Noop()
+        while ticks[0] < 4:
+            yield WaitGE(ticks, 0, 4)
+        v = yield Load(rid % DATA_WORDS)
+        yield Mark(rid)
+        return v
+
+    def instant(rid):
+        return -rid
+        yield  # pragma: no cover - makes this a generator
+
+    widths = [1, 8] * 4 + [1] * 6
+    rng.shuffle(widths)
+    warps = []
+    rid = 0
+    for width in widths:
+        programs = []
+        for _ in range(width):
+            programs.append(random_program(rng, rid, width))
+            rid += 1
+        warps.append(programs)
+    for special in (ticker, waiter, instant):
+        warps.insert(int(rng.integers(0, len(warps) + 1)), [special(rid)])
+        rid += 1
+    return warps, rid
+
+
+def run_grid(seed: int, execution: ExecutionConfig, probe=None):
+    """Run one seeded grid; return (counters, results, memory, warps)."""
+    warps, n_requests = grid_programs(seed)
+    arena = MemoryArena(DATA_WORDS + HOT_WORDS + 16)
+    arena.data[:DATA_WORDS] = np.arange(DATA_WORDS)
+    launch = KernelLaunch(
+        DeviceConfig(num_sms=2), arena, n_requests,
+        rng=np.random.default_rng((666, seed)), probe=probe, execution=execution,
+    )
+    built = [launch.add_warp(programs) for programs in warps]
+    counters = launch.run()
+    return counters, launch.lane_results(), arena.data.copy(), built
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_one_lane_grid_equivalent(seed):
+    ref = run_grid(seed, SEQUENTIAL)
+    opt = run_grid(seed, ExecutionConfig())
+    assert sum(w.inline_lane() is not None for w in opt[3]) >= 9
+    assert deep_eq(ref[0], opt[0]), "KernelCounters diverged"
+    assert ref[0].cycles == opt[0].cycles > 0
+    assert ref[1] == opt[1], "lane results diverged"
+    assert np.array_equal(ref[2], opt[2]), "arena contents diverged"
+
+
+def test_one_lane_inline_requires_no_deferral():
+    """With load deferral on, one-lane warps keep taking Warp.step."""
+    ref = run_grid(0, SEQUENTIAL)
+    opt = run_grid(0, ExecutionConfig(gather_threshold=1))
+    assert all(w.inline_lane() is None for w in opt[3])
+    assert deep_eq(ref[0], opt[0])
+    assert ref[1] == opt[1]
+    assert np.array_equal(ref[2], opt[2])
+
+
+# --------------------------------------------------------------------- #
+# address bounds: every path rejects atomics outside the arena
+# --------------------------------------------------------------------- #
+ATOMICS = {
+    "cas": lambda addr: AtomicCAS(addr, 0, 1),
+    "add": lambda addr: AtomicAdd(addr, 1),
+    "exch": lambda addr: AtomicExch(addr, 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ATOMICS))
+@pytest.mark.parametrize("where", ["low", "high"])
+@pytest.mark.parametrize(
+    "execution, n_lanes",
+    [(SEQUENTIAL, 1), (SEQUENTIAL, 8), (ExecutionConfig(), 1), (ExecutionConfig(), 8)],
+    ids=["reference-1", "reference-8", "fast-1", "fast-8"],
+)
+def test_atomic_address_out_of_bounds(kind, where, execution, n_lanes):
+    arena = MemoryArena(64)
+    addr = -1 if where == "low" else arena.data.size
+
+    def prog():
+        yield Alu(1)
+        yield ATOMICS[kind](addr)
+
+    launch = KernelLaunch(DeviceConfig(num_sms=2), arena, n_lanes, execution=execution)
+    launch.add_warp([prog() for _ in range(n_lanes)])
+    with pytest.raises(SimulationError, match=f"atomic address {addr} out of bounds"):
+        launch.run()
+    assert not arena.data.any(), "an out-of-bounds atomic wrote memory"
+
+
+@pytest.mark.parametrize("kind", sorted(ATOMICS))
+def test_run_subroutine_atomic_out_of_bounds(kind):
+    arena = MemoryArena(64)
+    for addr in (-1, arena.data.size):
+
+        def prog():
+            yield ATOMICS[kind](addr)
+
+        with pytest.raises(SimulationError, match="out of bounds"):
+            run_subroutine(prog(), arena)
+    assert not arena.data.any()
+
+
+# --------------------------------------------------------------------- #
 # probe fallback + escape hatch
 # --------------------------------------------------------------------- #
 class CountingProbe:
@@ -201,6 +340,7 @@ class CountingProbe:
 
     def __init__(self) -> None:
         self.ops = 0
+        self.warps: set[int] = set()
 
     def begin_launch(self) -> None:
         pass
@@ -213,6 +353,7 @@ class CountingProbe:
 
     def observe(self, warp_id, lane, op, value, gen) -> None:
         self.ops += 1
+        self.warps.add(warp_id)
 
 
 def test_probe_forces_reference_path():
@@ -225,6 +366,18 @@ def test_probe_forces_reference_path():
     # fast flags on, but the attached probe must win
     opt = run_warp(make, ExecutionConfig(), probe=probe)
     assert probe.ops > 0, "probe saw no ops: fast path ran despite the probe"
+    assert deep_eq(ref[0], opt[0])
+    assert ref[1] == opt[1]
+
+    # one-lane warps must not take the launcher's inline path either
+    ref = run_grid(0, SEQUENTIAL)
+    probe = CountingProbe()
+    opt = run_grid(0, ExecutionConfig(), probe=probe)
+    one_lane = {
+        w.warp_id for w in opt[3]
+        if len(w.lanes) == 1 and w.lanes[0].gen.__name__ != "instant"  # yields no op
+    }
+    assert one_lane and one_lane <= probe.warps, "probe missed one-lane warps"
     assert deep_eq(ref[0], opt[0])
     assert ref[1] == opt[1]
 
@@ -244,7 +397,7 @@ def test_repro_slow_path_env_wins(monkeypatch):
 # --------------------------------------------------------------------- #
 # whole-system equivalence (host mutation mid-kernel included)
 # --------------------------------------------------------------------- #
-def _run_system_batches(system: str, execution: ExecutionConfig):
+def _run_system_batches(system: str, execution: ExecutionConfig, mix=None):
     from repro import YcsbWorkload, build_key_pool, make_system
     from repro.workloads import YCSB_A
 
@@ -253,7 +406,7 @@ def _run_system_batches(system: str, execution: ExecutionConfig):
         rng = np.random.default_rng(42)
         keys, values = build_key_pool(2**10, rng)
         sys_ = make_system(system, keys, values, seed=5)
-        wl = YcsbWorkload(pool=keys, mix=YCSB_A)
+        wl = YcsbWorkload(pool=keys, mix=mix if mix is not None else YCSB_A)
         outs = [
             sys_.process_batch(wl.generate(2**9, rng), engine="simt")
             for _ in range(2)
@@ -268,6 +421,18 @@ def _run_system_batches(system: str, execution: ExecutionConfig):
 def test_system_batches_equivalent(system):
     ref_outs, ref_items = _run_system_batches(system, SEQUENTIAL)
     fast_outs, fast_items = _run_system_batches(system, ExecutionConfig())
+    assert deep_eq(ref_outs, fast_outs)
+    assert np.array_equal(ref_items[0], fast_items[0])
+    assert np.array_equal(ref_items[1], fast_items[1])
+
+
+def test_eirene_range_batches_equivalent():
+    """YCSB-E: Eirene launches every range request as a one-lane warp, so
+    these batches run almost entirely on the launcher's inline path."""
+    from repro.workloads import YCSB_E
+
+    ref_outs, ref_items = _run_system_batches("eirene", SEQUENTIAL, YCSB_E)
+    fast_outs, fast_items = _run_system_batches("eirene", ExecutionConfig(), YCSB_E)
     assert deep_eq(ref_outs, fast_outs)
     assert np.array_equal(ref_items[0], fast_items[0])
     assert np.array_equal(ref_items[1], fast_items[1])
