@@ -2,9 +2,8 @@
 
 These helpers go through the *counted* arena plane; they are the units the
 device-side programs (baselines and Eirene kernels) are built from. Host
-code that must not be charged (bulk build, the sequential reference) flips
-``arena.counting`` off or uses :class:`~repro.btree.tree.BPlusTree` host
-views instead.
+code that must not be charged (bulk build, the sequential reference) uses
+:class:`~repro.btree.tree.BPlusTree` host views instead.
 
 Since the typed-view refactor this class is a thin method-style veneer over
 :mod:`repro.btree.views` — each accessor delegates to the generated

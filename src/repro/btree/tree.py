@@ -241,7 +241,6 @@ class BPlusTree:
         vertical traversal instead."""
         if observed_steps <= self.height:
             return
-        self.arena.host_write_sync()
         views = self.views
         node = start_leaf
         for _ in range(self.height + 1):
@@ -299,7 +298,6 @@ class BPlusTree:
         """
         if not 0 <= key <= MAX_KEY:
             raise TreeError(f"key {key} out of range")
-        self.arena.host_write_sync()
         path = self._descend_path(key)
         leaf = path[-1][0]
         slot = self.leaf_slot(leaf, key)
@@ -313,7 +311,6 @@ class BPlusTree:
 
     def delete(self, key: int) -> int:
         """Remove ``key``; returns the old value or ``NULL_VALUE`` if absent."""
-        self.arena.host_write_sync()
         leaf, _ = self.find_leaf(key)
         slot = self.leaf_slot(leaf, key)
         if slot < 0:

@@ -53,8 +53,17 @@ class DeviceConfig:
             )
         if self.clock_ghz <= 0:
             raise ConfigError(f"clock_ghz must be positive, got {self.clock_ghz}")
-        if self.segment_bytes % self.word_bytes:
-            raise ConfigError("segment_bytes must be a multiple of word_bytes")
+        if self.word_bytes <= 0:
+            raise ConfigError(f"word_bytes must be positive, got {self.word_bytes}")
+        if self.segment_bytes <= 0 or self.segment_bytes % self.word_bytes:
+            raise ConfigError(
+                "segment_bytes must be a positive multiple of word_bytes, "
+                f"got {self.segment_bytes}"
+            )
+        if self.mem_bandwidth_gbps <= 0:
+            raise ConfigError(
+                f"mem_bandwidth_gbps must be positive, got {self.mem_bandwidth_gbps}"
+            )
 
     @property
     def words_per_segment(self) -> int:
@@ -160,10 +169,10 @@ class EireneConfig:
 class ExecutionConfig:
     """How the *simulator itself* executes — never what it computes.
 
-    Every flag here is observationally neutral: counters, arena contents,
-    lane results and timing-model outputs are bit-for-bit identical on every
-    setting. The flags only trade interpreter wall-clock time, so goldens
-    and figures can never depend on them.
+    The one setting is observationally neutral: counters, arena contents,
+    lane results and timing-model outputs are bit-for-bit identical either
+    way. It only trades interpreter wall-clock time, so goldens and figures
+    can never depend on it.
 
     ``REPRO_SLOW_PATH=1`` in the environment forces the reference
     interpreter (``vectorize_slots=False``) regardless of programmatic
@@ -171,40 +180,15 @@ class ExecutionConfig:
     """
 
     #: use the optimized :meth:`~repro.simt.Warp.step` path (batched
-    #: counter flushes, barrier-wait lane parking, bulk load execution).
-    #: Attaching an analysis probe always falls back to the reference
-    #: interpreter regardless of this flag.
+    #: counter flushes, barrier-wait lane parking, one-lane warps run
+    #: inline by the launcher). Read when a warp is built; attaching an
+    #: analysis probe always selects the reference interpreter instead.
     vectorize_slots: bool = True
-    #: park lanes blocked on a :class:`~repro.simt.WaitGE` barrier instead
-    #: of resuming their generator every slot (fast path only).
-    park_barrier_waits: bool = True
-    #: minimum pending loads in a slot before the fast path defers them
-    #: into one :meth:`~repro.memory.MemoryArena.gather`. Scalar fetches
-    #: win below ~48 addresses (numpy fancy-indexing overhead), so the
-    #: default disables deferral at the stock warp width of 32; tests set
-    #: it to 1 to exercise the bulk path.
-    gather_threshold: int = 48
-    #: worker processes for :class:`~repro.sharding.ParallelShardedSystem`
-    #: when the caller does not specify a count.
-    default_shard_workers: int = 2
-
-    def __post_init__(self) -> None:
-        if self.gather_threshold < 1:
-            raise ConfigError(
-                f"gather_threshold must be >= 1, got {self.gather_threshold}"
-            )
-        if self.default_shard_workers < 1:
-            raise ConfigError(
-                f"default_shard_workers must be >= 1, got {self.default_shard_workers}"
-            )
-
-    def replace(self, **kwargs: object) -> "ExecutionConfig":
-        return dataclasses.replace(self, **kwargs)
 
 
 def _execution_config_from_env() -> ExecutionConfig:
     if os.environ.get("REPRO_SLOW_PATH", "") == "1":
-        return ExecutionConfig(vectorize_slots=False, park_barrier_waits=False)
+        return ExecutionConfig(vectorize_slots=False)
     return ExecutionConfig()
 
 
@@ -228,9 +212,9 @@ def set_execution_config(cfg: ExecutionConfig | None) -> ExecutionConfig:
     """
     global _execution
     previous = execution_config()
-    if cfg is not None and os.environ.get("REPRO_SLOW_PATH", "") == "1":
-        cfg = cfg.replace(vectorize_slots=False, park_barrier_waits=False)
-    _execution = cfg if cfg is not None else _execution_config_from_env()
+    if cfg is None or os.environ.get("REPRO_SLOW_PATH", "") == "1":
+        cfg = _execution_config_from_env()
+    _execution = cfg
     return previous
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DeviceConfig, ExecutionConfig
+from .config import DeviceConfig
 from .errors import ConfigError
 from .memory import MemoryArena
 from .memory.stats import MemoryStats
@@ -40,7 +40,6 @@ class DeviceSnapshot:
     data: np.ndarray
     brk: int
     stats: MemoryStats
-    counting: bool
 
 
 class DeviceContext:
@@ -54,13 +53,8 @@ class DeviceContext:
         device: DeviceConfig | None = None,
         cost: "object | None" = None,
         seed: int = 0,
-        execution: "ExecutionConfig | None" = None,
     ) -> None:
         self.device = device or DeviceConfig()
-        #: interpreter selection for launches created by this context;
-        #: ``None`` defers to the process-wide execution config (which
-        #: honours the ``REPRO_SLOW_PATH=1`` escape hatch).
-        self.execution = execution
         if arena is not None:
             if capacity_words is not None and arena.capacity != capacity_words:
                 raise ValueError(
@@ -101,8 +95,7 @@ class DeviceContext:
         from .simt import KernelLaunch
 
         return KernelLaunch(
-            self.device, self.arena, n_requests, rng=rng, probe=self.sanitizer,
-            execution=self.execution,
+            self.device, self.arena, n_requests, rng=rng, probe=self.sanitizer
         )
 
     def attach_probe(self, probe) -> None:
@@ -130,7 +123,6 @@ class DeviceContext:
             data=self.arena.data[: self.arena.capacity].copy(),
             brk=self.arena.allocated,
             stats=self.arena.stats.snapshot(),
-            counting=self.arena.counting,
         )
 
     def restore(self, snap: DeviceSnapshot) -> None:
@@ -143,7 +135,6 @@ class DeviceContext:
         np.copyto(self.arena.data[: self.arena.capacity], snap.data)
         self.arena._brk = snap.brk
         self.arena.stats = snap.stats.snapshot()
-        self.arena.counting = snap.counting
 
     def fork(self, seed: int | None = None) -> "DeviceContext":
         """Independent copy: new arena with the same words, config shared
@@ -156,12 +147,10 @@ class DeviceContext:
             device=self.device,
             cost=self.cost,
             seed=self.seed if seed is None else seed,
-            execution=self.execution,
         )
         np.copyto(twin.arena.data, self.arena.data[: self.arena.capacity])
         twin.arena._brk = self.arena.allocated
         twin.arena.stats = self.arena.stats.snapshot()
-        twin.arena.counting = self.arena.counting
         return twin
 
     @classmethod

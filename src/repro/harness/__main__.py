@@ -65,10 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="system to shard for the 'shards' target (default: eirene)",
     )
     parser.add_argument(
-        "--shard-executor", default="serial", choices=("serial", "thread"),
-        help="run shard pipelines serially or on a thread pool",
-    )
-    parser.add_argument(
         "--perf-repeats", type=int, default=2,
         help="timing repeats per cell for the 'perf' target (best-of)",
     )
@@ -125,8 +121,7 @@ def main(argv: list[str] | None = None) -> int:
         if name == "shards":
             counts = tuple(int(c) for c in args.shard_counts.split(","))
             fig = scaling.shard_scaling(
-                cfg, shard_counts=counts,
-                system=args.shard_system, executor=args.shard_executor,
+                cfg, shard_counts=counts, system=args.shard_system
             )
         else:
             fig = RUNNERS[name](cfg)

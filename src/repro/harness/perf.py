@@ -2,15 +2,16 @@
 computes.
 
 Every mode here produces bit-identical counters, results and modeled times
-(that is the :class:`~repro.config.ExecutionConfig` contract); the only
-thing measured is host wall-clock. Three modes:
+(that is the :class:`~repro.config.ExecutionConfig` contract: its one
+``vectorize_slots`` switch); the only thing measured is host wall-clock.
+Three modes:
 
 ``sequential``
     the reference interpreter (``vectorize_slots=False``) — the seed
     repo's slot loop, kept verbatim as the semantic baseline;
 ``vectorized``
     the optimized :meth:`~repro.simt.Warp.step` fast path (batched counter
-    flushes, parked barrier waits, bulk loads);
+    flushes, parked barrier waits, one-lane warps run inline);
 ``vect+shards``
     the fast path with the batch split across a
     :class:`~repro.sharding.ParallelShardedSystem` fleet (worker
@@ -47,7 +48,7 @@ from .report import FigureResult
 MIXES = {"YCSB-A": YCSB_A, "YCSB-B": YCSB_B, "YCSB-C": YCSB_C, "YCSB-E": YCSB_E}
 
 #: the reference interpreter, exactly as the escape hatch selects it
-SEQUENTIAL = ExecutionConfig(vectorize_slots=False, park_barrier_waits=False)
+SEQUENTIAL = ExecutionConfig(vectorize_slots=False)
 #: the optimized fast path (the process default)
 VECTORIZED = ExecutionConfig()
 

@@ -29,7 +29,6 @@ def shard_scaling(
     cfg: ExperimentConfig | None = None,
     shard_counts: tuple[int, ...] = (1, 2, 4, 8),
     system: str = "eirene",
-    executor: str = "serial",
 ) -> FigureResult:
     """Throughput/speedup table over ``shard_counts``, plus per-shard QoS."""
     cfg = cfg or default_config()
@@ -50,7 +49,6 @@ def shard_scaling(
             keys,
             values,
             n_shards=n_shards,
-            executor=executor,
             tree_config=cfg.tree_config,
             device=cfg.device,
             fill_factor=cfg.fill_factor,

@@ -33,6 +33,10 @@ class MemoryArena:
     def __init__(self, capacity_words: int, words_per_segment: int = 16) -> None:
         if capacity_words <= 0:
             raise MemoryError_(f"arena capacity must be positive, got {capacity_words}")
+        if words_per_segment <= 0:
+            raise MemoryError_(
+                f"words_per_segment must be positive, got {words_per_segment}"
+            )
         self._data = np.zeros(capacity_words, dtype=WORD_DTYPE)
         self._brk = 0
         #: words visible to device code; system allocations live above this
@@ -45,16 +49,6 @@ class MemoryArena:
         #: call (measurable on kernels issuing millions of labelled
         #: accesses; totals are identical at every observation point).
         self._pending_labels: dict = {}
-        #: when False, counted accessors skip all accounting (fast path for
-        #: functional runs where only results matter).
-        self.counting = True
-        #: fast-path hook (see Warp._step_fast): while a warp slot has
-        #: deferred loads in flight, this holds a callable that flushes
-        #: them. Host-plane helpers that mutate device-visible words during
-        #: a kernel (tree splits, RF updates, STM invalidation) must call
-        #: :meth:`host_write_sync` first so no deferred load can observe
-        #: their writes out of program order.
-        self._host_barrier = None
 
     # ------------------------------------------------------------------ #
     # allocation
@@ -136,8 +130,6 @@ class MemoryArena:
         self._brk = 0
         self._pending_labels.clear()
         self._stats.reset()
-        self.counting = True
-        self._host_barrier = None
 
     # ------------------------------------------------------------------ #
     # statistics (lazy per-label flush)
@@ -158,18 +150,6 @@ class MemoryArena:
         self._pending_labels.clear()
         self._stats = value
 
-    def host_write_sync(self) -> None:
-        """Order a host-plane write after any in-flight deferred loads.
-
-        Host helpers that mutate device-visible words *while a kernel is
-        executing* (split application, RF maintenance, STM invalidation)
-        call this first; it is a no-op unless the fast warp interpreter has
-        loads deferred in the current slot.
-        """
-        barrier = self._host_barrier
-        if barrier is not None:
-            barrier()
-
     # ------------------------------------------------------------------ #
     # counted scalar accesses
     # ------------------------------------------------------------------ #
@@ -180,7 +160,7 @@ class MemoryArena:
     def read(self, addr: int, label: str | None = None) -> int:
         """Counted scalar load."""
         self._check(addr)
-        if self.counting and addr < self._user_capacity:
+        if addr < self._user_capacity:
             stats = self._stats
             stats.reads += 1
             stats.read_words += 1
@@ -193,7 +173,7 @@ class MemoryArena:
     def write(self, addr: int, value: int, label: str | None = None) -> None:
         """Counted scalar store."""
         self._check(addr)
-        if self.counting and addr < self._user_capacity:
+        if addr < self._user_capacity:
             stats = self._stats
             stats.writes += 1
             stats.write_words += 1
@@ -210,7 +190,7 @@ class MemoryArena:
         """Compare-and-swap; returns the *old* value (CUDA ``atomicCAS``)."""
         self._check(addr)
         old = int(self._data[addr])
-        if self.counting and addr < self._user_capacity:
+        if addr < self._user_capacity:
             stats = self._stats
             stats.atomics += 1
             stats.transactions += 1
@@ -224,7 +204,7 @@ class MemoryArena:
         """Atomic fetch-and-add; returns the old value."""
         self._check(addr)
         old = int(self._data[addr])
-        if self.counting and addr < self._user_capacity:
+        if addr < self._user_capacity:
             stats = self._stats
             stats.atomics += 1
             stats.transactions += 1
@@ -235,7 +215,7 @@ class MemoryArena:
         """Atomic exchange; returns the old value."""
         self._check(addr)
         old = int(self._data[addr])
-        if self.counting and addr < self._user_capacity:
+        if addr < self._user_capacity:
             stats = self._stats
             stats.atomics += 1
             stats.transactions += 1
@@ -254,7 +234,7 @@ class MemoryArena:
         addrs = np.asarray(addrs, dtype=np.int64)
         if addrs.size and (addrs.min() < 0 or addrs.max() >= self._data.size):
             raise MemoryError_("gather address out of bounds")
-        if self.counting and addrs.size and int(addrs.min()) < self._user_capacity:
+        if addrs.size and int(addrs.min()) < self._user_capacity:
             stats = self._stats
             stats.reads += 1
             stats.read_words += int(addrs.size)
@@ -271,7 +251,7 @@ class MemoryArena:
         addrs = np.asarray(addrs, dtype=np.int64)
         if addrs.size and (addrs.min() < 0 or addrs.max() >= self._data.size):
             raise MemoryError_("scatter address out of bounds")
-        if self.counting and addrs.size and int(addrs.min()) < self._user_capacity:
+        if addrs.size and int(addrs.min()) < self._user_capacity:
             stats = self._stats
             stats.writes += 1
             stats.write_words += int(addrs.size)
@@ -279,62 +259,6 @@ class MemoryArena:
             if label:
                 pending = self._pending_labels
                 pending[label] = pending.get(label, 0) + 1
-        self._data[addrs] = values
-
-    # ------------------------------------------------------------------ #
-    # bulk accesses (fast warp interpreter / batched host tooling)
-    # ------------------------------------------------------------------ #
-    def gather(self, addrs, label: str | None = None, *, counted: bool = False) -> np.ndarray:
-        """Bulk load of ``addrs`` (any int sequence) in one numpy gather.
-
-        With ``counted=False`` (default) this is the *device raw plane*
-        used by the fast warp interpreter: the SIMT executor charges its
-        own :class:`~repro.simt.KernelCounters`, exactly as its scalar
-        reference path reads ``self.data`` directly, so nothing is charged
-        here. With ``counted=True`` it charges :attr:`stats` identically
-        to ``len(addrs)`` scalar :meth:`read` calls (same reads / words /
-        transactions / label totals), letting batched host tooling keep
-        scalar-equivalent accounting.
-        """
-        addrs = np.asarray(addrs, dtype=np.intp)
-        if addrs.size and (addrs.min() < 0 or addrs.max() >= self._data.size):
-            raise MemoryError_("gather address out of bounds")
-        if counted and self.counting and addrs.size:
-            n = int((addrs < self._user_capacity).sum())
-            if n:
-                stats = self._stats
-                stats.reads += n
-                stats.read_words += n
-                stats.transactions += n
-                if label:
-                    pending = self._pending_labels
-                    pending[label] = pending.get(label, 0) + n
-        return self._data[addrs]
-
-    def scatter(
-        self, addrs, values, label: str | None = None, *, counted: bool = False
-    ) -> None:
-        """Bulk store of ``values`` to ``addrs`` in one numpy scatter.
-
-        Mirror of :meth:`gather`: uncounted by default (device raw plane),
-        or charged identically to ``len(addrs)`` scalar :meth:`write`
-        calls with ``counted=True``. Duplicate addresses follow numpy
-        fancy-assignment semantics (last write wins), matching a
-        sequential loop of scalar writes.
-        """
-        addrs = np.asarray(addrs, dtype=np.intp)
-        if addrs.size and (addrs.min() < 0 or addrs.max() >= self._data.size):
-            raise MemoryError_("scatter address out of bounds")
-        if counted and self.counting and addrs.size:
-            n = int((addrs < self._user_capacity).sum())
-            if n:
-                stats = self._stats
-                stats.writes += n
-                stats.write_words += n
-                stats.transactions += n
-                if label:
-                    pending = self._pending_labels
-                    pending[label] = pending.get(label, 0) + n
         self._data[addrs] = values
 
     # ------------------------------------------------------------------ #

@@ -21,9 +21,10 @@ Determinism is by construction, not by luck:
   select on readiness — it drains pipes in worker order after broadcasting
   all jobs).
 
-Workers install the parent's :class:`~repro.config.ExecutionConfig` at
-startup, so ``REPRO_SLOW_PATH=1`` and programmatic engine selection apply
-fleet-wide. ``n_workers=0`` (or a failed process start) degrades to an
+Workers install the parent's :class:`~repro.config.ExecutionConfig` (its
+single ``vectorize_slots`` switch) at startup, so ``REPRO_SLOW_PATH=1`` and
+:func:`~repro.config.set_execution_config` apply fleet-wide. The default is
+two workers; ``n_workers=0`` (or a failed process start) degrades to an
 in-process :class:`ShardedSystem` with identical output — the serial
 fallback for environments where ``fork`` is unavailable.
 """
@@ -35,7 +36,7 @@ import traceback
 
 import numpy as np
 
-from ..config import ExecutionConfig, execution_config, set_execution_config
+from ..config import execution_config, set_execution_config
 from ..errors import ConfigError, SimulationError
 from ..lincheck import SequentialReference
 from ..workloads.requests import RequestBatch
@@ -106,13 +107,10 @@ class ParallelShardedSystem:
         keys: np.ndarray,
         values: np.ndarray,
         n_shards: int,
-        n_workers: int | None = None,
+        n_workers: int = 2,
         seed: int = 0,
-        execution: ExecutionConfig | None = None,
         **make_kwargs,
     ) -> None:
-        if n_workers is None:
-            n_workers = execution_config().default_shard_workers
         if n_workers < 0:
             raise ConfigError(f"n_workers must be >= 0, got {n_workers}")
         self.plan = ShardPlan.from_pool(keys, n_shards)
@@ -122,7 +120,6 @@ class ParallelShardedSystem:
         self._local: ShardedSystem | None = None
         self._workers: list[tuple[object, object]] = []  # (Process, Connection)
         self._owned: list[list[int]] = []
-        execution = execution if execution is not None else execution_config()
 
         if self.n_workers == 0:
             self._build_local(system, keys, values, n_shards, seed, make_kwargs)
@@ -138,7 +135,7 @@ class ParallelShardedSystem:
                 spec = {
                     "system": system,
                     "seed": seed,
-                    "execution": execution,
+                    "execution": execution_config(),
                     "make_kwargs": make_kwargs,
                     "loads": [(s, *loads[s]) for s in owned],
                 }

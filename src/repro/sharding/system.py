@@ -5,19 +5,17 @@ with its own :class:`~repro.device.DeviceContext` (arena, cost model, RNG
 seed), tree, and synchronization machinery — plus the
 :class:`~repro.sharding.router.ShardRouter` that splits every incoming
 batch at the plan's fence keys. Processing a batch routes it, pushes each
-non-empty sub-batch through that shard's ordinary pass pipeline (serially
-or on a thread pool — shards share no mutable state, so threads are safe),
-and merges the per-shard outcomes with
+non-empty sub-batch through that shard's ordinary pass pipeline, one shard
+after another, and merges the per-shard outcomes with
 :func:`~repro.sharding.merge.merge_shard_outcomes`.
 
 The merged ``seconds`` is the straggler shard's time: shards model
 *separate GPUs running concurrently*, which is what the scaling benchmark
-measures (modeled throughput vs shard count).
+measures (modeled throughput vs shard count). To run the shards in
+parallel on the host, use :class:`~repro.sharding.ParallelShardedSystem`.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,30 +24,20 @@ from ..errors import ConfigError
 from ..lincheck import SequentialReference
 from ..workloads.requests import RequestBatch
 from .merge import merge_shard_outcomes
-from .router import RoutedSubBatch, ShardPlan, ShardRouter
-
-EXECUTORS = ("serial", "thread")
+from .router import ShardPlan, ShardRouter
 
 
 class ShardedSystem:
     """N key-range shards of one system kind, batched behind one router."""
 
-    def __init__(
-        self,
-        shards: list[System],
-        plan: ShardPlan,
-        executor: str = "serial",
-    ) -> None:
+    def __init__(self, shards: list[System], plan: ShardPlan) -> None:
         if len(shards) != plan.n_shards:
             raise ConfigError(
                 f"{len(shards)} shard systems for a {plan.n_shards}-shard plan"
             )
-        if executor not in EXECUTORS:
-            raise ConfigError(f"unknown executor {executor!r}; use one of {EXECUTORS}")
         self.shards = list(shards)
         self.plan = plan
         self.router = ShardRouter(plan)
-        self.executor = executor
         self.name = f"{shards[0].name}x{plan.n_shards}"
 
     # ------------------------------------------------------------------ #
@@ -62,7 +50,6 @@ class ShardedSystem:
         keys: np.ndarray,
         values: np.ndarray,
         n_shards: int,
-        executor: str = "serial",
         seed: int = 0,
         **make_kwargs,
     ) -> "ShardedSystem":
@@ -76,7 +63,7 @@ class ShardedSystem:
             make_system(system, ks, vs, seed=seed + s, **make_kwargs)
             for s, (ks, vs) in enumerate(plan.partition_pool(keys, values))
         ]
-        return cls(shards, plan, executor=executor)
+        return cls(shards, plan)
 
     @property
     def n_shards(self) -> int:
@@ -88,19 +75,11 @@ class ShardedSystem:
     def process_batch(self, batch: RequestBatch, engine: str = "vector") -> BatchOutcome:
         """Route, run every non-empty shard's pipeline, merge."""
         routed = self.router.route(batch)
-        if self.executor == "thread" and self.n_shards > 1:
-            with ThreadPoolExecutor(max_workers=self.n_shards) as pool:
-                futures = [
-                    pool.submit(self._run_shard, r, engine) if r.n else None
-                    for r in routed
-                ]
-                outcomes = [f.result() if f is not None else None for f in futures]
-        else:
-            outcomes = [self._run_shard(r, engine) if r.n else None for r in routed]
+        outcomes = [
+            self.shards[r.shard].process_batch(r.batch, engine=engine) if r.n else None
+            for r in routed
+        ]
         return merge_shard_outcomes(batch, routed, outcomes, self.name)
-
-    def _run_shard(self, routed: RoutedSubBatch, engine: str) -> BatchOutcome:
-        return self.shards[routed.shard].process_batch(routed.batch, engine=engine)
 
     # ------------------------------------------------------------------ #
     # whole-fleet inspection (tests / lincheck)
@@ -130,7 +109,4 @@ class ShardedSystem:
         return SequentialReference(keys, values)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShardedSystem({self.name}, shards={self.n_shards}, "
-            f"executor={self.executor!r})"
-        )
+        return f"ShardedSystem({self.name}, shards={self.n_shards})"

@@ -19,8 +19,8 @@ steps; the kernel's device time is the maximum over SMs (the straggler SM),
 matching how a real grid retires.
 
 One-lane warps run inline: when :meth:`~repro.simt.warp.Warp.inline_lane`
-allows it (``vectorize_slots`` on, no probe, no load deferral), the round
-loop resumes the warp's only lane itself instead of calling
+allows it (``vectorize_slots`` on, no probe), the round loop resumes the
+warp's only lane itself instead of calling
 :meth:`~repro.simt.warp.Warp.step`. A one-lane slot is one op, so each op
 kind has a fixed charge, precomputed with the same timing expression the
 loop applies to ``Warp.step`` results. Counters, ``finish_cycle`` and
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Generator
 
-from ..config import DeviceConfig, ExecutionConfig
+from ..config import DeviceConfig
 from ..errors import SimulationError
 from ..memory import MemoryArena
 from .counters import KernelCounters
@@ -66,7 +66,6 @@ class KernelLaunch:
         n_requests: int,
         rng=None,
         probe=None,
-        execution: ExecutionConfig | None = None,
     ) -> None:
         self.device = device
         self.arena = arena
@@ -75,9 +74,6 @@ class KernelLaunch:
         #: analysis probe (race detector / hotspot profiler) observing every
         #: executed op; ``None`` leaves execution bit-for-bit unchanged.
         self.probe = probe
-        #: interpreter selection for this grid's warps; ``None`` defers to
-        #: the process-wide :func:`repro.config.execution_config`.
-        self.execution = execution
         self._warps: list[Warp] = []
         self._launched = False
 
@@ -87,11 +83,8 @@ class KernelLaunch:
         their shared buffer around the returned object)."""
         if self._launched:
             raise SimulationError("cannot add warps after launch")
-        warp = Warp(
-            programs, self.arena, self.device.warp_size, execution=self.execution
-        )
+        warp = Warp(programs, self.arena, self.device.warp_size, probe=self.probe)
         warp.warp_id = len(self._warps)
-        warp.probe = self.probe
         self._warps.append(warp)
         return warp
 

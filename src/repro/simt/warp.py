@@ -25,23 +25,21 @@ Two interpreter paths implement the identical semantics (see DESIGN.md §9):
 * the **fast path** (:meth:`Warp._step_fast`) produces bit-for-bit the same
   counters, memory contents and lane results, but parks lanes blocked on a
   :class:`WaitGE` barrier (skipping their generators entirely), batches
-  counter updates into one flush per slot, drops retired lanes from the
-  iteration list, and can defer a slot's loads into one
-  :meth:`~repro.memory.MemoryArena.gather` (off by default at warp width
-  32, where scalar fetches measure faster).
+  counter updates into one flush per slot and drops retired lanes from the
+  iteration list.
 
-A third, narrowest path lives in the launcher: a one-lane warp that would
-take the fast path without load deferral (:meth:`Warp.inline_lane`) is
-resumed directly by :meth:`~repro.simt.launcher.KernelLaunch.run`, again
-bit-for-bit identical to :meth:`Warp._step_slow`. Eirene launches every
-range request as a one-lane warp, so on range-scan workloads nearly all warp
-steps take it.
+A third, narrowest path lives in the launcher: a one-lane warp on the fast
+path (:meth:`Warp.inline_lane`) is resumed directly by
+:meth:`~repro.simt.launcher.KernelLaunch.run`, again bit-for-bit identical
+to :meth:`Warp._step_slow`. Eirene launches every range request as a
+one-lane warp, so on range-scan workloads nearly all warp steps take it.
 
-Attaching an analysis probe (race sanitizer, hotspot profiler) always
+The path is chosen once, when the warp is built: an analysis probe (race
+sanitizer, hotspot profiler) or ``vectorize_slots=False`` (see
+:class:`~repro.config.ExecutionConfig`; ``REPRO_SLOW_PATH=1`` forces it)
 selects the reference path, so probes observe every op exactly as before.
-``REPRO_SLOW_PATH=1`` (see :mod:`repro.config`) forces it globally. Every
-path rejects a load, store or atomic address outside ``[0, data.size)``
-with the same :class:`~repro.errors.SimulationError`.
+Every path rejects a load, store or atomic address outside
+``[0, data.size)`` with the same :class:`~repro.errors.SimulationError`.
 """
 
 from __future__ import annotations
@@ -49,9 +47,7 @@ from __future__ import annotations
 from collections.abc import Generator
 from operator import attrgetter
 
-import numpy as np
-
-from ..config import ExecutionConfig, execution_config
+from ..config import execution_config
 from ..errors import SimulationError
 from ..memory import MemoryArena
 from .counters import KernelCounters
@@ -110,8 +106,7 @@ class Warp:
 
     __slots__ = (
         "lanes", "arena", "words_per_segment", "active", "shared", "probe",
-        "warp_id", "_fast", "_park", "_defer", "_awake", "_groups", "_hot",
-        "_live_stale",
+        "warp_id", "_fast", "_awake", "_groups", "_hot",
     )
 
     def __init__(
@@ -119,7 +114,7 @@ class Warp:
         programs: list[Generator],
         arena: MemoryArena,
         warp_size: int = 32,
-        execution: ExecutionConfig | None = None,
+        probe=None,
     ):
         if not programs:
             raise SimulationError("a warp needs at least one lane")
@@ -132,19 +127,14 @@ class Warp:
         #: warp-shared scratch (models shared memory, e.g. the §5 iteration
         #: warp buffer); populated by the kernel code that built this warp.
         self.shared: dict = {}
-        #: analysis probe (race detector / hotspot profiler); set by the
-        #: launcher when the owning DeviceContext has one attached. ``None``
-        #: keeps the hot path identical to a probe-free build.
-        self.probe = None
+        #: analysis probe (race detector / hotspot profiler) of the owning
+        #: launch. ``None`` keeps the hot path identical to a probe-free build.
+        self.probe = probe
         #: grid-unique warp id assigned by the launcher (0 when standalone)
         self.warp_id = 0
-        ex = execution if execution is not None else execution_config()
-        self._fast = ex.vectorize_slots
-        self._park = ex.park_barrier_waits
-        #: defer this slot's loads into one arena.gather? Static per warp:
-        #: profitable only when a slot can batch >= gather_threshold
-        #: addresses, which a narrower warp never reaches.
-        self._defer = len(self.lanes) >= ex.gather_threshold
+        #: interpreter path, fixed for the warp's life: a probe or
+        #: ``vectorize_slots=False`` selects the reference path
+        self._fast = probe is None and execution_config().vectorize_slots
         #: lanes that are runnable (active and not parked), in lane order;
         #: the fast path iterates only these, so retired lanes and lanes
         #: parked at a barrier cost nothing per slot.
@@ -156,9 +146,6 @@ class Warp:
         #: only these can open mid-slot, so only these are re-checked after
         #: each lane resumption (see the WaitGE contract in instructions.py).
         self._hot: list[list] = []
-        #: set by the reference path: fast-path scheduling state is stale
-        #: and must be rebuilt (probe runs interleave the two paths).
-        self._live_stale = False
 
     def step(self, counters: KernelCounters, cycle: float) -> tuple[int, int, int]:
         """Advance every active lane one slot.
@@ -166,21 +153,19 @@ class Warp:
         Returns ``(issue_slots, transactions, atomic_conflicts)`` for the
         timing model. Marks the warp inactive when all lanes finished.
         """
-        if self.probe is not None or not self._fast:
-            return self._step_slow(counters, cycle)
-        return self._step_fast(counters, cycle)
+        if self._fast:
+            return self._step_fast(counters, cycle)
+        return self._step_slow(counters, cycle)
 
     def inline_lane(self) -> Lane | None:
         """This warp's only lane if a launcher may run it inline, else None.
 
-        A one-lane warp that :meth:`step` would send down the fast path
-        without load deferral has nothing to batch, park or coalesce; the
-        launcher then resumes its lane directly (see
+        A one-lane warp on the fast path has nothing to batch, park or
+        coalesce; the launcher then resumes its lane directly (see
         :meth:`KernelLaunch.run`) with the reference path's exact charges.
         """
-        lanes = self.lanes
-        if len(lanes) == 1 and self._fast and not self._defer and self.probe is None:
-            return lanes[0]
+        if self._fast and len(self.lanes) == 1:
+            return self.lanes[0]
         return None
 
     # ------------------------------------------------------------------ #
@@ -196,7 +181,6 @@ class Warp:
         atomic_conflicts = 0
         any_active = False
         probe = self.probe
-        self._live_stale = True
         if probe is not None:
             probe.begin_slot(self.warp_id)
 
@@ -307,23 +291,11 @@ class Warp:
     # fast interpreter (identical observable behaviour)
     # ------------------------------------------------------------------ #
     def _step_fast(self, counters: KernelCounters, cycle: float) -> tuple[int, int, int]:
-        arena = self.arena
-        data = arena.data
+        data = self.arena.data
         item = data.item
         size = data.size
-        park = self._park
         wps = self.words_per_segment
         groups = self._groups
-        if self._live_stale:
-            # the reference path ran in between (probe attached): dissolve
-            # all parking state — woken lanes just re-yield their WaitGE,
-            # which charges nothing, so spurious wakes are free
-            for ln in self.lanes:
-                ln.wait = None
-            groups.clear()
-            self._hot = []
-            self._awake = [ln for ln in self.lanes if ln.active]
-            self._live_stale = False
         awake = self._awake
         wake_next: list[Lane] = []
         if groups:
@@ -339,7 +311,6 @@ class Warp:
             return 0, 0, 0
         hot = self._hot
         compact = False
-        load_addrs: list[int] = []
         load_segs: set[int] = set()
         store_segs: set[int] = set()
         lseg_add = load_segs.add
@@ -348,169 +319,128 @@ class Warp:
         n_load = n_store = n_branch = n_alu = 0
         n_atomic = transactions = atomic_conflicts = 0
 
-        # Load deferral (only for warps wide enough that one bulk gather
-        # beats scalar fetches): queued loads are flushed before any op or
-        # host-plane helper can write device memory, so a deferred load can
-        # never observe a later lane's store. Host-side mutators signal via
-        # arena.host_write_sync() -> _host_barrier (see MemoryArena).
-        defer = self._defer
-        if defer:
-            pend_lanes: list[Lane] = []
-
-            def flush() -> None:
-                if not pend_lanes:
-                    return
-                base = len(load_addrs) - len(pend_lanes)
-                addrs = load_addrs[base:]
-                if len(addrs) >= 2:
-                    for ln, v in zip(pend_lanes, arena.gather(addrs).tolist()):
-                        ln.send_value = v
-                else:
-                    pend_lanes[0].send_value = item(addrs[0])
-                pend_lanes.clear()
-
-            arena._host_barrier = flush
-
-        try:
-            i = 0
-            n = len(awake)
-            while i < n:
-                lane = awake[i]
-                i += 1
-                try:
-                    op = lane.send(lane.send_value)
-                except StopIteration as stop:
-                    lane.active = False
-                    lane.result = stop.value
-                    compact = True
-                    if hot:
-                        # a lane may pass its last barrier and retire in one
-                        # resumption; its followers still wake this slot
-                        for g in hot:
-                            if g[0][g[1]] >= g[2]:
-                                self._open_groups(awake, i, lane.pos, wake_next)
-                                hot = self._hot
-                                n = len(awake)
-                                break
-                    continue
-                lane.steps += 1
-                t = type(op)
-                if t is Load:
-                    addr = op.addr
-                    if not 0 <= addr < size:
-                        raise SimulationError(f"load address {addr} out of bounds")
-                    n_load += 1
-                    kinds |= 1
-                    if defer:
-                        load_addrs.append(addr)
-                        pend_lanes.append(lane)
-                    else:
-                        lseg_add(addr // wps)
-                        lane.send_value = item(addr)
-                elif t is Branch:
-                    lane.send_value = None
-                    n_branch += 1
-                    kinds |= 16
-                elif t is Alu:
-                    lane.send_value = None
-                    n_alu += op.count
-                    kinds |= 8
-                elif t is Store:
-                    addr = op.addr
-                    if not 0 <= addr < size:
-                        raise SimulationError(f"store address {addr} out of bounds")
-                    if defer:
-                        flush()
-                    data[addr] = op.value
-                    sseg_add(addr // wps)
-                    lane.send_value = None
-                    n_store += 1
-                    kinds |= 2
-                elif t is AtomicCAS:
-                    addr = op.addr
-                    if not 0 <= addr < size:
-                        raise SimulationError(f"atomic address {addr} out of bounds")
-                    if defer:
-                        flush()
-                    old = int(data[addr])
-                    if old == op.expected:
-                        data[addr] = op.desired
-                    else:
-                        atomic_conflicts += 1
-                    lane.send_value = old
-                    n_atomic += 1
-                    transactions += 1
-                    kinds |= 4
-                elif t is AtomicAdd:
-                    addr = op.addr
-                    if not 0 <= addr < size:
-                        raise SimulationError(f"atomic address {addr} out of bounds")
-                    if defer:
-                        flush()
-                    old = int(data[addr])
-                    data[addr] = old + op.delta
-                    lane.send_value = old
-                    n_atomic += 1
-                    transactions += 1
-                    kinds |= 4
-                elif t is AtomicExch:
-                    addr = op.addr
-                    if not 0 <= addr < size:
-                        raise SimulationError(f"atomic address {addr} out of bounds")
-                    if defer:
-                        flush()
-                    old = int(data[addr])
-                    data[addr] = op.value
-                    lane.send_value = old
-                    n_atomic += 1
-                    transactions += 1
-                    kinds |= 4
-                elif t is Mark:
-                    lane.send_value = None
-                    counters.finish_cycle[op.request_id] = cycle
-                    counters.service_steps[op.request_id] = lane.steps - lane.mark_base
-                    lane.mark_base = lane.steps
-                    kinds |= 32
-                elif t is WaitGE or t is Noop:
-                    lane.send_value = None
-                    lane.steps -= 1
-                    if park and t is WaitGE:
-                        seq = op.seq
-                        idx = op.idx
-                        tgt = op.target
-                        for g in groups:
-                            if g[0] is seq and g[1] == idx and g[2] == tgt:
-                                g[3].append(lane)
-                                break
-                        else:
-                            g = [seq, idx, tgt, [lane]]
-                            groups.append(g)
-                        lane.wait = g
-                        compact = True
-                        if len(g[3]) >= tgt - 1:
-                            hot = self._hot = [
-                                gg for gg in groups if len(gg[3]) >= gg[2] - 1
-                            ]
-                else:
-                    raise SimulationError(f"unknown op {op!r}")
+        i = 0
+        n = len(awake)
+        while i < n:
+            lane = awake[i]
+            i += 1
+            try:
+                op = lane.send(lane.send_value)
+            except StopIteration as stop:
+                lane.active = False
+                lane.result = stop.value
+                compact = True
                 if hot:
-                    # a barrier one arrival away may have been opened by the
-                    # lane we just ran: wake its followers at their turn
+                    # a lane may pass its last barrier and retire in one
+                    # resumption; its followers still wake this slot
                     for g in hot:
                         if g[0][g[1]] >= g[2]:
                             self._open_groups(awake, i, lane.pos, wake_next)
                             hot = self._hot
                             n = len(awake)
                             break
-            if defer:
-                flush()
-        finally:
-            if defer:
-                arena._host_barrier = None
+                continue
+            lane.steps += 1
+            t = type(op)
+            if t is Load:
+                addr = op.addr
+                if not 0 <= addr < size:
+                    raise SimulationError(f"load address {addr} out of bounds")
+                lseg_add(addr // wps)
+                lane.send_value = item(addr)
+                n_load += 1
+                kinds |= 1
+            elif t is Branch:
+                lane.send_value = None
+                n_branch += 1
+                kinds |= 16
+            elif t is Alu:
+                lane.send_value = None
+                n_alu += op.count
+                kinds |= 8
+            elif t is Store:
+                addr = op.addr
+                if not 0 <= addr < size:
+                    raise SimulationError(f"store address {addr} out of bounds")
+                data[addr] = op.value
+                sseg_add(addr // wps)
+                lane.send_value = None
+                n_store += 1
+                kinds |= 2
+            elif t is AtomicCAS:
+                addr = op.addr
+                if not 0 <= addr < size:
+                    raise SimulationError(f"atomic address {addr} out of bounds")
+                old = int(data[addr])
+                if old == op.expected:
+                    data[addr] = op.desired
+                else:
+                    atomic_conflicts += 1
+                lane.send_value = old
+                n_atomic += 1
+                transactions += 1
+                kinds |= 4
+            elif t is AtomicAdd:
+                addr = op.addr
+                if not 0 <= addr < size:
+                    raise SimulationError(f"atomic address {addr} out of bounds")
+                old = int(data[addr])
+                data[addr] = old + op.delta
+                lane.send_value = old
+                n_atomic += 1
+                transactions += 1
+                kinds |= 4
+            elif t is AtomicExch:
+                addr = op.addr
+                if not 0 <= addr < size:
+                    raise SimulationError(f"atomic address {addr} out of bounds")
+                old = int(data[addr])
+                data[addr] = op.value
+                lane.send_value = old
+                n_atomic += 1
+                transactions += 1
+                kinds |= 4
+            elif t is Mark:
+                lane.send_value = None
+                counters.finish_cycle[op.request_id] = cycle
+                counters.service_steps[op.request_id] = lane.steps - lane.mark_base
+                lane.mark_base = lane.steps
+                kinds |= 32
+            elif t is WaitGE or t is Noop:
+                lane.send_value = None
+                lane.steps -= 1
+                if t is WaitGE:
+                    seq = op.seq
+                    idx = op.idx
+                    tgt = op.target
+                    for g in groups:
+                        if g[0] is seq and g[1] == idx and g[2] == tgt:
+                            g[3].append(lane)
+                            break
+                    else:
+                        g = [seq, idx, tgt, [lane]]
+                        groups.append(g)
+                    lane.wait = g
+                    compact = True
+                    if len(g[3]) >= tgt - 1:
+                        hot = self._hot = [
+                            gg for gg in groups if len(gg[3]) >= gg[2] - 1
+                        ]
+            else:
+                raise SimulationError(f"unknown op {op!r}")
+            if hot:
+                # a barrier one arrival away may have been opened by the
+                # lane we just ran: wake its followers at their turn
+                for g in hot:
+                    if g[0][g[1]] >= g[2]:
+                        self._open_groups(awake, i, lane.pos, wake_next)
+                        hot = self._hot
+                        n = len(awake)
+                        break
 
         if n_load:
             counters.load_inst += n_load
-            transactions += self._segments(load_addrs) if defer else len(load_segs)
+            transactions += len(load_segs)
         if n_store:
             counters.store_inst += n_store
             transactions += len(store_segs)

@@ -125,7 +125,6 @@ class DeviceStm:
         transactions that read any of the modified words will fail commit
         validation, exactly as if the split's stores had been transactional.
         """
-        self.arena.host_write_sync()
         data = self.arena.data
         for addr in addrs:
             data[self.region.version_addr(addr)] += 1

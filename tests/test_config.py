@@ -44,6 +44,10 @@ class TestDeviceConfig:
             {"warp_size": 31},  # not a power of two
             {"clock_ghz": 0.0},
             {"segment_bytes": 100},  # not a multiple of word size
+            {"segment_bytes": 0},  # zero words per segment
+            {"word_bytes": 0},
+            {"word_bytes": -8},
+            {"mem_bandwidth_gbps": 0.0},
         ],
     )
     def test_invalid_configs_raise(self, kwargs):

@@ -1,6 +1,6 @@
 """Equivalence tests for the vectorized warp interpreter and its satellites.
 
-The :class:`~repro.config.ExecutionConfig` contract says every flag is
+The :class:`~repro.config.ExecutionConfig` contract says its one switch is
 observationally neutral: counters, lane results, arena contents and QoS
 arrays are bit-for-bit identical on the reference path
 (``vectorize_slots=False``) and the fast path. These tests enforce that on
@@ -9,18 +9,16 @@ arrays are bit-for-bit identical on the reference path
   divergent lengths, early retirees),
 * iteration-warp style ``WaitGE`` barriers with uneven arrival (the only
   construct the fast path *parks* on),
-* the bulk-load deferral path (``gather_threshold=1``) including host
-  mutation mid-kernel via a full Eirene batch,
 * grids mixing one-lane warps (run inline by the launcher) with 8-lane
   warps under a seeded warp-order rng,
-* whole-system batches for every system kind, plus Eirene range scans
-  (one one-lane warp per range request),
+* whole-system batches for every system kind (host mutation mid-kernel
+  included), plus Eirene range scans (one one-lane warp per range request),
 
 plus the probe fallback rule (an attached probe must see every op, i.e.
 the reference path runs), the ``REPRO_SLOW_PATH=1`` escape hatch, the
-:class:`~repro.sharding.ParallelShardedSystem` worker-count invariance, and
-the arena's bulk/lazy accounting satellites, and the address bounds check
-every interpreter path applies to loads, stores and atomics.
+:class:`~repro.sharding.ParallelShardedSystem` worker-count invariance, the
+arena's lazy label accounting, and the address bounds check every
+interpreter path applies to loads, stores and atomics.
 
 Random programs respect the ``WaitGE`` contract: the condition sequence is
 only ever advanced by same-warp lanes, and each waiting program keeps its
@@ -55,7 +53,7 @@ from repro.simt import (
 )
 from repro.simt.warp import run_subroutine
 
-SEQUENTIAL = ExecutionConfig(vectorize_slots=False, park_barrier_waits=False)
+SEQUENTIAL = ExecutionConfig(vectorize_slots=False)
 
 
 @pytest.fixture(autouse=True)
@@ -93,7 +91,7 @@ def random_program(rng: np.random.Generator, lane: int, n_lanes: int):
     """One seeded lane program over a mixed op stream.
 
     Lane length varies (divergence + early retirement); values derived
-    from loads feed later stores so deferred-load results are observable.
+    from loads feed later stores so every load result is observable.
     """
     n_ops = int(rng.integers(4, 40))
     kinds = rng.integers(0, 8, size=n_ops)
@@ -124,12 +122,10 @@ def random_program(rng: np.random.Generator, lane: int, n_lanes: int):
 
 def run_warp(programs_fn, execution: ExecutionConfig, n_lanes: int = 8, probe=None):
     """Run one warp of fresh programs; return (counters, results, memory)."""
+    set_execution_config(execution)
     arena = MemoryArena(DATA_WORDS + HOT_WORDS + 16)
     arena.data[:DATA_WORDS] = np.arange(DATA_WORDS)
-    device = DeviceConfig(num_sms=2)
-    launch = KernelLaunch(
-        device, arena, n_lanes, probe=probe, execution=execution
-    )
+    launch = KernelLaunch(DeviceConfig(num_sms=2), arena, n_lanes, probe=probe)
     launch.add_warp(programs_fn(n_lanes))
     counters = launch.run()
     return counters, launch.lane_results(), arena.data.copy()
@@ -150,17 +146,6 @@ def test_random_programs_equivalent(seed):
         return [random_program(rng, i, n_lanes) for i in range(n_lanes)]
 
     assert_equivalent(make, ExecutionConfig())
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_random_programs_equivalent_with_gather(seed):
-    """gather_threshold=1 exercises the deferred bulk-load plane."""
-
-    def make(n_lanes):
-        rng = np.random.default_rng((888, seed))
-        return [random_program(rng, i, n_lanes) for i in range(n_lanes)]
-
-    assert_equivalent(make, ExecutionConfig(gather_threshold=1))
 
 
 # --------------------------------------------------------------------- #
@@ -193,12 +178,6 @@ def barrier_programs(n_lanes: int, n_iters: int = 4):
 
 def test_barrier_programs_equivalent():
     assert_equivalent(barrier_programs, ExecutionConfig())
-
-
-def test_barrier_parking_disabled_still_equivalent():
-    assert_equivalent(
-        barrier_programs, ExecutionConfig(park_barrier_waits=False)
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -254,12 +233,13 @@ def grid_programs(seed: int):
 
 def run_grid(seed: int, execution: ExecutionConfig, probe=None):
     """Run one seeded grid; return (counters, results, memory, warps)."""
+    set_execution_config(execution)
     warps, n_requests = grid_programs(seed)
     arena = MemoryArena(DATA_WORDS + HOT_WORDS + 16)
     arena.data[:DATA_WORDS] = np.arange(DATA_WORDS)
     launch = KernelLaunch(
         DeviceConfig(num_sms=2), arena, n_requests,
-        rng=np.random.default_rng((666, seed)), probe=probe, execution=execution,
+        rng=np.random.default_rng((666, seed)), probe=probe,
     )
     built = [launch.add_warp(programs) for programs in warps]
     counters = launch.run()
@@ -275,16 +255,6 @@ def test_one_lane_grid_equivalent(seed):
     assert ref[0].cycles == opt[0].cycles > 0
     assert ref[1] == opt[1], "lane results diverged"
     assert np.array_equal(ref[2], opt[2]), "arena contents diverged"
-
-
-def test_one_lane_inline_requires_no_deferral():
-    """With load deferral on, one-lane warps keep taking Warp.step."""
-    ref = run_grid(0, SEQUENTIAL)
-    opt = run_grid(0, ExecutionConfig(gather_threshold=1))
-    assert all(w.inline_lane() is None for w in opt[3])
-    assert deep_eq(ref[0], opt[0])
-    assert ref[1] == opt[1]
-    assert np.array_equal(ref[2], opt[2])
 
 
 # --------------------------------------------------------------------- #
@@ -312,7 +282,8 @@ def test_atomic_address_out_of_bounds(kind, where, execution, n_lanes):
         yield Alu(1)
         yield ATOMICS[kind](addr)
 
-    launch = KernelLaunch(DeviceConfig(num_sms=2), arena, n_lanes, execution=execution)
+    set_execution_config(execution)
+    launch = KernelLaunch(DeviceConfig(num_sms=2), arena, n_lanes)
     launch.add_warp([prog() for _ in range(n_lanes)])
     with pytest.raises(SimulationError, match=f"atomic address {addr} out of bounds"):
         launch.run()
@@ -438,17 +409,6 @@ def test_eirene_range_batches_equivalent():
     assert np.array_equal(ref_items[1], fast_items[1])
 
 
-def test_eirene_equivalent_with_forced_gather():
-    """Inserts split nodes mid-kernel (host mutation): the arena's
-    host_write_sync barrier must flush deferred loads first."""
-    ref_outs, ref_items = _run_system_batches("eirene", SEQUENTIAL)
-    fast_outs, fast_items = _run_system_batches(
-        "eirene", ExecutionConfig(gather_threshold=1)
-    )
-    assert deep_eq(ref_outs, fast_outs)
-    assert np.array_equal(ref_items[0], fast_items[0])
-
-
 # --------------------------------------------------------------------- #
 # parallel sharded execution
 # --------------------------------------------------------------------- #
@@ -488,40 +448,8 @@ def test_parallel_sharded_worker_error_propagates():
 
 
 # --------------------------------------------------------------------- #
-# arena satellites: bulk counted plane + lazy label flush
+# arena satellite: lazy label flush
 # --------------------------------------------------------------------- #
-def test_arena_gather_scatter_counted_matches_scalar_loop():
-    a = MemoryArena(64)
-    b = MemoryArena(64)
-    a.data[:16] = np.arange(16)
-    b.data[:16] = np.arange(16)
-    addrs = [3, 7, 7, 11]
-
-    got = a.gather(addrs, label="probe", counted=True)
-    for addr in addrs:
-        b.read(addr, label="probe")
-    assert list(got) == [3, 7, 7, 11]
-
-    a.scatter(addrs, [30, 70, 71, 110], label="probe", counted=True)
-    for addr, v in zip(addrs, [30, 70, 71, 110]):
-        b.write(addr, v, label="probe")
-
-    sa, sb = a.stats, b.stats
-    for f in ("reads", "writes", "read_words", "write_words", "transactions"):
-        assert getattr(sa, f) == getattr(sb, f), f
-    assert sa.by_label == sb.by_label == {"probe": 8}
-    # duplicate address: last write wins, like the scalar loop
-    assert np.array_equal(a.data[:16], b.data[:16])
-
-
-def test_arena_gather_uncounted_charges_nothing():
-    a = MemoryArena(64)
-    a.gather([1, 2, 3])
-    a.scatter([1, 2], [5, 6])
-    s = a.stats
-    assert (s.reads, s.writes, s.transactions) == (0, 0, 0)
-
-
 def test_lazy_label_accounting_flushes_on_observation():
     a = MemoryArena(64)
     for _ in range(5):

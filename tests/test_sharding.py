@@ -159,18 +159,6 @@ class TestShardedSystem:
         np.testing.assert_array_equal(ka, kb)
         np.testing.assert_array_equal(va, vb)
 
-    def test_thread_executor_matches_serial(self):
-        keys, values = _pool(4)
-        rng = np.random.default_rng(5)
-        batch = YcsbWorkload(pool=keys, mix=MIXED).generate(256, rng)
-        serial = ShardedSystem.build("stm", keys, values, n_shards=3, executor="serial")
-        threaded = ShardedSystem.build("stm", keys, values, n_shards=3, executor="thread")
-        out_s = serial.process_batch(batch)
-        out_t = threaded.process_batch(batch)
-        np.testing.assert_array_equal(out_s.results.values, out_t.results.values)
-        np.testing.assert_array_equal(out_s.results.range_keys, out_t.results.range_keys)
-        assert out_s.seconds == pytest.approx(out_t.seconds)
-
     def test_merged_outcome_carries_per_shard_breakdown(self):
         keys, values = _pool(6)
         fleet = ShardedSystem.build("lock", keys, values, n_shards=2)
@@ -188,11 +176,6 @@ class TestShardedSystem:
         # merged trace sums per-shard traces; shard traces kept individually
         assert out.trace is not None
         assert set(out.extras["shard_traces"]) == {0, 1}
-
-    def test_build_rejects_executor_typo(self):
-        keys, values = _pool(8)
-        with pytest.raises(ConfigError):
-            ShardedSystem.build("nocc", keys, values, n_shards=2, executor="processes")
 
 
 # --------------------------------------------------------------------- #
