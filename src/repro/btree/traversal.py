@@ -66,9 +66,15 @@ def batch_find_leaf(tree: BPlusTree, keys: np.ndarray) -> tuple[np.ndarray, Trav
     """Vertical traversal for every key; returns leaf ids and event counts.
 
     All leaves sit at depth ``tree.height``, so the descent is a fixed
-    number of level-synchronous gathers. Unused key slots hold ``EMPTY_KEY``,
-    letting the child-slot computation scan the full row branch-free —
-    the same trick the counted device programs use.
+    number of level-synchronous steps. The keys descend in sorted order
+    (unsorted input is argsorted and the leaves scattered back): nodes on
+    one level hold disjoint, increasing key ranges, so each visited node's
+    keys form one contiguous run. Per level, only the distinct visited
+    nodes' rows are gathered, and one ``searchsorted`` over their
+    concatenated valid separators, minus the run's offset into that
+    concatenation, yields every key's child slot. The events still charge
+    a full-row scan per request (``n * fanout`` key words per level): they
+    model the device's branch-free search, not this host computation.
     """
     keys = np.asarray(keys, dtype=np.int64)
     n = int(keys.size)
@@ -80,9 +86,20 @@ def batch_find_leaf(tree: BPlusTree, keys: np.ndarray) -> tuple[np.ndarray, Trav
     lay = tree.layout
     views = tree.views
     data = tree.arena.data
+    order = None
+    if np.any(keys[1:] < keys[:-1]):
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+    width = np.arange(lay.fanout)
     for _ in range(tree.height - 1):
-        rows = _key_rows(tree, nodes)
-        slots = (rows <= keys[:, None]).sum(axis=1)
+        new_run = np.concatenate(([True], nodes[1:] != nodes[:-1]))
+        run = np.cumsum(new_run) - 1
+        visited = nodes[new_run]
+        counts = views.host_field(visited, "count")
+        rows = views.key_rows(visited)
+        seps = rows[width < counts[:, None]]
+        offset = np.cumsum(counts) - counts
+        slots = np.searchsorted(seps, keys, side="right") - offset[run]
         nodes = data[views.payload_addrs(nodes, slots)]
         ev.node_visits += n
         ev.key_words_read += n * lay.fanout
@@ -91,6 +108,10 @@ def batch_find_leaf(tree: BPlusTree, keys: np.ndarray) -> tuple[np.ndarray, Trav
     ev.node_visits += n
     ev.vertical_steps += n
     ev.steps_per_request = np.full(n, tree.height, dtype=np.int64)
+    if order is not None:
+        leaves = np.empty_like(nodes)
+        leaves[order] = nodes
+        nodes = leaves
     return nodes, ev
 
 

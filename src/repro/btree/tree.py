@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._types import EMPTY_KEY, MAX_KEY, NO_NODE, NULL_VALUE
+from .._types import EMPTY_KEY, MAX_KEY, NO_NODE, NULL_VALUE, OpKind
 from ..config import TreeConfig
 from ..errors import TreeError, TreeFullError
 from ..memory import MemoryArena
@@ -326,6 +326,66 @@ class BPlusTree:
         h.count = cnt - 1
         return old
 
+    def apply_updates(
+        self,
+        kinds: np.ndarray,
+        keys: np.ndarray,
+        values: np.ndarray,
+        leaves: np.ndarray,
+    ) -> np.ndarray:
+        """Apply a batch of update-class requests; returns their old values.
+
+        ``keys`` must be strictly increasing and lie in ``[0, MAX_KEY]``;
+        ``leaves[i]`` is the leaf routing ``keys[i]`` on the current
+        structure. Results, arena words and ``split_events`` equal those of
+        calling :meth:`delete` (``OpKind.DELETE``) or :meth:`upsert` (any
+        other kind) for each key in order, because:
+
+        * an overwrite of a present key never changes the layout, so all of
+          them are one gather of the old values and one scatter of the new
+          ones, on the structure the leaves were found on;
+        * inserts of absent keys and deletes still run one by one, in
+          order, so every structural change happens as in the loop;
+        * shifts and splits move a value together with its key, and no
+          other request touches an overwritten key (keys are unique).
+
+        A key not found in its given leaf takes the per-key path, so a
+        stale ``leaves`` entry costs time, never correctness.
+        """
+        kinds = np.asarray(kinds)
+        keys = np.asarray(keys, dtype=np.int64)
+        values = np.asarray(values, dtype=np.int64)
+        leaves = np.asarray(leaves, dtype=np.int64)
+        n = int(keys.size)
+        if not kinds.size == values.size == leaves.size == n:
+            raise TreeError("kinds, keys, values and leaves must have equal length")
+        old = np.full(n, NULL_VALUE, dtype=np.int64)
+        if n == 0:
+            return old
+        if np.any(keys[1:] <= keys[:-1]) or keys[0] < 0 or keys[-1] > MAX_KEY:
+            raise TreeError(f"batch keys must be strictly increasing in [0, {MAX_KEY}]")
+        views = self.views
+        if (
+            leaves.min() < 0
+            or leaves.max() >= self._next_node
+            or not np.all(views.host_field(leaves, "leaf"))
+        ):
+            raise TreeError("leaves must name leaf nodes of this tree")
+        rows = views.key_rows(leaves)
+        slots = np.minimum((rows < keys[:, None]).sum(axis=1), self.layout.fanout - 1)
+        overwrite = (rows[np.arange(n), slots] == keys) & (kinds != OpKind.DELETE)
+        addrs = views.payload_addrs(leaves[overwrite], slots[overwrite])
+        data = self.arena.data
+        old[overwrite] = data[addrs]
+        data[addrs] = values[overwrite]
+        for i in np.flatnonzero(~overwrite):
+            key = int(keys[i])
+            if kinds[i] == OpKind.DELETE:
+                old[i] = self.delete(key)
+            else:
+                old[i] = self.upsert(key, int(values[i]))
+        return old
+
     def range_scan(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """All (key, value) pairs with ``lo <= key <= hi``, in key order."""
         if hi < lo:
@@ -472,16 +532,22 @@ class BPlusTree:
     # inspection / validation
     # ------------------------------------------------------------------ #
     def leaf_ids(self) -> list[int]:
-        """Leaf node ids in chain order."""
+        """Leaf node ids in key order.
+
+        Gathered level by level from the root: each inner level is one
+        gather of its nodes' child rows, keeping the first ``count + 1``
+        entries, so the leaf list costs ``height - 1`` gathers rather than
+        a walk of the leaf chain. :meth:`validate` checks the chain against
+        it.
+        """
         views = self.views
-        node = self.root
-        while not views.host(node).leaf:
-            node = int(views.host(node).children[0])
-        out = []
-        while node != NO_NODE:
-            out.append(node)
-            node = views.host(node).next_leaf
-        return out
+        width = np.arange(self.layout.fanout + 1)
+        nodes = np.array([self.root], dtype=np.int64)
+        for _ in range(self.height - 1):
+            counts = views.host_field(nodes, "count")
+            rows = self.arena.data[views.payload_addrs(nodes, 0)[:, None] + width]
+            nodes = rows[width <= counts[:, None]]
+        return nodes.tolist()
 
     def items(self) -> tuple[np.ndarray, np.ndarray]:
         """All (key, value) pairs in key order (host plane)."""
@@ -503,7 +569,8 @@ class BPlusTree:
         """Check structural invariants; raises :class:`TreeError` on failure.
 
         Checks: per-node key ordering, separator consistency, uniform leaf
-        depth, leaf-chain global ordering, child counts.
+        depth, child counts, a leaf chain that links exactly the in-order
+        leaves and ends, and global key ordering.
         """
         lay = self.layout
         leaf_depths: set[int] = set()
@@ -537,6 +604,16 @@ class BPlusTree:
             raise TreeError(f"leaves at different depths: {sorted(leaf_depths)}")
         if leaf_depths.pop() != self.height:
             raise TreeError("stored height disagrees with actual leaf depth")
+        # the chain must visit exactly the in-order leaves: stepping it in
+        # lockstep with leaf_ids() also bounds the walk on a cyclic chain
+        leaves = self.leaf_ids()
+        node = leaves[0]
+        for leaf in leaves:
+            if node != leaf:
+                raise TreeError(f"leaf chain reaches {node} where key order has leaf {leaf}")
+            node = self.views.host(node).next_leaf
+        if node != NO_NODE:
+            raise TreeError(f"leaf chain continues past the last leaf to {node}")
         keys, _ = self.items()
         if np.any(keys[1:] <= keys[:-1]):
-            raise TreeError("leaf chain is not globally sorted")
+            raise TreeError("leaf keys are not globally sorted")

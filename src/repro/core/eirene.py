@@ -238,7 +238,7 @@ class VectorUpdateKernelPass(Pass):
             ctx.art["u_steps_avg"] = float(u_steps.mean())
 
         splits_before = len(ctx.tree.split_events)
-        u_old = ctx.system._apply_issued_updates(plan, u_runs)
+        u_old = ctx.system._apply_issued_updates(plan, u_runs, ctx.art["u_leaves"])
         splits = len(ctx.tree.split_events) - splits_before
         u_totals.add(im.split_smo, count=splits, coalesce=COALESCE_SORTED)
         ctx.phase.update_kernel = phase_seconds(u_totals, ctx.device)
@@ -310,7 +310,7 @@ class VectorUnifiedKernelPass(Pass):
             ctx.art["q_steps_avg"] = float(q_steps.mean())
 
         splits_before = len(tree.split_events)
-        u_old = ctx.system._apply_issued_updates(plan, u_runs)
+        u_old = ctx.system._apply_issued_updates(plan, u_runs, u_leaves)
         splits = len(tree.split_events) - splits_before
         totals.add(im.split_smo, count=splits, coalesce=COALESCE_SORTED)
         ctx.art["old_vals"][u_runs] = u_old
@@ -680,19 +680,18 @@ class EireneTree(System):
             span_total += max(1, len(ks) // max(self.imodel.fanout // 2, 1) + 1)
         return raw, span_total
 
-    def _apply_issued_updates(self, plan: CombinePlan, u_runs: np.ndarray) -> np.ndarray:
-        """Apply issued update-class requests (unique keys) host-side in
-        run order; returns their old values."""
-        old = np.full(u_runs.size, NULL_VALUE, dtype=np.int64)
-        tree = self.tree
-        for j, r in enumerate(u_runs):
-            kind = int(plan.issued_kinds[r])
-            key = int(plan.issued_keys[r])
-            if kind == OpKind.DELETE:
-                old[j] = tree.delete(key)
-            else:
-                old[j] = tree.upsert(key, int(plan.issued_values[r]))
-        return old
+    def _apply_issued_updates(
+        self, plan: CombinePlan, u_runs: np.ndarray, u_leaves: np.ndarray
+    ) -> np.ndarray:
+        """Apply issued update-class requests (unique, key-sorted) host-side
+        as one batch on the leaves the traversal found; returns their old
+        values."""
+        return self.tree.apply_updates(
+            plan.issued_kinds[u_runs],
+            plan.issued_keys[u_runs],
+            plan.issued_values[u_runs],
+            u_leaves,
+        )
 
     # ------------------------------------------------------------------ #
     # SIMT program builders

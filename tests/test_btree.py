@@ -1,11 +1,13 @@
 """Unit + property tests for the B+tree substrate."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._types import EMPTY_KEY, NO_NODE, NULL_VALUE
+from repro._types import EMPTY_KEY, MAX_KEY, NO_NODE, NULL_VALUE, OpKind
 from repro.btree import (
     BPlusTree,
     NodeLayout,
@@ -21,11 +23,12 @@ from repro.errors import TreeError
 from repro.memory import MemoryArena
 
 
-def build(n=500, fanout=8, fill=0.7, seed=0):
+def build(n=500, fanout=8, fill=0.7, seed=0, headroom=2.0):
     rng = np.random.default_rng(seed)
     keys = np.sort(rng.choice(n * 10, size=n, replace=False)).astype(np.int64)
     values = keys * 2 + 1
-    tree = BPlusTree.build(keys, values, TreeConfig(fanout=fanout), fill_factor=fill)
+    config = TreeConfig(fanout=fanout, arena_headroom=headroom)
+    tree = BPlusTree.build(keys, values, config, fill_factor=fill)
     return tree, keys, values
 
 
@@ -308,6 +311,25 @@ class TestBatchTraversal:
         assert int(maxes[-1]) == int(keys.max())
         assert np.all(np.diff(maxes) > 0)
 
+    @pytest.mark.parametrize("fanout", [4, 8, 32])
+    @pytest.mark.parametrize("probe_order", ["sorted", "unsorted", "duplicates"])
+    def test_batch_find_leaf_on_grown_tree(self, fanout, probe_order):
+        tree = grown_tree(fanout, seed=fanout + 1)
+        rng = np.random.default_rng(fanout)
+        probe = rng.integers(0, 21_000, size=700)
+        if probe_order == "sorted":
+            probe = np.sort(probe)
+        elif probe_order == "duplicates":
+            probe = np.repeat(probe[:100], rng.integers(1, 5, size=100))
+            rng.shuffle(probe)
+        leaves, ev = batch_find_leaf(tree, probe)
+        assert [tree.find_leaf(int(k))[0] for k in probe] == leaves.tolist()
+        n, h = probe.size, tree.height
+        assert (ev.requests, ev.node_visits, ev.vertical_steps) == (n, n * h, n * h)
+        assert ev.key_words_read == n * tree.layout.fanout * (h - 1)
+        assert (ev.horizontal_steps, ev.leaf_lookups) == (0, 0)
+        assert np.array_equal(ev.steps_per_request, np.full(n, h))
+
     def test_empty_batch(self):
         tree, _, _ = build(n=50)
         leaves, ev = batch_find_leaf(tree, np.zeros(0, dtype=np.int64))
@@ -330,6 +352,184 @@ class TestValidateDetectsCorruption:
         tree.arena.data[tree.layout.addr(leaf, 0)] = tree.layout.fanout + 5
         with pytest.raises(TreeError):
             tree.validate()
+
+    def test_cyclic_leaf_chain_detected(self):
+        tree, _, _ = build(n=500, fanout=8)
+        leaves = tree.leaf_ids()
+        tree.views.host(leaves[-2]).next_leaf = leaves[0]
+        with pytest.raises(TreeError, match="leaf chain"):
+            tree.validate()
+
+    def test_leaf_chain_skipping_a_leaf_detected(self):
+        tree, _, _ = build(n=500, fanout=8)
+        leaves = tree.leaf_ids()
+        tree.views.host(leaves[3]).next_leaf = leaves[5]
+        with pytest.raises(TreeError, match="leaf chain"):
+            tree.validate()
+
+    def test_leaf_chain_running_past_the_last_leaf_detected(self):
+        tree, _, _ = build(n=500, fanout=8)
+        leaves = tree.leaf_ids()
+        tree.views.host(leaves[-1]).next_leaf = leaves[0]
+        with pytest.raises(TreeError, match="past the last leaf"):
+            tree.validate()
+
+
+def chain_walk(tree: BPlusTree) -> list[int]:
+    """Leaf ids in leaf-chain order, from the leftmost leaf."""
+    node = tree.find_leaf(0)[0]
+    out = []
+    while node != NO_NODE:
+        out.append(node)
+        node = tree.views.host(node).next_leaf
+    return out
+
+
+def grown_tree(fanout: int, seed: int) -> BPlusTree:
+    """A tree whose node ids are out of key order: random inserts split
+    leaves and inner nodes (new nodes get the highest ids), and deletes
+    empty some leaves."""
+    rng = np.random.default_rng(seed)
+    tree, keys, _ = build(n=40, fanout=fanout, seed=seed, headroom=40.0)
+    for k in rng.choice(np.arange(1, 20_000, 3), size=40 * fanout, replace=False):
+        tree.upsert(int(k), int(k) + 1)
+    ks, _ = tree.items()
+    for k in ks[: 3 * fanout]:  # the first few leaves end up empty
+        tree.delete(int(k))
+    tree.validate()
+    return tree
+
+
+class TestLeafIds:
+    @pytest.mark.parametrize("fanout", [4, 8, 32])
+    def test_matches_chain_walk_after_splits_and_deletes(self, fanout):
+        tree = grown_tree(fanout, seed=fanout)
+        assert tree.split_events
+        leaves = tree.leaf_ids()
+        assert leaves == chain_walk(tree)
+        assert leaves != sorted(leaves)  # node ids really are out of key order
+        assert all(isinstance(leaf, int) for leaf in leaves)
+
+
+def loop_apply(tree: BPlusTree, kinds, keys, values) -> np.ndarray:
+    """The per-key reference :meth:`BPlusTree.apply_updates` must equal."""
+    old = []
+    for kind, key, value in zip(kinds, keys, values, strict=True):
+        if kind == OpKind.DELETE:
+            old.append(tree.delete(int(key)))
+        else:
+            old.append(tree.upsert(int(key), int(value)))
+    return np.array(old, dtype=np.int64)
+
+
+def assert_same_tree(a: BPlusTree, b: BPlusTree) -> None:
+    assert np.array_equal(a.arena.data, b.arena.data)
+    assert a.split_events == b.split_events
+    assert (a.height, a.root, a.node_count) == (b.height, b.root, b.node_count)
+
+
+def mixed_batch(tree: BPlusTree, rng: np.random.Generator, n_fresh: int):
+    """Overwrites, fresh inserts, deletes emptying the first leaf, and
+    deletes of absent keys, key-sorted."""
+    present, _ = tree.items()
+    first, second = tree.leaf_ids()[:2]
+    empty_first = tree.nodes.host_keys(first)[: tree.views.host(first).count]
+    rest = np.setdiff1d(present, empty_first)
+    overwrite = rng.choice(rest, size=rest.size // 2, replace=False)
+    delete = np.concatenate([empty_first, rng.choice(np.setdiff1d(rest, overwrite), 5)])
+    # no fresh key routes to the first leaf, so it stays empty
+    absent = np.setdiff1d(np.arange(tree.views.host(second).fence, 50_000), present)
+    fresh = rng.choice(absent, size=n_fresh + 5, replace=False)
+    delete_absent, fresh = fresh[:5], fresh[5:]
+    keys = np.concatenate([overwrite, fresh, delete, delete_absent]).astype(np.int64)
+    kinds = np.array(
+        [OpKind.UPDATE] * overwrite.size
+        + [OpKind.INSERT] * fresh.size
+        + [OpKind.DELETE] * (delete.size + delete_absent.size),
+        dtype=np.int8,
+    )
+    keys, idx = np.unique(keys, return_index=True)
+    kinds = kinds[idx]
+    values = rng.integers(0, 10**9, size=keys.size)
+    return kinds, keys, values
+
+
+class TestApplyUpdates:
+    @pytest.mark.parametrize("fanout, n_fresh", [(4, 150), (8, 300), (32, 1500)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_per_key_loop(self, fanout, n_fresh, seed):
+        rng = np.random.default_rng(seed)
+        tree, _, _ = build(n=120, fanout=fanout, seed=seed, headroom=40.0)
+        kinds, keys, values = mixed_batch(tree, rng, n_fresh)
+        leaves, _ = batch_find_leaf(tree, keys)
+        ref = copy.deepcopy(tree)
+        height = tree.height
+
+        old = tree.apply_updates(kinds, keys, values, leaves)
+        ref_old = loop_apply(ref, kinds, keys, values)
+
+        assert np.array_equal(old, ref_old)
+        assert_same_tree(tree, ref)
+        assert tree.height > height  # the fresh inserts split the root
+        assert any(e.level == 0 for e in tree.split_events)
+        assert tree.views.host(tree.leaf_ids()[0]).count == 0  # emptied leaf
+        assert np.count_nonzero(old != NULL_VALUE) > 0
+        tree.validate()
+
+    def test_stale_leaves_cost_speed_not_correctness(self):
+        rng = np.random.default_rng(3)
+        tree, _, _ = build(n=200, fanout=8, headroom=4.0)
+        kinds, keys, values = mixed_batch(tree, rng, 60)
+        ref = copy.deepcopy(tree)
+        leaves = np.full(keys.size, tree.leaf_ids()[0], dtype=np.int64)
+        old = tree.apply_updates(kinds, keys, values, leaves)
+        assert np.array_equal(old, loop_apply(ref, kinds, keys, values))
+        assert_same_tree(tree, ref)
+
+    def test_empty_batch(self):
+        tree, _, _ = build(n=50)
+        empty = np.zeros(0, dtype=np.int64)
+        assert tree.apply_updates(empty, empty, empty, empty).size == 0
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [30, 10, 20],  # unsorted
+            [10, 20, 20],  # duplicate
+            [-1, 10, 20],  # below range
+            [10, 20, MAX_KEY + 1],  # EMPTY_KEY, above range
+        ],
+    )
+    def test_bad_keys_rejected_with_tree_untouched(self, keys):
+        tree, _, _ = build(n=100)
+        before = tree.arena.data.copy()
+        keys = np.array(keys, dtype=np.int64)
+        kinds = np.full(keys.size, OpKind.INSERT, dtype=np.int8)
+        leaves = np.full(keys.size, tree.leaf_ids()[0], dtype=np.int64)
+        with pytest.raises(TreeError):
+            tree.apply_updates(kinds, keys, keys, leaves)
+        assert np.array_equal(tree.arena.data, before)
+        assert tree.split_events == []
+
+    @pytest.mark.parametrize("bad_leaf", ["inner", "negative", "unallocated"])
+    def test_bad_leaves_rejected_with_tree_untouched(self, bad_leaf):
+        tree, keys, _ = build(n=100)
+        before = tree.arena.data.copy()
+        probe = keys[:3]
+        leaves, _ = batch_find_leaf(tree, probe)
+        leaves[1] = {"inner": tree.root, "negative": -1, "unallocated": tree.node_count}[
+            bad_leaf
+        ]
+        kinds = np.full(probe.size, OpKind.UPDATE, dtype=np.int8)
+        with pytest.raises(TreeError):
+            tree.apply_updates(kinds, probe, probe, leaves)
+        assert np.array_equal(tree.arena.data, before)
+
+    def test_length_mismatch_rejected(self):
+        tree, keys, _ = build(n=100)
+        leaves, _ = batch_find_leaf(tree, keys[:3])
+        with pytest.raises(TreeError):
+            tree.apply_updates(np.ones(2, dtype=np.int8), keys[:3], keys[:3], leaves)
 
 
 @st.composite
