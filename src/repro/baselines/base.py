@@ -34,7 +34,7 @@ from ..metrics import (
 from ..metrics.trace import PipelineTrace, merge_traces
 from ..simt import KernelCounters, PhaseTime
 from ..btree.tree import BPlusTree
-from ..workloads.requests import BatchResults, RequestBatch
+from ..workloads.requests import BatchResults, RequestBatch, flatten_scans
 from .model import EventTotals, InstModel
 
 
@@ -220,10 +220,10 @@ class System(abc.ABC):
         result deviations of the baselines only materialize in the SIMT
         engine, which genuinely interleaves requests.
         """
-        from .._types import NULL_VALUE, OpKind
+        from .._types import OpKind
 
         results = BatchResults.empty(batch.n)
-        ranges: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        scans: list[tuple[np.ndarray, np.ndarray]] = []
         tree = self.tree
         for i in range(batch.n):
             kind = batch.kinds[i]
@@ -235,10 +235,10 @@ class System(abc.ABC):
             elif kind == OpKind.DELETE:
                 results.values[i] = tree.delete(key)
             elif kind == OpKind.RANGE:
-                ranges[i] = tree.range_scan(key, int(batch.range_ends[i]))
-            else:  # pragma: no cover
-                results.values[i] = NULL_VALUE
-        results.set_range_results(ranges)
+                scans.append(tree.range_scan(key, int(batch.range_ends[i])))
+        results.set_range_results(
+            np.flatnonzero(batch.kinds == OpKind.RANGE), *flatten_scans(scans)
+        )
         return results
 
     def reference_for_tree(self) -> SequentialReference:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._types import OpKind, is_update_kind_array
-from ..btree import batch_find_leaf
+from ..btree import batch_find_leaf, batch_range_spans
 from ..btree.device_ops import (
     d_find_leaf_coupling,
     d_find_leaf_locked_query,
@@ -41,6 +41,7 @@ from ..core.pipeline import (
 )
 from ..locks import LatchTable
 from ..simt import BRANCH, Load, Mark
+from ..workloads.requests import flatten_scans, range_ordinals
 from .base import System
 from .model import OVERLAP, EventTotals, writer_collision_groups
 
@@ -101,7 +102,7 @@ class LockChargePass(Pass):
 
         range_idx = np.flatnonzero(batch.kinds == OpKind.RANGE)
         if range_idx.size:
-            spans = _range_spans(tree, batch, range_idx)
+            spans = batch_range_spans(tree, batch.keys[range_idx], batch.range_ends[range_idx])
             totals.add(height * im.node_visit_lock_validated, count=int(range_idx.size))
             totals.add(im.leaf_lookup_plain + im.lock_spin * 0.5, count=int(spans.sum()))
             work[range_idx] = (
@@ -129,7 +130,8 @@ class LockSimtKernelPass(Pass):
         latches = system.latches
         n = ctx.n
         results = ctx.results
-        ranges: dict[int, tuple[list[int], list[int]]] = {}
+        range_idx, range_slot = range_ordinals(batch)
+        scans: list = [None] * range_idx.size
         steps_taken = np.zeros(n, dtype=np.int64)
         lock_before = latches.stats.snapshot()
 
@@ -138,6 +140,7 @@ class LockSimtKernelPass(Pass):
             key = int(batch.keys[i])
             value = int(batch.values[i])
             hi = int(batch.range_ends[i])
+            slot = int(range_slot[i])
 
             def program():
                 if kind == OpKind.QUERY:
@@ -155,7 +158,7 @@ class LockSimtKernelPass(Pass):
                     leaf, steps = yield from d_find_leaf_locked_query(tree, latches, key)
                     steps_taken[i] = steps
                     ks, vs = yield from _d_range_scan_locked(tree, latches, leaf, key, hi)
-                    ranges[i] = (ks, vs)
+                    scans[slot] = (ks, vs)
                 yield Mark(i)
 
             return program()
@@ -163,12 +166,7 @@ class LockSimtKernelPass(Pass):
         launch = ctx.devctx.launch(n, rng=ctx.launch_rng())
         launch.add_programs([make_program(i) for i in range(n)])
         counters = launch.run()
-        results.set_range_results(
-            {
-                i: (np.array(ks, dtype=np.int64), np.array(vs, dtype=np.int64))
-                for i, (ks, vs) in ranges.items()
-            }
-        )
+        results.set_range_results(range_idx, *flatten_scans(scans))
         lock_delta = latches.stats.delta_since(lock_before)
 
         ctx.counters = counters
@@ -213,16 +211,6 @@ class LockGBTree(System):
         else:
             passes = [LockSimtKernelPass(), SimtResponsePass(), FinalizePass()]
         return PassPipeline(passes, name=f"lock/{engine}")
-
-
-def _range_spans(tree: BPlusTree, batch, range_idx: np.ndarray) -> np.ndarray:
-    lo_leaves, _ = batch_find_leaf(tree, batch.keys[range_idx])
-    hi_leaves, _ = batch_find_leaf(tree, batch.range_ends[range_idx])
-    index_of = {leaf: i for i, leaf in enumerate(tree.leaf_ids())}
-    return np.array(
-        [index_of[int(h)] - index_of[int(l)] + 1 for l, h in zip(lo_leaves, hi_leaves)],
-        dtype=np.int64,
-    )
 
 
 def _d_update_locked(tree: BPlusTree, latches: LatchTable, kind: int, key: int, value: int, owner: int):

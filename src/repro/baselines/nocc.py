@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._types import OpKind, is_update_kind_array
-from ..btree import batch_find_leaf
+from ..btree import batch_range_spans
 from ..btree.device_ops import d_find_leaf, d_search_leaf, d_walk_leaves
 from ..core.pipeline import (
     FinalizePass,
@@ -28,6 +28,7 @@ from ..core.pipeline import (
     WeightedResponsePass,
 )
 from ..simt import Mark, Store
+from ..workloads.requests import flatten_scans, range_ordinals
 from .base import System
 from .model import EventTotals
 
@@ -55,12 +56,7 @@ class NoCCChargePass(Pass):
         # ranges: descent plus the spanned leaf chain
         range_idx = np.flatnonzero(batch.kinds == OpKind.RANGE)
         if range_idx.size:
-            lo_leaves, _ = batch_find_leaf(tree, batch.keys[range_idx])
-            hi_leaves, _ = batch_find_leaf(tree, batch.range_ends[range_idx])
-            index_of = {leaf: i for i, leaf in enumerate(tree.leaf_ids())}
-            spans = np.array(
-                [index_of[int(h)] - index_of[int(l)] + 1 for l, h in zip(lo_leaves, hi_leaves)]
-            )
+            spans = batch_range_spans(tree, batch.keys[range_idx], batch.range_ends[range_idx])
             ctx.totals.add(im.node_visit_plain, count=int(range_idx.size) * height)
             ctx.totals.add(im.leaf_lookup_plain, count=int(spans.sum()))
 
@@ -78,12 +74,14 @@ class NoCCSimtKernelPass(Pass):
         tree = ctx.tree
         n = ctx.n
         results = ctx.results
-        ranges: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        range_idx, range_slot = range_ordinals(batch)
+        scans: list = [None] * range_idx.size
         steps_taken = np.zeros(n, dtype=np.int64)
 
         def make_program(i: int):
             kind = int(batch.kinds[i])
             key = int(batch.keys[i])
+            slot = int(range_slot[i])
 
             def program():
                 leaf, steps = yield from d_find_leaf(tree, key)
@@ -102,7 +100,7 @@ class NoCCSimtKernelPass(Pass):
                     hi = int(batch.range_ends[i])
                     end_leaf, extra = yield from d_walk_leaves(tree, leaf, hi)
                     steps_taken[i] += extra
-                    ranges[i] = tree.range_scan(key, hi)
+                    scans[slot] = tree.range_scan(key, hi)
                 yield Mark(i)
 
             return program()
@@ -110,7 +108,7 @@ class NoCCSimtKernelPass(Pass):
         launch = ctx.devctx.launch(n, rng=ctx.launch_rng())
         launch.add_programs([make_program(i) for i in range(n)])
         counters = launch.run()
-        results.set_range_results(ranges)
+        results.set_range_results(range_idx, *flatten_scans(scans))
 
         ctx.counters = counters
         ctx.totals.merge(

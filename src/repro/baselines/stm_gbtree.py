@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._types import OpKind, is_update_kind_array
-from ..btree import batch_find_leaf
+from ..btree import batch_find_leaf, batch_range_spans
 from ..btree.device_ops import (
     d_find_leaf_stm,
     d_leaf_delete_stm,
@@ -39,6 +39,7 @@ from ..core.pipeline import (
 from ..errors import SimulationError, TransactionAborted
 from ..simt import BRANCH, Mark
 from ..stm import DeviceStm, StmRegion
+from ..workloads.requests import flatten_scans, range_ordinals
 from .base import System
 from .model import OVERLAP, EventTotals, writer_collision_groups
 
@@ -105,7 +106,7 @@ class StmChargePass(Pass):
         # ranges: transactional scan over the spanned leaf chain
         range_idx = np.flatnonzero(batch.kinds == OpKind.RANGE)
         if range_idx.size:
-            spans = _range_spans(tree, batch, range_idx)
+            spans = batch_range_spans(tree, batch.keys[range_idx], batch.range_ends[range_idx])
             base_r = height * im.node_visit_stm + im.tx_begin_commit_query
             totals.add(base_r, count=int(range_idx.size))
             totals.add(im.leaf_lookup_stm, count=int(spans.sum()))
@@ -135,7 +136,8 @@ class StmSimtKernelPass(Pass):
         stm = system.stm
         n = ctx.n
         results = ctx.results
-        ranges: dict[int, tuple[list[int], list[int]]] = {}
+        range_idx, range_slot = range_ordinals(batch)
+        scans: list = [None] * range_idx.size
         steps_taken = np.zeros(n, dtype=np.int64)
         retries = np.zeros(n, dtype=np.int64)
         stm_before = stm.stats.snapshot()
@@ -145,6 +147,7 @@ class StmSimtKernelPass(Pass):
             key = int(batch.keys[i])
             value = int(batch.values[i])
             hi = int(batch.range_ends[i])
+            slot = int(range_slot[i])
 
             def program():
                 while True:
@@ -178,7 +181,7 @@ class StmSimtKernelPass(Pass):
                         elif kind == OpKind.RANGE:
                             ks, vs = yield from _d_range_scan_stm(tree, stm, tx, leaf, key, hi)
                             yield from stm.d_commit(tx)
-                            ranges[i] = (ks, vs)
+                            scans[slot] = (ks, vs)
                         yield Mark(i)
                         return
                     except TransactionAborted:
@@ -190,12 +193,7 @@ class StmSimtKernelPass(Pass):
         launch = ctx.devctx.launch(n, rng=ctx.launch_rng())
         launch.add_programs([make_program(i) for i in range(n)])
         counters = launch.run()
-        results.set_range_results(
-            {
-                i: (np.array(ks, dtype=np.int64), np.array(vs, dtype=np.int64))
-                for i, (ks, vs) in ranges.items()
-            }
-        )
+        results.set_range_results(range_idx, *flatten_scans(scans))
         stm_delta = stm.stats.delta_since(stm_before)
 
         ctx.counters = counters
@@ -243,16 +241,6 @@ class StmGBTree(System):
         else:
             passes = [StmSimtKernelPass(), SimtResponsePass(), FinalizePass()]
         return PassPipeline(passes, name=f"stm/{engine}")
-
-
-def _range_spans(tree: BPlusTree, batch, range_idx: np.ndarray) -> np.ndarray:
-    lo_leaves, _ = batch_find_leaf(tree, batch.keys[range_idx])
-    hi_leaves, _ = batch_find_leaf(tree, batch.range_ends[range_idx])
-    index_of = {leaf: i for i, leaf in enumerate(tree.leaf_ids())}
-    return np.array(
-        [index_of[int(h)] - index_of[int(l)] + 1 for l, h in zip(lo_leaves, hi_leaves)],
-        dtype=np.int64,
-    )
 
 
 def _d_range_scan_stm(tree: BPlusTree, stm: DeviceStm, tx, leaf: int, lo: int, hi: int):

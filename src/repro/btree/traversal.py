@@ -115,6 +115,17 @@ def batch_find_leaf(tree: BPlusTree, keys: np.ndarray) -> tuple[np.ndarray, Trav
     return nodes, ev
 
 
+def batch_range_spans(tree: BPlusTree, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Leaves each ``[lo, hi]`` range's leaf-chain walk visits (its first
+    and last leaf included)."""
+    lo_leaves, _ = batch_find_leaf(tree, lo)
+    hi_leaves, _ = batch_find_leaf(tree, hi)
+    leaves = tree.leaf_ids()
+    chain_pos = np.zeros(tree.max_nodes, dtype=np.int64)
+    chain_pos[leaves] = np.arange(len(leaves))
+    return chain_pos[hi_leaves] - chain_pos[lo_leaves] + 1
+
+
 def batch_leaf_lookup(
     tree: BPlusTree, leaves: np.ndarray, keys: np.ndarray
 ) -> tuple[np.ndarray, TraversalEvents]:

@@ -49,7 +49,7 @@ from ..baselines.model import (
     phase_seconds,
     writer_collision_groups,
 )
-from ..workloads.requests import RequestBatch
+from ..workloads.requests import BatchResults, RequestBatch, flatten_scans
 from .combining import CombinePlan, combine_point_requests, propagate_results
 from .kernels import (
     LaneSlot,
@@ -194,16 +194,15 @@ class VectorRangeScanPass(Pass):
 
     def run(self, ctx: PipelineContext) -> None:
         im = ctx.imodel
-        raw, span_total = ctx.system._raw_ranges(ctx.batch)
-        ctx.art["raw"] = raw
-        if raw:
+        n_ranges, span_total = ctx.system._raw_ranges(ctx.batch, ctx.results)
+        if n_ranges:
             height = ctx.tree.height
             ctx.totals.add(
-                im.node_visit_plain, count=len(raw) * height, coalesce=COALESCE_SORTED
+                im.node_visit_plain, count=n_ranges * height, coalesce=COALESCE_SORTED
             )
             ctx.totals.add(im.leaf_lookup_plain, count=span_total, coalesce=COALESCE_SORTED)
             # copying each matched pair out costs a load+store per element
-            n_elements = sum(len(ks) for ks, _ in raw.values())
+            n_elements = int(ctx.results.range_keys.size)
             ctx.totals.add(InstCost(mem=2, alu=1), count=n_elements, coalesce=COALESCE_SORTED)
         ctx.phase.query_kernel = phase_seconds(ctx.totals, ctx.device)
 
@@ -332,8 +331,7 @@ class VectorResultCalPass(Pass):
         im = ctx.imodel
         n = ctx.n
         propagate_results(plan, ctx.art["old_vals"], ctx.results)
-        patches = plan_range_patches(batch, plan)
-        apply_range_patches(batch, ctx.art.get("raw", {}), patches, ctx.results)
+        apply_range_patches(batch, plan_range_patches(batch, plan), ctx.results)
         ctx.phase.result_cal = ctx.art["t_rescal"]
 
         seconds = ctx.phase.total
@@ -374,6 +372,23 @@ def _merge_counters_into(totals: EventTotals, counters) -> None:
     totals.transactions += counters.transactions
 
 
+def _add_range_programs(ctx: PipelineContext, launch):
+    """Add one raw-scan program (its own warp) per range request; returns
+    the callable that installs the scans into ``ctx.results`` after the
+    launch has run."""
+    batch = ctx.batch
+    range_idx = np.flatnonzero(batch.kinds == OpKind.RANGE)
+    scans: list = [None] * range_idx.size
+    for slot, i in enumerate(range_idx):
+        lo, hi = int(batch.keys[i]), int(batch.range_ends[i])
+        launch.add_programs([ctx.system._range_program(int(i), lo, hi, scans, slot)])
+
+    def install() -> None:
+        ctx.results.set_range_results(range_idx, *flatten_scans(scans))
+
+    return install
+
+
 class SimtQueryKernelPass(Pass):
     """QUERY_KERNEL launch: issued queries (iteration warps under locality)
     plus the batch's range programs, all in one unsynchronized launch."""
@@ -385,11 +400,9 @@ class SimtQueryKernelPass(Pass):
 
     def run(self, ctx: PipelineContext) -> None:
         system = ctx.system
-        batch = ctx.batch
         plan: CombinePlan = ctx.art["plan"]
         old_vals = ctx.art["old_vals"]
         steps_record = ctx.art.setdefault("steps_record", [])
-        raw = ctx.art.setdefault("raw", {})
         q_runs = ctx.art["q_runs"]
         q_keys = plan.issued_keys[q_runs]
 
@@ -409,11 +422,9 @@ class SimtQueryKernelPass(Pass):
                         for r in q_runs
                     ]
                 )
-        for i in np.flatnonzero(batch.kinds == OpKind.RANGE):
-            launch.add_programs(
-                [system._range_program(int(i), int(batch.keys[i]), int(batch.range_ends[i]), raw)]
-            )
+        install_ranges = _add_range_programs(ctx, launch)
         counters = launch.run() if launch.n_warps else None
+        install_ranges()
         if counters is not None:
             _merge_counters_into(ctx.totals, counters)
             ctx.phase.query_kernel = ctx.device.cycles_to_seconds(counters.cycles)
@@ -479,18 +490,12 @@ class SimtRangeScanPass(Pass):
     name = "range_scan"
 
     def run(self, ctx: PipelineContext) -> None:
-        system = ctx.system
-        batch = ctx.batch
-        raw = ctx.art.setdefault("raw", {})
-        range_idx = np.flatnonzero(batch.kinds == OpKind.RANGE)
-        if not range_idx.size:
+        if not np.any(ctx.batch.kinds == OpKind.RANGE):
             return
         launch = ctx.devctx.launch(ctx.n, rng=ctx.launch_rng())
-        for i in range_idx:
-            launch.add_programs(
-                [system._range_program(int(i), int(batch.keys[i]), int(batch.range_ends[i]), raw)]
-            )
+        install_ranges = _add_range_programs(ctx, launch)
         counters = launch.run()
+        install_ranges()
         _merge_counters_into(ctx.totals, counters)
         ctx.phase.query_kernel += ctx.device.cycles_to_seconds(counters.cycles)
         ctx.art.setdefault("counters_list", []).append(counters)
@@ -567,8 +572,7 @@ class SimtResultCalPass(Pass):
         plan: CombinePlan = ctx.art["plan"]
         n = ctx.n
         propagate_results(plan, ctx.art["old_vals"], ctx.results)
-        patches = plan_range_patches(batch, plan)
-        apply_range_patches(batch, ctx.art.get("raw", {}), patches, ctx.results)
+        apply_range_patches(batch, plan_range_patches(batch, plan), ctx.results)
         ctx.phase.result_cal = ctx.art["t_rescal"]
 
         merged = None
@@ -669,16 +673,16 @@ class EireneTree(System):
         )
         return t_sort, t_combine, t_rescal
 
-    def _raw_ranges(self, batch: RequestBatch) -> tuple[dict, int]:
-        """Pre-update range scans + total leaves spanned (host plane)."""
-        raw: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        span_total = 0
-        for i in np.flatnonzero(batch.kinds == OpKind.RANGE):
-            lo, hi = int(batch.keys[i]), int(batch.range_ends[i])
-            ks, vs = self.tree.range_scan(lo, hi)
-            raw[int(i)] = (ks, vs)
-            span_total += max(1, len(ks) // max(self.imodel.fanout // 2, 1) + 1)
-        return raw, span_total
+    def _raw_ranges(self, batch: RequestBatch, results: BatchResults) -> tuple[int, int]:
+        """Install the pre-update range scans (host plane) into ``results``;
+        returns the number of ranges and the total leaves they span."""
+        range_idx = np.flatnonzero(batch.kinds == OpKind.RANGE)
+        counts, keys, values = flatten_scans(
+            [self.tree.range_scan(int(batch.keys[i]), int(batch.range_ends[i])) for i in range_idx]
+        )
+        results.set_range_results(range_idx, counts, keys, values)
+        span_total = int((counts // max(self.imodel.fanout // 2, 1) + 1).sum())
+        return int(range_idx.size), span_total
 
     def _apply_issued_updates(
         self, plan: CombinePlan, u_runs: np.ndarray, u_leaves: np.ndarray
@@ -725,12 +729,12 @@ class EireneTree(System):
 
         return program()
 
-    def _range_program(self, req_id: int, lo: int, hi: int, raw: dict):
+    def _range_program(self, req_id: int, lo: int, hi: int, scans: list, slot: int):
         tree = self.tree
 
         def program():
             ks, vs, _steps = yield from d_range_raw(tree, lo, hi)
-            raw[req_id] = (np.array(ks, dtype=np.int64), np.array(vs, dtype=np.int64))
+            scans[slot] = (ks, vs)
             yield Mark(req_id)
 
         return program()

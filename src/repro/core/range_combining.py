@@ -48,12 +48,6 @@ class RangePatchPlan:
     def n(self) -> int:
         return int(self.range_pos.size)
 
-    def patches_for(self, pos: int) -> dict[int, int]:
-        sel = self.range_pos == pos
-        return {
-            int(k): int(v) for k, v in zip(self.keys[sel], self.values[sel], strict=True)
-        }
-
 
 def plan_range_patches(batch: RequestBatch, plan: CombinePlan) -> RangePatchPlan:
     """Generate artificial queries for every (range, updated key) pair."""
@@ -61,66 +55,55 @@ def plan_range_patches(batch: RequestBatch, plan: CombinePlan) -> RangePatchPlan
     if range_idx.size == 0 or plan.n_runs == 0:
         return RangePatchPlan()
 
-    # per-run update-element lists (sorted domain is key-major, ts-minor)
-    is_upd = is_update_kind_array(plan.sorted_kinds)
-    upd_pos = np.flatnonzero(is_upd)
-    upd_run = plan.run_id[upd_pos]
-    upd_ts = plan.sorted_orig[upd_pos]  # original index == timestamp
-    upd_val = plan.sorted_values[upd_pos]
-    upd_del = plan.sorted_kinds[upd_pos] == OpKind.DELETE
-    # boundaries of each run's slice in upd_* (upd_run is non-decreasing)
-    run_lo = np.searchsorted(upd_run, np.arange(plan.n_runs), side="left")
-    run_hi = np.searchsorted(upd_run, np.arange(plan.n_runs), side="right")
+    # each range covers the runs [r0, r1) of the key-sorted run keys
     run_keys = plan.sorted_keys[plan.run_start]
+    r0 = np.searchsorted(run_keys, batch.keys[range_idx], side="left")
+    r1 = np.searchsorted(run_keys, batch.range_ends[range_idx], side="right")
+    span = r1 - r0
+    pair_ts = np.repeat(range_idx, span)  # a range's timestamp is its index
+    pair_run = np.arange(int(span.sum())) + np.repeat(r0 - (np.cumsum(span) - span), span)
 
-    out_pos: list[int] = []
-    out_key: list[int] = []
-    out_val: list[int] = []
-    for i in range_idx:
-        ts = int(i)
-        lo, hi = int(batch.keys[i]), int(batch.range_ends[i])
-        r0 = int(np.searchsorted(run_keys, lo, side="left"))
-        r1 = int(np.searchsorted(run_keys, hi, side="right"))
-        for r in range(r0, r1):
-            a, b = int(run_lo[r]), int(run_hi[r])
-            if a == b:
-                continue  # no updates for this key
-            # artificial query at timestamp ts: nearest write strictly before
-            j = int(np.searchsorted(upd_ts[a:b], ts, side="left"))
-            if j == 0:
-                continue  # no predecessor write: old value, no patch needed
-            w = a + j - 1
-            out_pos.append(ts)
-            out_key.append(int(run_keys[r]))
-            out_val.append(NULL_VALUE if upd_del[w] else int(upd_val[w]))
+    # update-class elements in the sorted domain are (run, timestamp)-ordered,
+    # so one composite key finds each artificial query's nearest earlier write
+    upd_pos = np.flatnonzero(is_update_kind_array(plan.sorted_kinds))
+    upd_run = plan.run_id[upd_pos]
+    stride = batch.n + 1
+    upd_key = upd_run * stride + plan.sorted_orig[upd_pos]
+    w = np.searchsorted(upd_key, pair_run * stride + pair_ts, side="left") - 1
+    # no earlier write in the run: the artificial query reads the old value
+    hit = w >= 0
+    hit[hit] = upd_run[w[hit]] == pair_run[hit]
+    w = upd_pos[w[hit]]
     return RangePatchPlan(
-        range_pos=np.asarray(out_pos, dtype=np.int64),
-        keys=np.asarray(out_key, dtype=np.int64),
-        values=np.asarray(out_val, dtype=np.int64),
+        range_pos=pair_ts[hit],
+        keys=run_keys[pair_run[hit]],
+        values=np.where(
+            plan.sorted_kinds[w] == OpKind.DELETE, NULL_VALUE, plan.sorted_values[w]
+        ),
     )
 
 
 def apply_range_patches(
-    batch: RequestBatch,
-    raw_ranges: dict[int, tuple[np.ndarray, np.ndarray]],
-    patch_plan: RangePatchPlan,
-    results: BatchResults,
+    batch: RequestBatch, patch_plan: RangePatchPlan, results: BatchResults
 ) -> None:
-    """Merge raw pre-batch range scans with the artificial-query patches
-    and install the final ragged results."""
-    patched: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for pos, (ks, vs) in raw_ranges.items():
-        patches = patch_plan.patches_for(pos)
-        if not patches:
-            patched[pos] = (ks, vs)
-            continue
-        merged = {int(k): int(v) for k, v in zip(ks, vs, strict=True)}
-        for k, v in patches.items():
-            if v == NULL_VALUE:
-                merged.pop(k, None)
-            else:
-                merged[k] = v
-        out_k = np.array(sorted(merged), dtype=np.int64)
-        out_v = np.array([merged[int(k)] for k in out_k], dtype=np.int64)
-        patched[pos] = (out_k, out_v)
-    results.set_range_results(patched)
+    """Patch the raw pre-batch range scans installed in ``results`` in place.
+
+    One ``lexsort`` over (range, key, source) puts every patch right after
+    the raw row it replaces, so keeping the last row of each (range, key)
+    lets the patch win; tombstone patches (``NULL_VALUE``) then drop out.
+    """
+    if patch_plan.n == 0:
+        return
+    raw_pos = np.repeat(np.arange(batch.n), np.diff(results.range_offsets))
+    pos = np.concatenate([raw_pos, patch_plan.range_pos])
+    keys = np.concatenate([results.range_keys, patch_plan.keys])
+    values = np.concatenate([results.range_values, patch_plan.values])
+    is_patch = np.repeat([False, True], [raw_pos.size, patch_plan.n])
+    order = np.lexsort((is_patch, keys, pos))
+    pos, keys, values, is_patch = pos[order], keys[order], values[order], is_patch[order]
+    last = np.ones(pos.size, dtype=bool)
+    last[:-1] = (pos[1:] != pos[:-1]) | (keys[1:] != keys[:-1])
+    keep = last & ~(is_patch & (values == NULL_VALUE))
+    range_idx = np.flatnonzero(batch.kinds == OpKind.RANGE)
+    counts = np.bincount(pos[keep], minlength=batch.n)[range_idx]
+    results.set_range_results(range_idx, counts, keys[keep], values[keep])

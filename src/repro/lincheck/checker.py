@@ -57,17 +57,22 @@ def compare_results(
 ) -> CheckReport:
     """Compare per-request results; does not look at final state."""
     report = CheckReport(ok=True, n_requests=batch.n)
-    point = batch.kinds != OpKind.RANGE
-    mism = np.flatnonzero(point & (got.values != expected.values))
-    if mism.size:
-        report.ok = False
-        report.value_mismatches = [int(i) for i in mism]
-    for i in np.flatnonzero(batch.kinds == OpKind.RANGE):
-        gk, gv = got.range_result(int(i))
-        ek, ev = expected.range_result(int(i))
-        if not (np.array_equal(gk, ek) and np.array_equal(gv, ev)):
-            report.ok = False
-            report.range_mismatches.append(int(i))
+    is_range = batch.kinds == OpKind.RANGE
+    report.value_mismatches = [
+        int(i) for i in np.flatnonzero(~is_range & (got.values != expected.values))
+    ]
+    # a range mismatches if its row count or any of its rows differs; the
+    # rows of equal-count ranges line up once the other ranges are masked out
+    got_n, exp_n = np.diff(got.range_offsets), np.diff(expected.range_offsets)
+    bad = is_range & (got_n != exp_n)
+    got_rows, exp_rows = np.repeat(is_range & ~bad, got_n), np.repeat(is_range & ~bad, exp_n)
+    owner = np.repeat(np.arange(batch.n), got_n)[got_rows]
+    differs = (got.range_keys[got_rows] != expected.range_keys[exp_rows]) | (
+        got.range_values[got_rows] != expected.range_values[exp_rows]
+    )
+    bad[owner[differs]] = True
+    report.range_mismatches = [int(i) for i in np.flatnonzero(bad)]
+    report.ok = not (report.value_mismatches or report.range_mismatches)
     return report
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._types import NULL_VALUE, OpKind
-from ..workloads.requests import BatchResults, RequestBatch
+from ..workloads.requests import BatchResults, RequestBatch, flatten_scans
 
 
 class SequentialReference:
@@ -36,7 +36,7 @@ class SequentialReference:
     def execute(self, batch: RequestBatch) -> BatchResults:
         """Run the batch sequentially; returns the reference results."""
         results = BatchResults.empty(batch.n)
-        range_results: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        scans: list[tuple[np.ndarray, np.ndarray]] = []
         kinds = batch.kinds
         keys = batch.keys
         values = batch.values
@@ -61,12 +61,10 @@ class SequentialReference:
                 sk = self._sorted()
                 lo = int(np.searchsorted(sk, key, side="left"))
                 hi = int(np.searchsorted(sk, int(ends[i]), side="right"))
-                rk = sk[lo:hi].copy()
+                rk = sk[lo:hi].copy()  # a view would pin all of sk until the end
                 rv = np.array([self.map[int(k)] for k in rk], dtype=np.int64)
-                range_results[i] = (rk, rv)
-            else:  # pragma: no cover - RequestBatch validates kinds
-                raise ValueError(f"unknown kind {kind}")
-        results.set_range_results(range_results)
+                scans.append((rk, rv))
+        results.set_range_results(np.flatnonzero(kinds == OpKind.RANGE), *flatten_scans(scans))
         return results
 
     def items(self) -> tuple[np.ndarray, np.ndarray]:

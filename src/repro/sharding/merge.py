@@ -13,16 +13,21 @@ Result stitching:
 
 * a point request appears on exactly one shard — its value and response
   time scatter straight back to its original batch index;
-* a split range query appears on every shard it overlaps — the per-shard
-  pieces concatenate in shard order (ascending key order, since shards are
-  contiguous key ranges), and its response time is the worst piece's (the
-  request is only answered when its last shard finishes).
+* a split range query appears on every shard it overlaps — its response
+  time is the worst piece's (the request is only answered when its last
+  shard finishes). Range rows stay in CSR form throughout: every shard row
+  is tagged with its request's origin, the shards' rows concatenate in
+  shard order, and one stable sort by origin groups each request's pieces.
+  Stability keeps the shard order inside a request, which is key order
+  since shards are contiguous key ranges — so the stitched rows are sorted
+  exactly like the single-tree answer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .._types import OpKind
 from ..baselines.base import BatchOutcome
 from ..errors import SimulationError
 from ..metrics.qos import ShardQoS, response_time_stats
@@ -46,23 +51,21 @@ def merge_shard_outcomes(
 
     results = BatchResults.empty(batch.n)
     response = np.zeros(batch.n, dtype=np.float64)
-    ranges: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
     for r, o in live:
         # point results scatter 1:1; a split range visits several shards, so
-        # response time keeps the worst piece and pieces accumulate below
+        # response time keeps the worst piece
         results.values[r.origin] = o.results.values
         np.maximum.at(response, r.origin, o.response_time_s)
-        for j, i in enumerate(r.origin):
-            lo, hi = int(o.results.range_offsets[j]), int(o.results.range_offsets[j + 1])
-            if hi > lo or _is_range(batch, int(i)):
-                ks, vs = ranges.setdefault(int(i), ([], []))
-                ks.append(o.results.range_keys[lo:hi])
-                vs.append(o.results.range_values[lo:hi])
+    row_origin = np.concatenate(
+        [np.repeat(r.origin, np.diff(o.results.range_offsets)) for r, o in live]
+    )
+    order = np.argsort(row_origin, kind="stable")
+    range_idx = np.flatnonzero(batch.kinds == OpKind.RANGE)
     results.set_range_results(
-        {
-            i: (np.concatenate(ks), np.concatenate(vs))
-            for i, (ks, vs) in ranges.items()
-        }
+        range_idx,
+        np.bincount(row_origin, minlength=batch.n)[range_idx],
+        np.concatenate([o.results.range_keys for _, o in live])[order],
+        np.concatenate([o.results.range_values for _, o in live])[order],
     )
 
     straggler = max((o for _, o in live), key=lambda o: o.seconds)
@@ -103,9 +106,3 @@ def merge_shard_outcomes(
         },
     )
     return out
-
-
-def _is_range(batch: RequestBatch, i: int) -> bool:
-    from .._types import OpKind
-
-    return batch.kinds[i] == OpKind.RANGE

@@ -8,12 +8,18 @@ buffer — which is exactly what the paper's linearizability argument keys on.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .._types import KIND_DTYPE, NULL_VALUE, OpKind
 from ..errors import WorkloadError
+
+#: OpKind values are contiguous, so a min/max check validates a batch's
+#: kinds (plain ints: numpy compares them much faster than enum members)
+_KIND_MIN, _KIND_MAX, _RANGE = int(min(OpKind)), int(max(OpKind)), int(OpKind.RANGE)
 
 
 @dataclass
@@ -26,13 +32,18 @@ class RequestBatch:
     range_ends: np.ndarray  # int64 inclusive upper bound for RANGE; 0 otherwise
 
     def __post_init__(self) -> None:
-        n = self.kinds.size
-        if not (self.keys.size == self.values.size == self.range_ends.size == n):
-            raise WorkloadError("request batch arrays must have equal length")
-        self.kinds = np.ascontiguousarray(self.kinds, dtype=KIND_DTYPE)
+        kinds = np.asarray(self.kinds)
         self.keys = np.ascontiguousarray(self.keys, dtype=np.int64)
         self.values = np.ascontiguousarray(self.values, dtype=np.int64)
         self.range_ends = np.ascontiguousarray(self.range_ends, dtype=np.int64)
+        if not (self.keys.size == self.values.size == self.range_ends.size == kinds.size):
+            raise WorkloadError("request batch arrays must have equal length")
+        if kinds.size and (kinds.min() < _KIND_MIN or kinds.max() > _KIND_MAX):
+            raise WorkloadError(f"unknown request kinds in {np.unique(kinds)}")
+        self.kinds = np.ascontiguousarray(kinds, dtype=KIND_DTYPE)
+        inverted = np.flatnonzero((self.kinds == _RANGE) & (self.range_ends < self.keys))
+        if inverted.size:
+            raise WorkloadError(f"empty range (range_end < key) at requests {inverted}")
 
     @property
     def n(self) -> int:
@@ -82,8 +93,6 @@ class RequestBatch:
                 if len(op) != 3:
                     raise WorkloadError(f"RANGE needs (kind, lo, hi): {op}")
                 ends[i] = op[2]
-                if op[2] < op[1]:
-                    raise WorkloadError(f"empty range {op}")
             elif len(op) != 2:
                 raise WorkloadError(f"{kind.name} needs (kind, key): {op}")
         return cls(kinds=kinds, keys=keys, values=values, range_ends=ends)
@@ -120,17 +129,51 @@ class BatchResults:
         lo, hi = int(self.range_offsets[i]), int(self.range_offsets[i + 1])
         return self.range_keys[lo:hi], self.range_values[lo:hi]
 
-    def set_range_results(self, per_request: dict[int, tuple[np.ndarray, np.ndarray]]) -> None:
-        """Install ragged range results from a {request index: (keys, values)} map."""
-        counts = np.zeros(self.n, dtype=np.int64)
-        for i, (ks, _vs) in per_request.items():
-            counts[i] = len(ks)
-        self.range_offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.range_offsets[1:])
-        total = int(self.range_offsets[-1])
-        self.range_keys = np.zeros(total, dtype=np.int64)
-        self.range_values = np.zeros(total, dtype=np.int64)
-        for i, (ks, vs) in per_request.items():
-            lo = int(self.range_offsets[i])
-            self.range_keys[lo : lo + len(ks)] = ks
-            self.range_values[lo : lo + len(vs)] = vs
+    def set_range_results(
+        self,
+        positions: np.ndarray,
+        counts: np.ndarray,
+        keys: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        """Install range rows in CSR form.
+
+        ``positions`` are the answered requests (strictly increasing),
+        ``counts[j]`` the number of rows of request ``positions[j]``, and
+        ``keys``/``values`` the flat rows in that order. Requests not named
+        get no rows.
+        """
+        positions, counts, keys, values = (
+            np.asarray(a, dtype=np.int64) for a in (positions, counts, keys, values)
+        )
+        if positions.shape != counts.shape or keys.shape != values.shape:
+            raise WorkloadError("range results: mismatched array lengths")
+        if np.any(np.diff(positions) <= 0) or np.any((positions < 0) | (positions >= self.n)):
+            raise WorkloadError(
+                f"range results: positions must be strictly increasing in [0, {self.n})"
+            )
+        if np.any(counts < 0) or counts.sum() != keys.size:
+            raise WorkloadError(f"range results: counts must be >= 0 and sum to {keys.size}")
+        per_request = np.zeros(self.n + 1, dtype=np.int64)
+        per_request[positions + 1] = counts
+        self.range_offsets = np.cumsum(per_request)
+        self.range_keys, self.range_values = keys, values
+
+
+def range_ordinals(batch: RequestBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's range request positions, and per request its ordinal
+    among them: the slot its scan takes in a :func:`flatten_scans` list."""
+    is_range = batch.kinds == OpKind.RANGE
+    return np.flatnonzero(is_range), np.cumsum(is_range) - 1
+
+
+def flatten_scans(
+    scans: list[tuple[Sequence[int], Sequence[int]]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(counts, keys, values)`` of per-range ``(keys, values)`` scans,
+    concatenated in list order, for :meth:`BatchResults.set_range_results`."""
+    counts = np.array([len(ks) for ks, _ in scans], dtype=np.int64)
+    total = int(counts.sum())
+    keys = np.fromiter(chain.from_iterable(ks for ks, _ in scans), np.int64, total)
+    values = np.fromiter(chain.from_iterable(vs for _, vs in scans), np.int64, total)
+    return counts, keys, values

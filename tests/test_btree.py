@@ -14,6 +14,7 @@ from repro.btree import (
     batch_find_leaf,
     batch_horizontal_find_leaf,
     batch_leaf_lookup,
+    batch_range_spans,
     leaf_max_keys,
     leaf_rf_values,
 )
@@ -409,6 +410,19 @@ class TestLeafIds:
         assert leaves == chain_walk(tree)
         assert leaves != sorted(leaves)  # node ids really are out of key order
         assert all(isinstance(leaf, int) for leaf in leaves)
+
+    @pytest.mark.parametrize("fanout", [4, 8, 32])
+    def test_range_spans_count_chain_hops(self, fanout):
+        tree = grown_tree(fanout, seed=fanout)
+        rng = np.random.default_rng(fanout)
+        lo = rng.integers(0, 21_000, size=200)
+        hi = lo + rng.integers(0, 3_000, size=200)
+        chain = chain_walk(tree)
+        want = [
+            chain.index(tree.find_leaf(int(h))[0]) - chain.index(tree.find_leaf(int(l))[0]) + 1
+            for l, h in zip(lo, hi)
+        ]
+        assert batch_range_spans(tree, lo, hi).tolist() == want
 
 
 def loop_apply(tree: BPlusTree, kinds, keys, values) -> np.ndarray:

@@ -19,6 +19,7 @@ from repro.core.range_combining import (
 )
 from repro.lincheck import SequentialReference, check_linearizable
 from repro.workloads import BatchResults, RequestBatch
+from repro.workloads.requests import flatten_scans
 
 KINDS = [OpKind.QUERY, OpKind.UPDATE, OpKind.INSERT, OpKind.DELETE]
 
@@ -36,6 +37,61 @@ def simulate_issued(plan, init_state):
         elif kind == OpKind.DELETE:
             state.pop(k, None)
     return old_vals, state
+
+
+def install_raw_scans(batch, init_state, results):
+    """Range queries scan the PRE-batch state (the query kernel runs first)."""
+    range_idx = np.flatnonzero(batch.kinds == OpKind.RANGE)
+    scans = []
+    for i in range_idx:
+        lo, hi = int(batch.keys[i]), int(batch.range_ends[i])
+        rk = np.array([k for k in sorted(init_state) if lo <= k <= hi], dtype=np.int64)
+        scans.append((rk, np.array([init_state[int(k)] for k in rk], dtype=np.int64)))
+    results.set_range_results(range_idx, *flatten_scans(scans))
+    return {int(i): scan for i, scan in zip(range_idx, scans)}
+
+
+def oracle_plan_range_patches(batch, plan):
+    """Reference: one artificial query per (range, run), found by a
+    per-range, per-run scan of the run's writes."""
+    out_pos, out_key, out_val = [], [], []
+    if plan.n_runs == 0:
+        return out_pos, out_key, out_val
+    run_keys = plan.sorted_keys[plan.run_start]
+    for i in np.flatnonzero(batch.kinds == OpKind.RANGE):
+        lo, hi = int(batch.keys[i]), int(batch.range_ends[i])
+        for r in range(plan.n_runs):
+            if not lo <= run_keys[r] <= hi:
+                continue
+            members = np.flatnonzero(plan.run_id == r)
+            writes = [
+                m for m in members
+                if plan.sorted_kinds[m] != OpKind.QUERY and plan.sorted_orig[m] < i
+            ]
+            if not writes:
+                continue  # no earlier write: old value, no patch
+            w = writes[-1]
+            out_pos.append(int(i))
+            out_key.append(int(run_keys[r]))
+            deleted = plan.sorted_kinds[w] == OpKind.DELETE
+            out_val.append(NULL_VALUE if deleted else int(plan.sorted_values[w]))
+    return out_pos, out_key, out_val
+
+
+def oracle_apply_range_patches(raw, patches):
+    """Reference: merge each range's patches into a dict of its raw scan."""
+    out = {}
+    for pos, (ks, vs) in raw.items():
+        merged = {int(k): int(v) for k, v in zip(ks, vs)}
+        for p, k, v in zip(*patches):
+            if p != pos:
+                continue
+            if v == NULL_VALUE:
+                merged.pop(k, None)
+            else:
+                merged[k] = v
+        out[pos] = sorted(merged.items())
+    return out
 
 
 class TestCombineStructure:
@@ -152,19 +208,11 @@ class TestLinearizabilityProperty:
 
         plan = combine_point_requests(batch)
         init_state = dict(zip(init_k.tolist(), init_v.tolist()))
-        # range queries scan the PRE-batch state (query kernel runs first)
-        raw = {}
-        for i in np.flatnonzero(batch.kinds == OpKind.RANGE):
-            lo, hi = int(batch.keys[i]), int(batch.range_ends[i])
-            rk = np.array(
-                [k for k in sorted(init_state) if lo <= k <= hi], dtype=np.int64
-            )
-            raw[int(i)] = (rk, np.array([init_state[int(k)] for k in rk], dtype=np.int64))
-        old_vals, final_state = simulate_issued(plan, init_state)
         got = BatchResults.empty(batch.n)
+        install_raw_scans(batch, init_state, got)
+        old_vals, final_state = simulate_issued(plan, init_state)
         propagate_results(plan, old_vals, got)
-        patches = plan_range_patches(batch, plan)
-        apply_range_patches(batch, raw, patches, got)
+        apply_range_patches(batch, plan_range_patches(batch, plan), got)
 
         rep = check_linearizable(batch, got, expected)
         assert rep.ok, rep.describe(batch)
@@ -191,10 +239,11 @@ class TestRangePatches:
         )
         plan = combine_point_requests(batch)
         patches = plan_range_patches(batch, plan)
-        by_key = patches.patches_for(1)
         # key 4 patched to U(4,b)'s value (the write before T2); key 6 has
         # no write before T2, so no patch (it keeps 6_val)
-        assert by_key == {4: 1002}
+        assert patches.range_pos.tolist() == [1]
+        assert patches.keys.tolist() == [4]
+        assert patches.values.tolist() == [1002]
 
     def test_delete_patch_removes_key(self):
         batch = RequestBatch.from_ops(
@@ -202,9 +251,9 @@ class TestRangePatches:
         )
         plan = combine_point_requests(batch)
         patches = plan_range_patches(batch, plan)
-        raw = {1: (np.array([1, 2, 3]), np.array([10, 20, 30]))}
         results = BatchResults.empty(2)
-        apply_range_patches(batch, raw, patches, results)
+        results.set_range_results([1], [3], [1, 2, 3], [10, 20, 30])
+        apply_range_patches(batch, patches, results)
         rk, rv = results.range_result(1)
         assert np.array_equal(rk, [1, 3])
 
@@ -214,9 +263,9 @@ class TestRangePatches:
         )
         plan = combine_point_requests(batch)
         patches = plan_range_patches(batch, plan)
-        raw = {1: (np.array([1, 3]), np.array([10, 30]))}
         results = BatchResults.empty(2)
-        apply_range_patches(batch, raw, patches, results)
+        results.set_range_results([1], [2], [1, 3], [10, 30])
+        apply_range_patches(batch, patches, results)
         rk, rv = results.range_result(1)
         assert np.array_equal(rk, [1, 2, 3])
         assert rv[1] == 22
@@ -233,3 +282,95 @@ class TestRangePatches:
         batch = RequestBatch.from_ops([(OpKind.UPDATE, 2, 9)])
         plan = combine_point_requests(batch)
         assert plan_range_patches(batch, plan).n == 0
+
+
+@st.composite
+def patch_batches(draw):
+    """Batches stressing range patching: few hot keys (duplicate writes,
+    delete-then-reinsert chains), overlapping ranges, ranges over key gaps
+    with no run and ranges that arrive before every write."""
+    n_keys = draw(st.integers(1, 12))
+    hot = draw(st.lists(st.integers(0, n_keys), min_size=1, max_size=4, unique=True))
+    ops = []
+    for _ in range(draw(st.integers(1, 60))):
+        kind = draw(st.sampled_from(KINDS + [OpKind.RANGE, OpKind.RANGE]))
+        key = draw(st.sampled_from(hot)) if draw(st.booleans()) else draw(
+            st.integers(0, n_keys)
+        )
+        if kind in (OpKind.UPDATE, OpKind.INSERT):
+            ops.append((kind, key, draw(st.integers(1, 99))))
+        elif kind == OpKind.RANGE:
+            ops.append((kind, key, draw(st.integers(key, n_keys + 3))))
+        else:
+            ops.append((kind, key))
+    if draw(st.booleans()):
+        ops.insert(0, (OpKind.RANGE, 0, n_keys + 3))  # before every write
+    init_keys = draw(st.lists(st.integers(0, n_keys), unique=True, max_size=n_keys + 1))
+    return ops, init_keys
+
+
+def check_against_oracle(ops, init_keys):
+    batch = RequestBatch.from_ops(ops)
+    plan = combine_point_requests(batch)
+    init_state = {k: k * 100 + 7 for k in init_keys}
+    results = BatchResults.empty(batch.n)
+    raw = install_raw_scans(batch, init_state, results)
+
+    patches = plan_range_patches(batch, plan)
+    want = oracle_plan_range_patches(batch, plan)
+    assert patches.range_pos.tolist() == want[0]
+    assert patches.keys.tolist() == want[1]
+    assert patches.values.tolist() == want[2]
+    for arr in (patches.range_pos, patches.keys, patches.values):
+        assert arr.dtype == np.int64
+
+    apply_range_patches(batch, patches, results)
+    merged = oracle_apply_range_patches(raw, want)
+    counts = np.zeros(batch.n, dtype=np.int64)
+    for pos, rows in merged.items():
+        counts[pos] = len(rows)
+    assert results.range_offsets.tolist() == [0] + np.cumsum(counts).tolist()
+    rows = [row for pos in sorted(merged) for row in merged[pos]]
+    assert results.range_keys.tolist() == [k for k, _ in rows]
+    assert results.range_values.tolist() == [v for _, v in rows]
+
+
+class TestRangePatchOracle:
+    @given(patch_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_plan_and_patched_csr_match_oracle(self, data):
+        check_against_oracle(*data)
+
+    @pytest.mark.parametrize(
+        "ops, init_keys",
+        [
+            # duplicate writes to one key, overlapping ranges
+            (
+                [(OpKind.UPDATE, 3, 1), (OpKind.RANGE, 1, 5), (OpKind.UPDATE, 3, 2),
+                 (OpKind.RANGE, 2, 3), (OpKind.RANGE, 3, 9), (OpKind.UPDATE, 4, 5)],
+                [1, 3, 4],
+            ),
+            # ranges covering no run: between, below and above the written keys
+            (
+                [(OpKind.UPDATE, 2, 1), (OpKind.UPDATE, 8, 1), (OpKind.RANGE, 3, 7),
+                 (OpKind.RANGE, 0, 1), (OpKind.RANGE, 9, 20)],
+                [0, 5, 9],
+            ),
+            # ranges that come before every write
+            (
+                [(OpKind.RANGE, 0, 9), (OpKind.RANGE, 4, 4), (OpKind.DELETE, 4),
+                 (OpKind.INSERT, 6, 60)],
+                [4, 5],
+            ),
+            # delete-then-reinsert chains, a range after each step
+            (
+                [(OpKind.DELETE, 5), (OpKind.RANGE, 0, 9), (OpKind.INSERT, 5, 51),
+                 (OpKind.RANGE, 5, 5), (OpKind.DELETE, 5), (OpKind.RANGE, 4, 6),
+                 (OpKind.INSERT, 5, 52), (OpKind.QUERY, 5), (OpKind.RANGE, 0, 9)],
+                [4, 5, 6],
+            ),
+        ],
+        ids=["duplicates-overlap", "no-run", "before-writes", "delete-reinsert"],
+    )
+    def test_targeted_cases_match_oracle(self, ops, init_keys):
+        check_against_oracle(ops, init_keys)

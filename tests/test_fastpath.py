@@ -413,29 +413,36 @@ def test_eirene_range_batches_equivalent():
 # parallel sharded execution
 # --------------------------------------------------------------------- #
 def test_parallel_sharded_identity_across_worker_counts():
+    """YCSB-E splits ranges across shards, so the merged range CSR is
+    checked for identity too."""
     from repro import YcsbWorkload, build_key_pool
-    from repro.workloads import YCSB_A
+    from repro.workloads import YCSB_A, YCSB_E
 
-    rng = np.random.default_rng(9)
-    keys, values = build_key_pool(2**10, rng)
-    wl = YcsbWorkload(pool=keys, mix=YCSB_A)
-    batches = [wl.generate(256, rng) for _ in range(2)]
+    for mix in (YCSB_A, YCSB_E):
+        rng = np.random.default_rng(9)
+        keys, values = build_key_pool(2**10, rng)
+        wl = YcsbWorkload(pool=keys, mix=mix)
+        batches = [wl.generate(256, rng) for _ in range(2)]
 
-    ref_sys = ShardedSystem.build("eirene", keys, values, 4, seed=11)
-    ref = [ref_sys.process_batch(b, engine="simt") for b in batches]
-    ref_items = ref_sys.items()
+        ref_sys = ShardedSystem.build("eirene", keys, values, 4, seed=11)
+        ref = [ref_sys.process_batch(b, engine="simt") for b in batches]
+        ref_items = ref_sys.items()
+        if mix is YCSB_E:  # some range really is split across shards
+            routed = ref_sys.router.route(batches[0])
+            pieces = sum(np.bincount(r.origin, minlength=batches[0].n) for r in routed)
+            assert pieces.max() > 1 and ref[0].results.range_keys.size
 
-    for n_workers in (0, 1, 2, 4):  # 0 = in-process serial fallback
-        with ParallelShardedSystem(
-            "eirene", keys, values, 4, n_workers=n_workers, seed=11
-        ) as fleet:
-            outs = [fleet.process_batch(b, engine="simt") for b in batches]
-            fleet.validate()
-            items = fleet.items()
-            assert fleet.name == ref_sys.name
-        assert deep_eq(ref, outs), f"outcome diverged at n_workers={n_workers}"
-        assert np.array_equal(items[0], ref_items[0])
-        assert np.array_equal(items[1], ref_items[1])
+        for n_workers in (0, 1, 2, 4):  # 0 = in-process serial fallback
+            with ParallelShardedSystem(
+                "eirene", keys, values, 4, n_workers=n_workers, seed=11
+            ) as fleet:
+                outs = [fleet.process_batch(b, engine="simt") for b in batches]
+                fleet.validate()
+                items = fleet.items()
+                assert fleet.name == ref_sys.name
+            assert deep_eq(ref, outs), f"{mix} outcome diverged at n_workers={n_workers}"
+            assert np.array_equal(items[0], ref_items[0])
+            assert np.array_equal(items[1], ref_items[1])
 
 
 def test_parallel_sharded_worker_error_propagates():

@@ -112,10 +112,37 @@ class TestChecker:
         batch, expected = self._batch_and_results()
         got = BatchResults.empty(batch.n)
         got.values[:] = expected.values
-        got.set_range_results({1: (np.array([1]), np.array([10]))})  # truncated
+        got.set_range_results([1], [1], [1], [10])  # truncated
         rep = compare_results(batch, got, expected)
         assert not rep.ok
         assert rep.range_mismatches == [1]
+
+    def test_shifted_range_boundary_detected(self):
+        batch = RequestBatch.from_ops(
+            [(OpKind.RANGE, 1, 2), (OpKind.QUERY, 1), (OpKind.RANGE, 3, 3), (OpKind.RANGE, 1, 3)]
+        )
+        expected = ref_with().execute(batch)
+        assert expected.range_offsets.tolist() == [0, 2, 2, 3, 6]
+        got = BatchResults.empty(batch.n)
+        got.values[:] = expected.values
+        # same flat rows, but key 2 moved from range 0 into range 2
+        got.set_range_results(
+            [0, 2, 3], [1, 2, 3], expected.range_keys, expected.range_values
+        )
+        assert np.array_equal(got.range_keys, expected.range_keys)
+        rep = compare_results(batch, got, expected)
+        assert not rep.ok
+        assert rep.range_mismatches == [0, 2]
+        assert rep.value_mismatches == []
+
+    def test_range_row_value_mismatch_detected(self):
+        batch, expected = self._batch_and_results()
+        got = BatchResults.empty(batch.n)
+        got.values[:] = expected.values
+        got.set_range_results(
+            [1], [3], expected.range_keys, expected.range_values + [0, 1, 0]
+        )
+        assert compare_results(batch, got, expected).range_mismatches == [1]
 
     def test_state_comparison(self):
         a = (np.array([1, 2]), np.array([10, 20]))

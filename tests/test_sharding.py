@@ -159,6 +159,50 @@ class TestShardedSystem:
         np.testing.assert_array_equal(ka, kb)
         np.testing.assert_array_equal(va, vb)
 
+    @pytest.mark.parametrize("engine", ["vector", "simt"])
+    def test_split_ranges_match_reference(self, engine):
+        """Ranges crossing 0, 1 and 3 fences, and one whose shard pieces
+        are all empty, stitch back into the sequential reference's CSR."""
+        from repro import make_system
+
+        keys = np.arange(0, 4000, 10, dtype=np.int64)
+        values = keys * 3 + 1
+        plan = ShardPlan(fences=np.array([1005, 2005, 3005], dtype=np.int64))
+        shards = [
+            make_system("eirene", ks, vs, seed=s)
+            for s, (ks, vs) in enumerate(plan.partition_pool(keys, values))
+        ]
+        fleet = ShardedSystem(shards, plan)
+        batch = RequestBatch.from_ops(
+            [
+                (OpKind.UPDATE, 1000, 7),
+                (OpKind.INSERT, 1003, 8),
+                (OpKind.DELETE, 1010),
+                (OpKind.RANGE, 950, 1100),  # one fence
+                (OpKind.RANGE, 1100, 1500),  # no fence
+                (OpKind.RANGE, 500, 3600),  # all three fences
+                (OpKind.RANGE, 2001, 2009),  # one fence, both pieces empty
+                (OpKind.INSERT, 2003, 9),
+                (OpKind.QUERY, 2003),
+                (OpKind.RANGE, 2001, 2009),
+                (OpKind.DELETE, 3000),
+                (OpKind.RANGE, 2990, 3020),
+            ]
+        )
+        pieces = sum(
+            np.bincount(sub.origin, minlength=batch.n) for sub in fleet.router.route(batch)
+        )
+        assert pieces[[3, 4, 5, 6]].tolist() == [2, 1, 4, 2]
+        out = fleet.process_batch(batch, engine=engine)
+        expected = SequentialReference(keys, values).execute(batch)
+        rep = check_linearizable(batch, out.results, expected)
+        assert rep.ok, rep.describe(batch)
+        assert out.results.range_result(6)[0].size == 0
+        for field in ("range_offsets", "range_keys", "range_values"):
+            np.testing.assert_array_equal(
+                getattr(out.results, field), getattr(expected, field)
+            )
+
     def test_merged_outcome_carries_per_shard_breakdown(self):
         keys, values = _pool(6)
         fleet = ShardedSystem.build("lock", keys, values, n_shards=2)

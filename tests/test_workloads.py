@@ -52,6 +52,24 @@ class TestRequestBatch:
                 range_ends=np.zeros(2, dtype=np.int64),
             )
 
+    @pytest.mark.parametrize(
+        "kinds, keys, ends",
+        [
+            ([9, 0], [1, 2], [0, 0]),  # unknown kind
+            ([0, -1], [1, 2], [0, 0]),  # negative kind
+            ([0, OpKind.RANGE], [1, 8], [0, 5]),  # inverted range
+        ],
+        ids=["kind-9", "kind-minus-1", "inverted-range"],
+    )
+    def test_invalid_batches_rejected(self, kinds, keys, ends):
+        with pytest.raises(WorkloadError):
+            RequestBatch(
+                kinds=np.array(kinds),
+                keys=np.array(keys),
+                values=np.zeros(2, dtype=np.int64),
+                range_ends=np.array(ends),
+            )
+
     def test_from_ops_rejects_malformed(self):
         with pytest.raises(WorkloadError):
             RequestBatch.from_ops([(OpKind.UPDATE, 1)])  # missing value
@@ -79,18 +97,32 @@ class TestBatchResults:
 
     def test_range_results_roundtrip(self):
         r = BatchResults.empty(3)
-        r.set_range_results(
-            {
-                0: (np.array([1, 2]), np.array([10, 20])),
-                2: (np.array([5]), np.array([50])),
-            }
-        )
+        r.set_range_results([0, 2], [2, 1], [1, 2, 5], [10, 20, 50])
+        assert r.range_offsets.tolist() == [0, 2, 2, 3]
         k0, v0 = r.range_result(0)
         assert np.array_equal(k0, [1, 2]) and np.array_equal(v0, [10, 20])
         k1, _ = r.range_result(1)
         assert k1.size == 0
         k2, v2 = r.range_result(2)
         assert np.array_equal(k2, [5]) and np.array_equal(v2, [50])
+
+    @pytest.mark.parametrize(
+        "positions, counts, keys, values",
+        [
+            ([0, 2], [2], [1, 2], [10, 20]),  # positions/counts lengths differ
+            ([0], [2], [1, 2], [10]),  # keys/values lengths differ
+            ([2, 0], [1, 1], [1, 2], [10, 20]),  # unsorted positions
+            ([1, 1], [1, 1], [1, 2], [10, 20]),  # repeated position
+            ([3], [1], [1], [10]),  # position out of range
+            ([-1], [1], [1], [10]),  # negative position
+            ([0, 1], [3, -1], [1, 2], [10, 20]),  # negative count
+            ([0], [3], [1, 2], [10, 20]),  # count sum != rows
+        ],
+    )
+    def test_malformed_range_results_rejected(self, positions, counts, keys, values):
+        r = BatchResults.empty(3)
+        with pytest.raises(WorkloadError):
+            r.set_range_results(positions, counts, keys, values)
 
 
 class TestDistributions:
