@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import DeviceConfig
 from ..device import DeviceContext
 from ..errors import ConfigError
 from ..lincheck import SequentialReference
@@ -35,7 +34,7 @@ from ..metrics.trace import PipelineTrace, merge_traces
 from ..simt import KernelCounters, PhaseTime
 from ..btree.tree import BPlusTree
 from ..workloads.requests import BatchResults, RequestBatch, flatten_scans
-from .model import EventTotals, InstModel
+from .model import InstModel
 
 
 @dataclass
@@ -136,22 +135,6 @@ def merge_outcomes(outcomes: list[BatchOutcome]) -> BatchOutcome:
     return out
 
 
-def simt_response_times(counters: KernelCounters, seconds: float, n: int) -> np.ndarray:
-    """Per-request response times from measured service steps.
-
-    The average response time is ``batch time / batch size`` (the paper's
-    definition — 0.41 ns at 2.4 G req/s); each request deviates from it in
-    proportion to its own measured service time (lockstep slots between its
-    lane's Marks), so retry-heavy requests respond late and conflict-free
-    batches respond uniformly.
-    """
-    service = counters.service_steps.astype(np.float64)
-    valid = np.isfinite(service)
-    mean = float(service[valid].mean()) if valid.any() else 1.0
-    ratio = np.where(valid & (mean > 0), service / max(mean, 1e-12), 1.0)
-    return (seconds / n) * ratio
-
-
 class System(abc.ABC):
     """A concurrent GPU B+tree under test.
 
@@ -162,19 +145,9 @@ class System(abc.ABC):
 
     name: str = "abstract"
 
-    def __init__(
-        self,
-        tree: BPlusTree,
-        device: DeviceConfig | None = None,
-        devctx: DeviceContext | None = None,
-    ) -> None:
-        if devctx is None:
-            # legacy construction path: wrap the tree's arena in a context
-            devctx = DeviceContext.adopt(tree.arena, device)
-        elif devctx.arena is not tree.arena:
+    def __init__(self, tree: BPlusTree, devctx: DeviceContext) -> None:
+        if devctx.arena is not tree.arena:
             raise ConfigError("devctx must own the arena the tree lives in")
-        elif device is not None and device != devctx.device:
-            raise ConfigError("device config disagrees with devctx.device")
         self.devctx = devctx
         self.tree = tree
         self.device = devctx.device
@@ -245,30 +218,3 @@ class System(abc.ABC):
         """Sequential reference seeded with the tree's current contents."""
         keys, values = self.tree.items()
         return SequentialReference(keys, values)
-
-    def _outcome_from_totals(
-        self,
-        batch: RequestBatch,
-        results: BatchResults,
-        totals: EventTotals,
-        phase: PhaseTime,
-        response_time_s: np.ndarray,
-        traversal_steps: float,
-        extras: dict | None = None,
-    ) -> BatchOutcome:
-        return BatchOutcome(
-            system=self.name,
-            results=results,
-            n_requests=batch.n,
-            seconds=phase.total,
-            phase=phase,
-            response_time_s=response_time_s,
-            mem_inst=totals.mem,
-            control_inst=totals.ctrl,
-            alu_inst=totals.alu,
-            atomic_inst=totals.atomic,
-            transactions=totals.transactions,
-            conflicts=totals.conflicts,
-            traversal_steps=traversal_steps,
-            extras=extras or {},
-        )

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._types import OpKind, is_update_kind_array
-from ..btree import batch_find_leaf, batch_range_spans
+from .._types import OpKind
+from ..btree import batch_range_spans
 from ..btree.device_ops import (
     d_find_leaf_coupling,
     d_find_leaf_locked_query,
@@ -29,7 +29,6 @@ from ..btree.device_ops import (
     d_search_leaf,
 )
 from ..btree.tree import BPlusTree
-from ..config import DeviceConfig
 from ..core.pipeline import (
     FinalizePass,
     HostApplyPass,
@@ -39,11 +38,12 @@ from ..core.pipeline import (
     SimtResponsePass,
     WeightedResponsePass,
 )
+from ..device import DeviceContext
 from ..locks import LatchTable
 from ..simt import BRANCH, Load, Mark
 from ..workloads.requests import flatten_scans, range_ordinals
 from .base import System
-from .model import OVERLAP, EventTotals, writer_collision_groups
+from .model import OVERLAP, batch_collisions
 
 #: expected latch-hold length in issue slots (drives expected spins in the
 #: vector model; the SIMT engine measures the real value).
@@ -63,28 +63,12 @@ class LockChargePass(Pass):
         height = tree.height
         n = ctx.n
 
-        q_mask = batch.kinds == OpKind.QUERY
-        w_mask = is_update_kind_array(batch.kinds)
-        point = batch.kinds != OpKind.RANGE
-        point_idx = np.flatnonzero(point)
-        leaves = np.zeros(n, dtype=np.int64)
-        if point_idx.size:
-            leaves[point_idx], _ = batch_find_leaf(tree, batch.keys[point_idx])
-
-        w_idx = np.flatnonzero(w_mask)
-        _, w_rank = writer_collision_groups(leaves[w_idx])
-        writers_on_leaf = (
-            np.bincount(leaves[w_idx], minlength=tree.max_nodes)
-            if w_idx.size
-            else np.zeros(tree.max_nodes, dtype=np.int64)
-        )
-
+        q_idx, w_idx, q_leaves, w_rank, writers_on_leaf = batch_collisions(tree, batch)
         # writers spin while earlier same-leaf writers hold the leaf latch
         spins = np.zeros(n, dtype=np.float64)
         spins[w_idx] = OVERLAP * w_rank * HOLD_SLOTS
         # readers re-validate nodes a writer touched (restart from root)
-        q_idx = np.flatnonzero(q_mask)
-        reader_restarts = OVERLAP * 0.25 * writers_on_leaf[leaves[q_idx]]
+        reader_restarts = OVERLAP * 0.25 * writers_on_leaf[q_leaves]
 
         base_q = height * im.node_visit_lock_validated + im.leaf_lookup_plain
         base_w = height * im.node_visit_coupling + im.leaf_update_locked
@@ -163,25 +147,14 @@ class LockSimtKernelPass(Pass):
 
             return program()
 
-        launch = ctx.devctx.launch(n, rng=ctx.launch_rng())
+        launch = ctx.launch()
         launch.add_programs([make_program(i) for i in range(n)])
-        counters = launch.run()
+        ctx.run_launch(launch, "query_kernel")
         results.set_range_results(range_idx, *flatten_scans(scans))
         lock_delta = latches.stats.delta_since(lock_before)
-
-        ctx.counters = counters
-        ctx.totals.merge(
-            EventTotals(
-                mem=counters.mem_inst,
-                ctrl=counters.control_inst,
-                alu=counters.alu_inst,
-                atomic=counters.atomic_inst,
-                transactions=counters.transactions,
-                conflicts=float(lock_delta.spins),
-            )
-        )
-        ctx.phase.query_kernel = ctx.device.cycles_to_seconds(counters.cycles)
-        ctx.traversal_steps = float(steps_taken.mean()) if n else 0.0
+        ctx.totals.conflicts += float(lock_delta.spins)
+        if n:
+            ctx.traversal_steps = float(steps_taken.mean())
         ctx.extras["locks"] = lock_delta
 
 
@@ -190,13 +163,8 @@ class LockGBTree(System):
 
     name = "Lock GB-tree"
 
-    def __init__(
-        self,
-        tree: BPlusTree,
-        device: DeviceConfig | None = None,
-        devctx=None,
-    ) -> None:
-        super().__init__(tree, device, devctx)
+    def __init__(self, tree: BPlusTree, devctx: DeviceContext) -> None:
+        super().__init__(tree, devctx)
         self.latches = LatchTable(tree.arena)
 
     def build_pipeline(self, engine: str) -> PassPipeline:

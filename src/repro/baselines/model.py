@@ -24,7 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._types import OpKind, is_update_kind_array
+from ..btree import batch_find_leaf
+from ..btree.tree import BPlusTree
 from ..config import DeviceConfig
+from ..workloads.requests import RequestBatch
 
 #: probability that two same-leaf operations of one batch overlap in time.
 OVERLAP = 0.5
@@ -232,3 +236,26 @@ def writer_collision_groups(leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     size[order] = lengths[run_id]
     rank[order] = rank_sorted
     return size, rank
+
+
+def batch_collisions(
+    tree: BPlusTree, batch: RequestBatch
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Same-leaf collisions of a batch's point requests, for the baselines'
+    whole-batch conflict models.
+
+    Returns ``(q_idx, w_idx, q_leaves, w_rank, writers_on_leaf)``: the
+    query and writer positions, each query's leaf, each writer's rank in
+    its leaf group (:func:`writer_collision_groups`) and the number of
+    writers per node id.
+    """
+    point_idx = np.flatnonzero(batch.kinds != OpKind.RANGE)
+    leaves = np.zeros(batch.n, dtype=np.int64)
+    if point_idx.size:
+        leaves[point_idx], _ = batch_find_leaf(tree, batch.keys[point_idx])
+    q_idx = np.flatnonzero(batch.kinds == OpKind.QUERY)
+    w_idx = np.flatnonzero(is_update_kind_array(batch.kinds))
+    w_leaves = leaves[w_idx]
+    _, w_rank = writer_collision_groups(w_leaves)
+    writers_on_leaf = np.bincount(w_leaves, minlength=tree.max_nodes)
+    return q_idx, w_idx, leaves[q_idx], w_rank, writers_on_leaf

@@ -30,7 +30,6 @@ from ..core.pipeline import (
 from ..simt import Mark, Store
 from ..workloads.requests import flatten_scans, range_ordinals
 from .base import System
-from .model import EventTotals
 
 
 class NoCCChargePass(Pass):
@@ -105,23 +104,12 @@ class NoCCSimtKernelPass(Pass):
 
             return program()
 
-        launch = ctx.devctx.launch(n, rng=ctx.launch_rng())
+        launch = ctx.launch()
         launch.add_programs([make_program(i) for i in range(n)])
-        counters = launch.run()
+        ctx.run_launch(launch, "query_kernel")
         results.set_range_results(range_idx, *flatten_scans(scans))
-
-        ctx.counters = counters
-        ctx.totals.merge(
-            EventTotals(
-                mem=counters.mem_inst,
-                ctrl=counters.control_inst,
-                alu=counters.alu_inst,
-                atomic=counters.atomic_inst,
-                transactions=counters.transactions,
-            )
-        )
-        ctx.phase.query_kernel = ctx.device.cycles_to_seconds(counters.cycles)
-        ctx.traversal_steps = float(steps_taken.mean()) if n else 0.0
+        if n:
+            ctx.traversal_steps = float(steps_taken.mean())
 
 
 class NoCCGBTree(System):

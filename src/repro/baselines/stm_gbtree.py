@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._types import OpKind, is_update_kind_array
-from ..btree import batch_find_leaf, batch_range_spans
+from .._types import OpKind
+from ..btree import batch_range_spans
 from ..btree.device_ops import (
     d_find_leaf_stm,
     d_leaf_delete_stm,
@@ -26,7 +26,6 @@ from ..btree.device_ops import (
     d_smo_upsert,
 )
 from ..btree.tree import BPlusTree
-from ..config import DeviceConfig
 from ..core.pipeline import (
     FinalizePass,
     HostApplyPass,
@@ -36,12 +35,13 @@ from ..core.pipeline import (
     SimtResponsePass,
     WeightedResponsePass,
 )
+from ..device import DeviceContext
 from ..errors import SimulationError, TransactionAborted
 from ..simt import BRANCH, Mark
 from ..stm import DeviceStm, StmRegion
 from ..workloads.requests import flatten_scans, range_ordinals
 from .base import System
-from .model import OVERLAP, EventTotals, writer_collision_groups
+from .model import OVERLAP, batch_collisions
 
 #: fraction of a writer's window a (shorter) read-only tx is exposed to.
 READER_EXPOSURE = 0.5
@@ -63,25 +63,12 @@ class StmChargePass(Pass):
         height = tree.height
         n = ctx.n
 
-        point = batch.kinds != OpKind.RANGE
-        q_mask = (batch.kinds == OpKind.QUERY)
-        w_mask = is_update_kind_array(batch.kinds)
-        point_idx = np.flatnonzero(point)
-        leaves = np.zeros(n, dtype=np.int64)
-        if point_idx.size:
-            leaves[point_idx], _ = batch_find_leaf(tree, batch.keys[point_idx])
-
         # expected aborts: writers serialize per leaf; readers are exposed
         # to every writer of their leaf for a fraction of its window
-        w_idx = np.flatnonzero(w_mask)
-        _, w_rank = writer_collision_groups(leaves[w_idx])
-        writers_on_leaf = np.bincount(
-            leaves[w_idx], minlength=tree.max_nodes
-        ) if w_idx.size else np.zeros(tree.max_nodes, dtype=np.int64)
+        q_idx, w_idx, q_leaves, w_rank, writers_on_leaf = batch_collisions(tree, batch)
         retries = np.zeros(n, dtype=np.float64)
         retries[w_idx] = OVERLAP * w_rank
-        q_idx = np.flatnonzero(q_mask)
-        retries[q_idx] = OVERLAP * READER_EXPOSURE * writers_on_leaf[leaves[q_idx]]
+        retries[q_idx] = OVERLAP * READER_EXPOSURE * writers_on_leaf[q_leaves]
 
         base_q = height * im.node_visit_stm + im.leaf_lookup_stm + im.tx_begin_commit_query
         base_w = height * im.node_visit_stm + im.leaf_update_stm
@@ -190,25 +177,14 @@ class StmSimtKernelPass(Pass):
 
             return program()
 
-        launch = ctx.devctx.launch(n, rng=ctx.launch_rng())
+        launch = ctx.launch()
         launch.add_programs([make_program(i) for i in range(n)])
-        counters = launch.run()
+        ctx.run_launch(launch, "query_kernel")
         results.set_range_results(range_idx, *flatten_scans(scans))
         stm_delta = stm.stats.delta_since(stm_before)
-
-        ctx.counters = counters
-        ctx.totals.merge(
-            EventTotals(
-                mem=counters.mem_inst,
-                ctrl=counters.control_inst,
-                alu=counters.alu_inst,
-                atomic=counters.atomic_inst,
-                transactions=counters.transactions,
-                conflicts=float(stm_delta.conflicts),
-            )
-        )
-        ctx.phase.query_kernel = ctx.device.cycles_to_seconds(counters.cycles)
-        ctx.traversal_steps = float(steps_taken.mean()) if n else 0.0
+        ctx.totals.conflicts += float(stm_delta.conflicts)
+        if n:
+            ctx.traversal_steps = float(steps_taken.mean())
         ctx.extras["retries"] = retries
         ctx.extras["stm"] = stm_delta
 
@@ -219,14 +195,9 @@ class StmGBTree(System):
     name = "STM GB-tree"
 
     def __init__(
-        self,
-        tree: BPlusTree,
-        stm_region: StmRegion,
-        smo_lock_addr: int,
-        device: DeviceConfig | None = None,
-        devctx=None,
+        self, tree: BPlusTree, stm_region: StmRegion, smo_lock_addr: int, devctx: DeviceContext
     ) -> None:
-        super().__init__(tree, device, devctx)
+        super().__init__(tree, devctx)
         self.stm = DeviceStm(tree.arena, stm_region)
         self.smo_lock_addr = smo_lock_addr
 

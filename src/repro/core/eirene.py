@@ -36,11 +36,12 @@ import numpy as np
 from .._types import NULL_VALUE, OpKind
 from ..btree import batch_find_leaf, batch_leaf_lookup
 from ..btree.tree import BPlusTree
-from ..config import DeviceConfig, EireneConfig, FULL_EIRENE
+from ..config import EireneConfig, FULL_EIRENE
+from ..device import DeviceContext
 from ..errors import ConfigError
-from ..simt import CostModel, Mark
+from ..simt import Mark
 from ..stm import DeviceStm, StmRegion
-from ..baselines.base import System, simt_response_times
+from ..baselines.base import System
 from ..baselines.model import (
     COALESCE_SORTED,
     OVERLAP,
@@ -49,7 +50,7 @@ from ..baselines.model import (
     phase_seconds,
     writer_collision_groups,
 )
-from ..workloads.requests import BatchResults, RequestBatch, flatten_scans
+from ..workloads.requests import BatchResults, RequestBatch, flatten_scans, range_ordinals
 from .combining import CombinePlan, combine_point_requests, propagate_results
 from .kernels import (
     LaneSlot,
@@ -104,14 +105,28 @@ class PartitionPass(Pass):
 # --------------------------------------------------------------------- #
 # vector-engine passes
 # --------------------------------------------------------------------- #
+def _find_issued_leaves(ctx: PipelineContext, find) -> None:
+    """Per class, the issued keys' leaves and traversal steps from
+    ``find(keys) -> (leaves, steps)`` into ``ctx.art["{q,u}_{leaves,steps}"]``.
+
+    Query-class keys go first: the RF maintenance of
+    :func:`vector_locality_steps` mutates tree state in that order,
+    matching the kernel launch order.
+    """
+    plan: CombinePlan = ctx.art["plan"]
+    for cls in ("q", "u"):
+        keys = plan.issued_keys[ctx.art[f"{cls}_runs"]]
+        if keys.size:
+            leaves, steps = find(keys)
+        else:
+            leaves, steps = np.zeros((2, 0), dtype=np.int64)
+        ctx.art[f"{cls}_leaves"] = leaves
+        ctx.art[f"{cls}_steps"] = steps
+
+
 class VectorLocalityPass(Pass):
     """§5 warp reorganization: per-class iteration plans and the resulting
-    traversal step counts (horizontal walks shortcut vertical descents).
-
-    Query-class steps are computed before update-class steps — the RF
-    maintenance of :func:`vector_locality_steps` mutates tree state in that
-    order, matching the kernel launch order.
-    """
+    traversal step counts (horizontal walks shortcut vertical descents)."""
 
     name = "locality"
 
@@ -119,23 +134,17 @@ class VectorLocalityPass(Pass):
         self.enable_rf = enable_rf
 
     def run(self, ctx: PipelineContext) -> None:
-        plan: CombinePlan = ctx.art["plan"]
         cfg = ctx.system.config
-        for cls, runs_key in (("q", "q_runs"), ("u", "u_runs")):
-            runs = ctx.art[runs_key]
-            keys = plan.issued_keys[runs]
-            if keys.size:
-                iplan = build_iteration_plan(
-                    int(keys.size), ctx.device.warp_size,
-                    cfg.rgs_per_iteration_warp, ctx.device.num_sms,
-                )
-                ls = vector_locality_steps(ctx.tree, iplan, keys, enable_rf=self.enable_rf)
-                leaves, steps = ls.leaves, ls.steps
-            else:
-                leaves = np.zeros(0, dtype=np.int64)
-                steps = np.zeros(0, dtype=np.int64)
-            ctx.art[f"{cls}_leaves"] = leaves
-            ctx.art[f"{cls}_steps"] = steps
+
+        def find(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            iplan = build_iteration_plan(
+                int(keys.size), ctx.device.warp_size,
+                cfg.rgs_per_iteration_warp, ctx.device.num_sms,
+            )
+            ls = vector_locality_steps(ctx.tree, iplan, keys, enable_rf=self.enable_rf)
+            return ls.leaves, ls.steps
+
+        _find_issued_leaves(ctx, find)
 
 
 class VectorPlainTraversalPass(Pass):
@@ -144,19 +153,11 @@ class VectorPlainTraversalPass(Pass):
     name = "traversal"
 
     def run(self, ctx: PipelineContext) -> None:
-        plan: CombinePlan = ctx.art["plan"]
-        height = ctx.tree.height
-        for cls, runs_key in (("q", "q_runs"), ("u", "u_runs")):
-            runs = ctx.art[runs_key]
-            keys = plan.issued_keys[runs]
-            if keys.size:
-                leaves, _ = batch_find_leaf(ctx.tree, keys)
-                steps = np.full(keys.size, height, dtype=np.int64)
-            else:
-                leaves = np.zeros(0, dtype=np.int64)
-                steps = np.zeros(0, dtype=np.int64)
-            ctx.art[f"{cls}_leaves"] = leaves
-            ctx.art[f"{cls}_steps"] = steps
+        def find(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            leaves, _ = batch_find_leaf(ctx.tree, keys)
+            return leaves, np.full(keys.size, ctx.tree.height, dtype=np.int64)
+
+        _find_issued_leaves(ctx, find)
 
 
 class VectorQueryKernelPass(Pass):
@@ -207,44 +208,61 @@ class VectorRangeScanPass(Pass):
         ctx.phase.query_kernel = phase_seconds(ctx.totals, ctx.device)
 
 
+def _charge_updates(ctx: PipelineContext, totals: EventTotals, retries: np.ndarray) -> None:
+    """Charge the issued update-class requests onto ``totals``: descent,
+    leaf-region STM update and the expected retries, noted per request in
+    ``retries``. Concurrent writers to one leaf clash only in the (short)
+    leaf-region transaction."""
+    plan: CombinePlan = ctx.art["plan"]
+    im = ctx.imodel
+    u_runs = ctx.art["u_runs"]
+    ctx.art["u_steps_avg"] = float(ctx.tree.height)
+    if not u_runs.size:
+        return
+    u_steps = ctx.art["u_steps"]
+    totals.add(im.node_visit_plain, count=float(u_steps.sum()), coalesce=COALESCE_SORTED)
+    totals.add(im.leaf_update_stm, count=int(u_runs.size), coalesce=COALESCE_SORTED)
+    _, u_rank = writer_collision_groups(ctx.art["u_leaves"])
+    u_retry = OVERLAP * u_rank
+    retry_cost = im.leaf_update_stm + im.abort_rollback
+    totals.add(retry_cost, count=float(u_retry.sum()), coalesce=COALESCE_SORTED)
+    totals.conflicts += float(u_retry.sum())
+    retries[plan.issued_orig[u_runs]] = u_retry
+    ctx.art["u_steps_avg"] = float(u_steps.mean())
+
+
+def _apply_updates(ctx: PipelineContext, totals: EventTotals) -> None:
+    """Apply the issued update-class requests (unique, key-sorted) host-side
+    as one batch on the leaves the traversal found, charging their splits
+    onto ``totals``; their old values go to ``ctx.art["old_vals"]``."""
+    plan: CombinePlan = ctx.art["plan"]
+    u_runs = ctx.art["u_runs"]
+    tree = ctx.tree
+    splits_before = len(tree.split_events)
+    ctx.art["old_vals"][u_runs] = tree.apply_updates(
+        plan.issued_kinds[u_runs],
+        plan.issued_keys[u_runs],
+        plan.issued_values[u_runs],
+        ctx.art["u_leaves"],
+    )
+    splits = len(tree.split_events) - splits_before
+    totals.add(ctx.imodel.split_smo, count=splits, coalesce=COALESCE_SORTED)
+    ctx.art["splits"] = splits
+
+
 class VectorUpdateKernelPass(Pass):
     """UPDATE_KERNEL: optimistic leaf-region STM; its own kernel roofline."""
 
     name = "update_kernel"
 
     def run(self, ctx: PipelineContext) -> None:
-        plan: CombinePlan = ctx.art["plan"]
-        im = ctx.imodel
-        u_runs = ctx.art["u_runs"]
-        u_keys = plan.issued_keys[u_runs]
-        retries = np.zeros(ctx.n, dtype=np.float64)
         u_totals = EventTotals()
-        ctx.art["u_steps_avg"] = float(ctx.tree.height)
-        if u_keys.size:
-            u_steps = ctx.art["u_steps"]
-            u_totals.add(
-                im.node_visit_plain, count=float(u_steps.sum()), coalesce=COALESCE_SORTED
-            )
-            u_totals.add(im.leaf_update_stm, count=int(u_keys.size), coalesce=COALESCE_SORTED)
-            # structure conflicts: concurrent writers to the same leaf clash
-            # only in the (short) leaf-region transaction
-            _, u_rank = writer_collision_groups(ctx.art["u_leaves"])
-            u_retry = OVERLAP * u_rank
-            retry_cost = im.leaf_update_stm + im.abort_rollback
-            u_totals.add(retry_cost, count=float(u_retry.sum()), coalesce=COALESCE_SORTED)
-            u_totals.conflicts += float(u_retry.sum())
-            retries[plan.issued_orig[u_runs]] = u_retry
-            ctx.art["u_steps_avg"] = float(u_steps.mean())
-
-        splits_before = len(ctx.tree.split_events)
-        u_old = ctx.system._apply_issued_updates(plan, u_runs, ctx.art["u_leaves"])
-        splits = len(ctx.tree.split_events) - splits_before
-        u_totals.add(im.split_smo, count=splits, coalesce=COALESCE_SORTED)
+        retries = np.zeros(ctx.n, dtype=np.float64)
+        _charge_updates(ctx, u_totals, retries)
+        _apply_updates(ctx, u_totals)
         ctx.phase.update_kernel = phase_seconds(u_totals, ctx.device)
         ctx.totals.merge(u_totals)
-        ctx.art["old_vals"][u_runs] = u_old
         ctx.art["retries"] = retries
-        ctx.art["splits"] = splits
 
 
 class VectorUnifiedKernelPass(Pass):
@@ -261,62 +279,47 @@ class VectorUnifiedKernelPass(Pass):
         im = ctx.imodel
         tree = ctx.tree
         totals = ctx.totals
-        height = tree.height
-        q_runs, u_runs = ctx.art["q_runs"], ctx.art["u_runs"]
-        q_keys = plan.issued_keys[q_runs]
-        u_keys = plan.issued_keys[u_runs]
+        q_runs = ctx.art["q_runs"]
         retries = np.zeros(ctx.n, dtype=np.float64)
-        ctx.art["q_steps_avg"] = float(height)
-        ctx.art["u_steps_avg"] = float(height)
+        _charge_updates(ctx, totals, retries)
 
-        u_leaves = ctx.art["u_leaves"]
-        writers_on_leaf = (
-            np.bincount(u_leaves, minlength=tree.max_nodes)
-            if u_leaves.size
-            else np.zeros(tree.max_nodes, dtype=np.int64)
-        )
-
-        if u_keys.size:
-            u_steps = ctx.art["u_steps"]
-            totals.add(
-                im.node_visit_plain, count=float(u_steps.sum()), coalesce=COALESCE_SORTED
-            )
-            totals.add(im.leaf_update_stm, count=int(u_keys.size), coalesce=COALESCE_SORTED)
-            _, u_rank = writer_collision_groups(u_leaves)
-            u_retry = OVERLAP * u_rank
-            retry_cost = im.leaf_update_stm + im.abort_rollback
-            totals.add(retry_cost, count=float(u_retry.sum()), coalesce=COALESCE_SORTED)
-            totals.conflicts += float(u_retry.sum())
-            retries[plan.issued_orig[u_runs]] = u_retry
-            ctx.art["u_steps_avg"] = float(u_steps.mean())
-
-        if q_keys.size:
+        ctx.art["q_steps_avg"] = float(tree.height)
+        if q_runs.size:
             q_steps = ctx.art["q_steps"]
             q_leaves = ctx.art["q_leaves"]
+            writers_on_leaf = np.bincount(ctx.art["u_leaves"], minlength=tree.max_nodes)
             # plain per-lane scans (no NTG) + protected leaf-region read
             totals.add(
                 im.node_visit_plain, count=float(q_steps.sum()), coalesce=COALESCE_SORTED
             )
             q_leaf_read = im.leaf_lookup_stm + im.tx_begin_commit_query
-            totals.add(q_leaf_read, count=int(q_keys.size), coalesce=COALESCE_SORTED)
+            totals.add(q_leaf_read, count=int(q_runs.size), coalesce=COALESCE_SORTED)
             q_retry = OVERLAP * UNIFIED_READER_EXPOSURE * writers_on_leaf[q_leaves]
             totals.add(q_leaf_read, count=float(q_retry.sum()), coalesce=COALESCE_SORTED)
             totals.conflicts += float(q_retry.sum())
             retries[plan.issued_orig[q_runs]] += q_retry
             # old values are read before the host applies the batch's updates
-            q_old, _ = batch_leaf_lookup(tree, q_leaves, q_keys)
+            q_old, _ = batch_leaf_lookup(tree, q_leaves, plan.issued_keys[q_runs])
             ctx.art["old_vals"][q_runs] = q_old
             ctx.art["q_steps_avg"] = float(q_steps.mean())
 
-        splits_before = len(tree.split_events)
-        u_old = ctx.system._apply_issued_updates(plan, u_runs, u_leaves)
-        splits = len(tree.split_events) - splits_before
-        totals.add(im.split_smo, count=splits, coalesce=COALESCE_SORTED)
-        ctx.art["old_vals"][u_runs] = u_old
+        _apply_updates(ctx, totals)
         ctx.art["retries"] = retries
-        ctx.art["splits"] = splits
         # one launch: a single roofline over the merged work (incl. ranges)
         ctx.phase.query_kernel = phase_seconds(totals, ctx.device)
+
+
+def _result_cal(ctx: PipelineContext) -> CombinePlan:
+    """RESULT_CAL proper: propagate dependence-chain results from the issued
+    requests' old values, patch range scans with their artificial queries,
+    and charge the phase. Returns the combine plan."""
+    batch = ctx.batch
+    plan: CombinePlan = ctx.art["plan"]
+    propagate_results(plan, ctx.art["old_vals"], ctx.results)
+    apply_range_patches(batch, plan_range_patches(batch, plan), ctx.results)
+    ctx.phase.result_cal = ctx.art["t_rescal"]
+    ctx.extras.update(plan=plan, n_combined=plan.n_combined)
+    return plan
 
 
 class VectorResultCalPass(Pass):
@@ -326,36 +329,25 @@ class VectorResultCalPass(Pass):
     name = "result_cal"
 
     def run(self, ctx: PipelineContext) -> None:
-        batch = ctx.batch
-        plan: CombinePlan = ctx.art["plan"]
+        _result_cal(ctx)
         im = ctx.imodel
         n = ctx.n
-        propagate_results(plan, ctx.art["old_vals"], ctx.results)
-        apply_range_patches(batch, plan_range_patches(batch, plan), ctx.results)
-        ctx.phase.result_cal = ctx.art["t_rescal"]
-
         seconds = ctx.phase.total
         # response times: every request's result is ready at the end of the
         # pipeline; conflict retries add per-request jitter on top
         resp = np.full(n, seconds / max(n, 1))
-        retries = ctx.art.get("retries")
-        if retries is not None and retries.any():
+        retries = ctx.art["retries"]
+        if retries.any():
             jitter = retries * (im.leaf_update_stm.mem + im.abort_rollback.mem) \
                 * ctx.device.cycles_per_mem_transaction / ctx.device.clock_hz / n
             resp = resp + jitter
         ctx.response_time_s = resp
 
-        q_steps, u_steps = ctx.art["q_steps"], ctx.art["u_steps"]
-        issued_steps = np.concatenate([q_steps, u_steps]) if (
-            q_steps.size or u_steps.size
-        ) else np.zeros(0)
-        ctx.traversal_steps = (
-            float(issued_steps.mean()) if issued_steps.size else float(ctx.tree.height)
-        )
+        issued_steps = np.concatenate([ctx.art["q_steps"], ctx.art["u_steps"]])
+        if issued_steps.size:
+            ctx.traversal_steps = float(issued_steps.mean())
         ctx.extras.update(
-            plan=plan,
-            n_combined=plan.n_combined,
-            splits=ctx.art.get("splits", 0),
+            splits=ctx.art["splits"],
             query_steps=ctx.art["q_steps_avg"],
             update_steps=ctx.art["u_steps_avg"],
         )
@@ -364,123 +356,34 @@ class VectorResultCalPass(Pass):
 # --------------------------------------------------------------------- #
 # SIMT-engine passes
 # --------------------------------------------------------------------- #
-def _merge_counters_into(totals: EventTotals, counters) -> None:
-    totals.mem += counters.mem_inst
-    totals.ctrl += counters.control_inst
-    totals.alu += counters.alu_inst
-    totals.atomic += counters.atomic_inst
-    totals.transactions += counters.transactions
+class _SimtKernelPass(Pass):
+    """A SIMT kernel pass; ``locality`` packs its issued requests into §5
+    iteration warps, else one lane per request."""
+
+    def __init__(self, locality: bool = True) -> None:
+        self.locality = locality
 
 
-def _add_range_programs(ctx: PipelineContext, launch):
-    """Add one raw-scan program (its own warp) per range request; returns
-    the callable that installs the scans into ``ctx.results`` after the
-    launch has run."""
-    batch = ctx.batch
-    range_idx = np.flatnonzero(batch.kinds == OpKind.RANGE)
-    scans: list = [None] * range_idx.size
-    for slot, i in enumerate(range_idx):
-        lo, hi = int(batch.keys[i]), int(batch.range_ends[i])
-        launch.add_programs([ctx.system._range_program(int(i), lo, hi, scans, slot)])
-
-    def install() -> None:
-        ctx.results.set_range_results(range_idx, *flatten_scans(scans))
-
-    return install
-
-
-class SimtQueryKernelPass(Pass):
+class SimtQueryKernelPass(_SimtKernelPass):
     """QUERY_KERNEL launch: issued queries (iteration warps under locality)
     plus the batch's range programs, all in one unsynchronized launch."""
 
     name = "query_kernel"
 
-    def __init__(self, locality: bool = True) -> None:
-        self.locality = locality
-
     def run(self, ctx: PipelineContext) -> None:
-        system = ctx.system
-        plan: CombinePlan = ctx.art["plan"]
-        old_vals = ctx.art["old_vals"]
-        steps_record = ctx.art.setdefault("steps_record", [])
-        q_runs = ctx.art["q_runs"]
-        q_keys = plan.issued_keys[q_runs]
-
-        launch = ctx.devctx.launch(ctx.n, rng=ctx.launch_rng())
-
-        def on_result(slot: LaneSlot, val: int, steps: int, _horiz: bool) -> None:
-            old_vals[slot.tag] = val
-            steps_record.append(steps)
-
-        if q_keys.size:
-            if self.locality:
-                system._add_iteration_warps(launch, plan, q_runs, on_result, update_ctx=None)
-            else:
-                launch.add_programs(
-                    [
-                        system._plain_query_program(plan, int(r), old_vals, steps_record)
-                        for r in q_runs
-                    ]
-                )
-        install_ranges = _add_range_programs(ctx, launch)
-        counters = launch.run() if launch.n_warps else None
-        install_ranges()
-        if counters is not None:
-            _merge_counters_into(ctx.totals, counters)
-            ctx.phase.query_kernel = ctx.device.cycles_to_seconds(counters.cycles)
-            ctx.art.setdefault("counters_list", []).append(counters)
+        ctx.system._launch_runs(ctx, ctx.art["q_runs"], self.locality, "query_kernel",
+                                protected=False, ranges=True)
 
 
-class SimtUpdateKernelPass(Pass):
+class SimtUpdateKernelPass(_SimtKernelPass):
     """UPDATE_KERNEL launch: issued update-class requests under optimistic
     leaf-region STM (Algorithm 1); real conflicts from the STM stats."""
 
     name = "update_kernel"
 
-    def __init__(self, locality: bool = True) -> None:
-        self.locality = locality
-
     def run(self, ctx: PipelineContext) -> None:
-        system = ctx.system
-        cfg = system.config
-        plan: CombinePlan = ctx.art["plan"]
-        old_vals = ctx.art["old_vals"]
-        steps_record = ctx.art.setdefault("steps_record", [])
-        u_runs = ctx.art["u_runs"]
-        u_retries = np.zeros(ctx.n, dtype=np.int64)
-        stm_before = system.stm.stats.snapshot()
-
-        launch = ctx.devctx.launch(ctx.n, rng=ctx.launch_rng())
-
-        def on_result(slot: LaneSlot, val: int, steps: int, _horiz: bool) -> None:
-            old_vals[slot.tag] = val
-            steps_record.append(steps)
-
-        if u_runs.size:
-            if self.locality:
-                system._add_iteration_warps(
-                    launch,
-                    plan,
-                    u_runs,
-                    on_result,
-                    update_ctx=(system.stm, system.smo_lock_addr, cfg.stm_retry_threshold),
-                )
-            else:
-                launch.add_programs(
-                    [
-                        system._plain_update_program(plan, int(r), old_vals, u_retries, steps_record)
-                        for r in u_runs
-                    ]
-                )
-        counters = launch.run() if launch.n_warps else None
-        stm_delta = system.stm.stats.delta_since(stm_before)
-        if counters is not None:
-            _merge_counters_into(ctx.totals, counters)
-            ctx.phase.update_kernel = ctx.device.cycles_to_seconds(counters.cycles)
-            ctx.art.setdefault("counters_list", []).append(counters)
-        ctx.totals.conflicts += float(stm_delta.conflicts)
-        ctx.extras["stm"] = stm_delta
-        ctx.extras["retries"] = int(u_retries.sum())
+        ctx.system._launch_runs(ctx, ctx.art["u_runs"], self.locality, "update_kernel",
+                                protected=True, ranges=False)
 
 
 class SimtRangeScanPass(Pass):
@@ -490,18 +393,12 @@ class SimtRangeScanPass(Pass):
     name = "range_scan"
 
     def run(self, ctx: PipelineContext) -> None:
-        if not np.any(ctx.batch.kinds == OpKind.RANGE):
-            return
-        launch = ctx.devctx.launch(ctx.n, rng=ctx.launch_rng())
-        install_ranges = _add_range_programs(ctx, launch)
-        counters = launch.run()
-        install_ranges()
-        _merge_counters_into(ctx.totals, counters)
-        ctx.phase.query_kernel += ctx.device.cycles_to_seconds(counters.cycles)
-        ctx.art.setdefault("counters_list", []).append(counters)
+        if np.any(ctx.batch.kinds == OpKind.RANGE):
+            ctx.system._launch_runs(ctx, np.zeros(0, dtype=np.int64), False, "query_kernel",
+                                    protected=False, ranges=True)
 
 
-class SimtUnifiedKernelPass(Pass):
+class SimtUnifiedKernelPass(_SimtKernelPass):
     """``enable_kernel_partition=False`` ablation: every issued request in
     one launch. Update-class requests run Algorithm 1 unchanged; queries run
     :func:`~repro.core.kernels.d_protected_query` — they can race concurrent
@@ -509,57 +406,9 @@ class SimtUnifiedKernelPass(Pass):
 
     name = "unified_kernel"
 
-    def __init__(self, locality: bool = True) -> None:
-        self.locality = locality
-
     def run(self, ctx: PipelineContext) -> None:
-        system = ctx.system
-        cfg = system.config
-        plan: CombinePlan = ctx.art["plan"]
-        old_vals = ctx.art["old_vals"]
-        steps_record = ctx.art.setdefault("steps_record", [])
-        all_runs = np.arange(plan.n_runs)
-        u_retries = np.zeros(ctx.n, dtype=np.int64)
-        stm_before = system.stm.stats.snapshot()
-
-        launch = ctx.devctx.launch(ctx.n, rng=ctx.launch_rng())
-
-        def on_result(slot: LaneSlot, val: int, steps: int, _horiz: bool) -> None:
-            old_vals[slot.tag] = val
-            steps_record.append(steps)
-
-        if all_runs.size:
-            if self.locality:
-                system._add_iteration_warps(
-                    launch,
-                    plan,
-                    all_runs,
-                    on_result,
-                    update_ctx=(system.stm, system.smo_lock_addr, cfg.stm_retry_threshold),
-                )
-            else:
-                programs = []
-                for r in all_runs:
-                    if int(plan.run_has_update[r]):
-                        programs.append(
-                            system._plain_update_program(
-                                plan, int(r), old_vals, u_retries, steps_record
-                            )
-                        )
-                    else:
-                        programs.append(
-                            system._protected_query_program(plan, int(r), old_vals, steps_record)
-                        )
-                launch.add_programs(programs)
-        counters = launch.run() if launch.n_warps else None
-        stm_delta = system.stm.stats.delta_since(stm_before)
-        if counters is not None:
-            _merge_counters_into(ctx.totals, counters)
-            ctx.phase.query_kernel += ctx.device.cycles_to_seconds(counters.cycles)
-            ctx.art.setdefault("counters_list", []).append(counters)
-        ctx.totals.conflicts += float(stm_delta.conflicts)
-        ctx.extras["stm"] = stm_delta
-        ctx.extras["retries"] = int(u_retries.sum())
+        ctx.system._launch_runs(ctx, np.arange(ctx.art["plan"].n_runs), self.locality,
+                                "query_kernel", protected=True, ranges=False)
 
 
 class SimtResultCalPass(Pass):
@@ -568,28 +417,11 @@ class SimtResultCalPass(Pass):
     name = "result_cal"
 
     def run(self, ctx: PipelineContext) -> None:
-        batch = ctx.batch
-        plan: CombinePlan = ctx.art["plan"]
-        n = ctx.n
-        propagate_results(plan, ctx.art["old_vals"], ctx.results)
-        apply_range_patches(batch, plan_range_patches(batch, plan), ctx.results)
-        ctx.phase.result_cal = ctx.art["t_rescal"]
-
-        merged = None
-        for counters in ctx.art.get("counters_list", []):
-            merged = counters if merged is None else merged.merge(counters)
-        seconds = ctx.phase.total
-        if merged is not None:
-            ctx.response_time_s = simt_response_times(merged, seconds, n)
-        else:
-            ctx.response_time_s = np.full(n, seconds / max(n, 1))
-        ctx.counters = merged
-
-        steps_arr = np.asarray(ctx.art.get("steps_record", []), dtype=np.int64)
-        ctx.traversal_steps = (
-            float(steps_arr.mean()) if steps_arr.size else float(ctx.tree.height)
-        )
-        ctx.extras.update(plan=plan, n_combined=plan.n_combined)
+        _result_cal(ctx)
+        ctx.simt_response()
+        steps = np.asarray(ctx.art["steps_record"], dtype=np.int64)
+        if steps.size:
+            ctx.traversal_steps = float(steps.mean())
 
 
 class EireneTree(System):
@@ -602,12 +434,10 @@ class EireneTree(System):
         tree: BPlusTree,
         stm_region: StmRegion,
         smo_lock_addr: int,
-        device: DeviceConfig | None = None,
+        devctx: DeviceContext,
         config: EireneConfig = FULL_EIRENE,
-        cost: CostModel | None = None,
-        devctx=None,
     ) -> None:
-        super().__init__(tree, device, devctx)
+        super().__init__(tree, devctx)
         if not config.enable_combining:
             raise ConfigError(
                 "EireneTree always combines; for the no-combining baseline "
@@ -616,7 +446,6 @@ class EireneTree(System):
         self.config = config
         self.stm = DeviceStm(tree.arena, stm_region)
         self.smo_lock_addr = smo_lock_addr
-        self.cost = cost or self.devctx.cost
 
     # ------------------------------------------------------------------ #
     # pipeline assembly: EireneConfig flags -> pass selection
@@ -663,7 +492,7 @@ class EireneTree(System):
 
     def _host_phase_times(self, plan: CombinePlan) -> tuple[float, float, float]:
         """Sort / combine / result-cal device time from primitive work."""
-        c = self.cost
+        c = self.devctx.cost
         n = plan.n_point
         t_sort = c.seconds(c.cycles_per_sort_element_pass * plan.work.sort.passes * max(n, 1))
         t_combine = c.seconds(c.cycles_per_scan_element * max(plan.work.scan_elements, n))
@@ -684,86 +513,114 @@ class EireneTree(System):
         span_total = int((counts // max(self.imodel.fanout // 2, 1) + 1).sum())
         return int(range_idx.size), span_total
 
-    def _apply_issued_updates(
-        self, plan: CombinePlan, u_runs: np.ndarray, u_leaves: np.ndarray
-    ) -> np.ndarray:
-        """Apply issued update-class requests (unique, key-sorted) host-side
-        as one batch on the leaves the traversal found; returns their old
-        values."""
-        return self.tree.apply_updates(
-            plan.issued_kinds[u_runs],
-            plan.issued_keys[u_runs],
-            plan.issued_values[u_runs],
-            u_leaves,
-        )
-
     # ------------------------------------------------------------------ #
-    # SIMT program builders
+    # SIMT kernels
     # ------------------------------------------------------------------ #
-    def _plain_query_program(self, plan: CombinePlan, run: int, old_vals, steps_record):
+    def _launch_runs(
+        self,
+        ctx: PipelineContext,
+        runs: np.ndarray,
+        locality: bool,
+        bucket: str,
+        protected: bool,
+        ranges: bool,
+    ) -> None:
+        """One SIMT launch over the issued requests of ``runs``, run and
+        accounted onto ``phase.<bucket>``: Algorithm 1's QUERY_KERNEL and
+        UPDATE_KERNEL differ only in these arguments.
+
+        ``locality`` packs the runs into iteration warps, else one lane per
+        request. A ``protected`` launch runs beside writers: update-class
+        requests take the leaf-region STM, queries a protected leaf read,
+        and the STM's conflicts are accounted. ``ranges`` adds one raw-scan
+        warp per range request and installs the scans into ``ctx.results``
+        after the run.
+        """
+        plan: CombinePlan = ctx.art["plan"]
+        old_vals = ctx.art["old_vals"]
+        steps_record = ctx.art.setdefault("steps_record", [])
+        retries = np.zeros(ctx.n, dtype=np.int64)
+        stm_before = self.stm.stats.snapshot()
+        launch = ctx.launch()
+        if runs.size:
+            if locality:
+                self._add_iteration_warps(launch, plan, runs, old_vals, steps_record, protected)
+            else:
+                launch.add_programs([
+                    self._lane_program(plan, int(r), old_vals, retries, steps_record, protected)
+                    for r in runs
+                ])
+        if ranges:
+            range_idx, _ = range_ordinals(ctx.batch)
+            scans: list = [None] * range_idx.size
+            for slot, i in enumerate(range_idx):
+                # one warp per range (one-lane warps run inline)
+                launch.add_warp([self._range_program(ctx.batch, int(i), scans, slot)])
+        ctx.run_launch(launch, bucket)
+        if ranges:
+            ctx.results.set_range_results(range_idx, *flatten_scans(scans))
+        if protected:
+            stm_delta = self.stm.stats.delta_since(stm_before)
+            ctx.totals.conflicts += float(stm_delta.conflicts)
+            ctx.extras["stm"] = stm_delta
+            ctx.extras["retries"] = int(retries.sum())
+
+    def _lane_program(self, plan: CombinePlan, run: int, old_vals, retries, steps_record,
+                      protected: bool):
+        """One lane for issued run ``run``: ``d_update`` for an update-class
+        run; a query runs ``d_protected_query`` in a protected launch, else
+        ``d_query``."""
         tree = self.tree
-        key = int(plan.issued_keys[run])
-        req_id = int(plan.issued_orig[run])
-
-        def program():
-            val, steps = yield from d_query(tree, key)
-            old_vals[run] = val
-            steps_record.append(steps)
-            yield Mark(req_id)
-
-        return program()
-
-    def _protected_query_program(self, plan: CombinePlan, run: int, old_vals, steps_record):
-        """Unified-kernel query: STM-protected leaf read (can race writers)."""
-        tree = self.tree
-        key = int(plan.issued_keys[run])
-        req_id = int(plan.issued_orig[run])
-
-        def program():
-            val, steps, _retries, _horiz, _leaf = yield from d_protected_query(
-                tree, self.stm, key
-            )
-            old_vals[run] = val
-            steps_record.append(steps)
-            yield Mark(req_id)
-
-        return program()
-
-    def _range_program(self, req_id: int, lo: int, hi: int, scans: list, slot: int):
-        tree = self.tree
-
-        def program():
-            ks, vs, _steps = yield from d_range_raw(tree, lo, hi)
-            scans[slot] = (ks, vs)
-            yield Mark(req_id)
-
-        return program()
-
-    def _plain_update_program(self, plan: CombinePlan, run: int, old_vals, u_retries, steps_record):
-        tree = self.tree
-        cfg = self.config
+        update = bool(plan.run_has_update[run])
         kind = int(plan.issued_kinds[run])
         key = int(plan.issued_keys[run])
         value = int(plan.issued_values[run])
         req_id = int(plan.issued_orig[run])
 
         def program():
-            res = yield from d_update(
-                tree, self.stm, self.smo_lock_addr, cfg.stm_retry_threshold,
-                req_id, kind, key, value,
-            )
-            old_vals[run] = res.old
-            u_retries[req_id] = res.retries
-            steps_record.append(res.steps)
+            if update:
+                res = yield from d_update(
+                    tree, self.stm, self.smo_lock_addr, self.config.stm_retry_threshold,
+                    req_id, kind, key, value,
+                )
+                val, steps = res.old, res.steps
+                retries[req_id] = res.retries
+            elif protected:
+                val, steps, _retries, _horiz, _leaf = yield from d_protected_query(
+                    tree, self.stm, key
+                )
+            else:
+                val, steps = yield from d_query(tree, key)
+            old_vals[run] = val
+            steps_record.append(steps)
             yield Mark(req_id)
 
         return program()
 
+    def _range_program(self, batch: RequestBatch, i: int, scans: list, slot: int):
+        tree = self.tree
+        lo, hi = int(batch.keys[i]), int(batch.range_ends[i])
+
+        def program():
+            ks, vs, _steps = yield from d_range_raw(tree, lo, hi)
+            scans[slot] = (ks, vs)
+            yield Mark(i)
+
+        return program()
+
     def _add_iteration_warps(self, launch, plan: CombinePlan, runs: np.ndarray,
-                             on_result, update_ctx) -> None:
+                             old_vals, steps_record, protected: bool) -> None:
         """Pack the issued requests of ``runs`` (key-sorted) into iteration
         warps of ``rgs_per_iteration_warp`` request groups each."""
         cfg = self.config
+        update_ctx = (
+            (self.stm, self.smo_lock_addr, cfg.stm_retry_threshold) if protected else None
+        )
+
+        def on_result(slot: LaneSlot, val: int, steps: int, _horiz: bool) -> None:
+            old_vals[slot.tag] = val
+            steps_record.append(steps)
+
         ws = self.device.warp_size
         iplan = build_iteration_plan(
             int(runs.size), ws, cfg.rgs_per_iteration_warp, self.device.num_sms

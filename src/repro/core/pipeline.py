@@ -113,12 +113,51 @@ class PipelineContext:
         rest = self.phase.total
         setattr(self.phase, bucket, max(phase_seconds(self.totals, self.device) - rest, 0.0))
 
-    def launch_rng(self) -> np.random.Generator:
-        """One warp-scheduling rng per batch, shared by every kernel pass
-        (consumed in pass order, like consecutive launches of one stream)."""
+    def launch(self):
+        """A SIMT grid on the system's device, scheduled by the batch's one
+        warp-scheduling rng (shared by every launch and consumed in launch
+        order, like consecutive launches of one stream)."""
         if "sched_rng" not in self.art:
             self.art["sched_rng"] = self.system._launch_rng(self.batch)
-        return self.art["sched_rng"]
+        return self.devctx.launch(self.n, rng=self.art["sched_rng"])
+
+    def run_launch(self, launch, bucket: str) -> None:
+        """Run ``launch`` unless it is empty and account it: its instruction
+        and transaction counters into ``totals``, its device seconds onto
+        ``phase.<bucket>``, its counters merged into ``counters`` in launch
+        order."""
+        if not launch.n_warps:
+            return
+        c = launch.run()
+        t = self.totals
+        t.mem += c.mem_inst
+        t.ctrl += c.control_inst
+        t.alu += c.alu_inst
+        t.atomic += c.atomic_inst
+        t.transactions += c.transactions
+        seconds = getattr(self.phase, bucket) + self.device.cycles_to_seconds(c.cycles)
+        setattr(self.phase, bucket, seconds)
+        self.counters = c if self.counters is None else self.counters.merge(c)
+
+    def simt_response(self) -> None:
+        """Per-request response times from the launches' service steps.
+
+        The average is ``batch time / batch size`` (the paper's definition);
+        each request deviates from it in proportion to its measured service
+        time (lockstep slots between its lane's Marks), so retry-heavy
+        requests respond late and conflict-free batches respond uniformly.
+        With no launch run, every request gets the average.
+        """
+        mean_s = self.phase.total / max(self.n, 1)
+        if self.counters is None:
+            self.response_time_s = np.full(self.n, mean_s)
+            return
+        service = self.counters.service_steps.astype(np.float64)
+        valid = np.isfinite(service)
+        mean = float(service[valid].mean()) if valid.any() else 1.0
+        self.response_time_s = mean_s * np.where(
+            valid & (mean > 0), service / max(mean, 1e-12), 1.0
+        )
 
 
 class Pass(abc.ABC):
@@ -264,13 +303,7 @@ class SimtResponsePass(Pass):
     name = "response_model"
 
     def run(self, ctx: PipelineContext) -> None:
-        from ..baselines.base import simt_response_times
-
-        seconds = ctx.phase.total
-        if ctx.counters is not None:
-            ctx.response_time_s = simt_response_times(ctx.counters, seconds, ctx.n)
-        else:
-            ctx.response_time_s = np.full(ctx.n, seconds / max(ctx.n, 1))
+        ctx.simt_response()
 
 
 class FinalizePass(Pass):
@@ -279,22 +312,29 @@ class FinalizePass(Pass):
     name = "finalize"
 
     def run(self, ctx: PipelineContext) -> None:
+        from ..baselines.base import BatchOutcome
+
         if ctx.response_time_s is None:
             ctx.response_time_s = np.full(ctx.n, ctx.phase.total / max(ctx.n, 1))
         steps = ctx.traversal_steps
-        if steps is None:
-            steps = float(ctx.tree.height)
-        outcome = ctx.system._outcome_from_totals(
-            ctx.batch,
-            ctx.results,
-            ctx.totals,
-            ctx.phase,
-            ctx.response_time_s,
-            steps,
+        t = ctx.totals
+        ctx.outcome = BatchOutcome(
+            system=ctx.system.name,
+            results=ctx.results,
+            n_requests=ctx.n,
+            seconds=ctx.phase.total,
+            phase=ctx.phase,
+            response_time_s=ctx.response_time_s,
+            mem_inst=t.mem,
+            control_inst=t.ctrl,
+            alu_inst=t.alu,
+            atomic_inst=t.atomic,
+            transactions=t.transactions,
+            conflicts=t.conflicts,
+            traversal_steps=float(ctx.tree.height) if steps is None else steps,
+            counters=ctx.counters,
             extras=ctx.extras,
         )
-        outcome.counters = ctx.counters
-        ctx.outcome = outcome
 
 
 def run_pipeline(system: "System", batch: RequestBatch, engine: str) -> "BatchOutcome":

@@ -153,16 +153,6 @@ class DeviceContext:
         twin.arena.stats = self.arena.stats.snapshot()
         return twin
 
-    @classmethod
-    def adopt(
-        cls,
-        arena: MemoryArena,
-        device: DeviceConfig | None = None,
-        seed: int = 0,
-    ) -> "DeviceContext":
-        """Wrap an existing arena (legacy construction paths)."""
-        return cls(arena=arena, device=device, seed=seed)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DeviceContext(capacity={self.arena.capacity}, "

@@ -55,7 +55,7 @@ def build_device_tree(
     node_words = layout.arena_words(max_nodes)
     total = node_words + (2 * node_words if with_stm_tables else 0) + 64
     arena = MemoryArena(total, words_per_segment=layout.words_per_segment)
-    devctx = DeviceContext.adopt(arena, device, seed=seed)
+    devctx = DeviceContext(arena=arena, device=device, seed=seed)
     tree = BPlusTree.build(keys, values, config, fill_factor, arena=arena)
     region = None
     if with_stm_tables:

@@ -28,9 +28,9 @@ class TestConstruction:
         assert ctx.arena.capacity == 1024
         assert ctx.counters is ctx.arena.stats
 
-    def test_adopt_wraps_an_existing_arena(self):
+    def test_context_wraps_an_existing_arena(self):
         arena = MemoryArena(512)
-        ctx = DeviceContext.adopt(arena, DeviceConfig(num_sms=4), seed=3)
+        ctx = DeviceContext(arena=arena, device=DeviceConfig(num_sms=4), seed=3)
         assert ctx.arena is arena
         assert ctx.device.num_sms == 4
         assert ctx.seed == 3

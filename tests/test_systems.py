@@ -11,6 +11,8 @@ The contract per system/engine:
 * metrics are populated and ordered sensibly.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,40 @@ def test_baselines_can_violate_linearizability(rng):
             # compare against reality
             ref = sys_.reference_for_tree()
     assert violations > 0
+
+
+@pytest.mark.parametrize("engine", ["vector", "simt"])
+@pytest.mark.parametrize("name", ALL_SYSTEMS + ("eirene-no-partition",))
+def test_empty_batch_returns_an_outcome(name, engine, rng):
+    sys_, _ = make_test_system(name, rng, tree_size=256)
+    out = sys_.process_batch(RequestBatch.from_ops([]), engine=engine)
+    assert out.n_requests == 0
+    assert out.response_time_s.size == 0
+    assert math.isfinite(out.seconds)
+    assert out.traversal_steps == sys_.tree.height
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["nocc", "stm", "lock", "eirene", "eirene+combining", "eirene-no-rf", "eirene-no-partition"],
+)
+def test_simt_launch_accounting_is_consistent(name):
+    """The outcome's instruction fields are the launches' counter sums, and
+    the kernel phases add up to the launches' device cycles."""
+    rng = np.random.default_rng(2024)
+    sys_, keys = make_test_system(name, rng, tree_size=512)
+    batch = YcsbWorkload(pool=keys, mix=MIXED).generate(256, rng)
+    assert (batch.kinds == OpKind.RANGE).any()
+    out = sys_.process_batch(batch, engine="simt")
+    c = out.counters
+    assert (out.mem_inst, out.control_inst, out.alu_inst, out.atomic_inst, out.transactions) == (
+        c.mem_inst, c.control_inst, c.alu_inst, c.atomic_inst, c.transactions
+    )
+    assert math.isclose(
+        out.phase.query_kernel + out.phase.update_kernel,
+        sys_.device.cycles_to_seconds(c.cycles),
+        rel_tol=1e-12,
+    )
 
 
 def test_unknown_engine_rejected(rng):
