@@ -17,6 +17,7 @@ from .traversal import (
     batch_find_leaf,
     batch_horizontal_find_leaf,
     batch_leaf_lookup,
+    batch_range_scan,
     batch_range_spans,
     leaf_max_keys,
     leaf_rf_values,
@@ -40,6 +41,7 @@ __all__ = [
     "batch_find_leaf",
     "batch_horizontal_find_leaf",
     "batch_leaf_lookup",
+    "batch_range_scan",
     "batch_range_spans",
     "leaf_max_keys",
     "leaf_rf_values",

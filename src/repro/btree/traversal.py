@@ -18,6 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._types import EMPTY_KEY, NO_NODE, NULL_VALUE
+from ..errors import SimulationError
+from ..simt.lowered import OP_BRANCH, OP_LOAD, OpTrace
+from .layout import OFF_COUNT, OFF_KEYS, OFF_LEAF, OFF_NEXT
 from .tree import BPlusTree
 
 
@@ -124,6 +127,160 @@ def batch_range_spans(tree: BPlusTree, lo: np.ndarray, hi: np.ndarray) -> np.nda
     chain_pos = np.zeros(tree.max_nodes, dtype=np.int64)
     chain_pos[leaves] = np.arange(len(leaves))
     return chain_pos[hi_leaves] - chain_pos[lo_leaves] + 1
+
+
+#: op-stream tokens of :func:`batch_range_scan` and their lengths: a checked
+#: word (``Load``, ``Branch``), a key in range (``Load``, ``Branch``, value
+#: ``Load``) and a child pointer (``Load``). Every token opens with a Load,
+#: and a token's second op, if any, is its Branch.
+_CHECK, _HIT, _CHILD = 0, 1, 2
+_TOKEN_LEN = np.array([2, 3, 1])
+
+
+def _load(data: np.ndarray, addrs: np.ndarray) -> np.ndarray:
+    """Gather ``data[addrs]``, rejecting an address outside the arena with
+    the interpreter's error."""
+    bad = (addrs < 0) | (addrs >= data.size)
+    if bad.any():
+        raise SimulationError(f"load address {int(addrs[bad][0])} out of bounds")
+    return data[addrs]
+
+
+def _node_bases(tree: BPlusTree, nodes: np.ndarray, first: int) -> np.ndarray:
+    """Base address of each node in ``nodes``, whose first load is word
+    ``first``. A node id so far out that its address would wrap in int64 is
+    rejected here, naming the address the interpreter computes in Python
+    integers."""
+    lay = tree.layout
+    size = tree.arena.data.size
+    far = (nodes > size) | (nodes < -size)  # any such node lies outside the arena
+    if far.any():
+        node = int(nodes[far][0])
+        raise SimulationError(
+            f"load address {lay.base + node * lay.stride + first} out of bounds"
+        )
+    return lay.base + nodes * lay.stride
+
+
+def _check_runs(data: np.ndarray, first: np.ndarray, n: np.ndarray) -> None:
+    """Reject runs of ``n`` consecutive loads from ``first`` (``first >= 0``)
+    that leave the arena, naming the first word outside it as the
+    interpreter would."""
+    bad = (n > 0) & (n > data.size - first)  # no int64 wrap for a huge n
+    if bad.any():
+        raise SimulationError(
+            f"load address {max(int(first[bad][0]), data.size)} out of bounds"
+        )
+
+
+def batch_range_scan(
+    tree: BPlusTree, lo: np.ndarray, hi: np.ndarray
+) -> tuple[OpTrace, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every ``[lo[j], hi[j]]`` scan of
+    :func:`~repro.core.kernels.d_range_raw` at once, in numpy.
+
+    Returns the scans' op streams (lane ``j`` is range ``j``; no Marks) and
+    their results as one CSR triple ``(counts, keys, values)``, equal to
+    :func:`~repro.workloads.requests.flatten_scans` of the programs' results.
+    Each stream is ``d_range_raw``'s, op by op:
+
+    * descent, per inner level: ``Load leaf``, ``Branch``, one (``Load``,
+      ``Branch``) per separator scanned — up to the first one above ``lo``,
+      at most ``fanout`` — and ``Load child``; at the leaf ``Load leaf``,
+      ``Branch``;
+    * leaf-chain walk, per leaf: ``Load count``, ``Branch``; one (``Load``,
+      ``Branch``) per key scanned, plus the value's ``Load`` for a key in
+      ``[lo, hi]``; ``Load next``, ``Branch``. The walk ends after the leaf
+      holding the first key above ``hi``, or at the end of the chain.
+
+    Lanes advance level by level and leaf by leaf; every word a program
+    would load is bounds-checked first, raising the interpreter's
+    :class:`~repro.errors.SimulationError`. Words are read as the program
+    reads them (a count past the fanout scans on into the payload), so the
+    streams follow the arena even where the tree is malformed.
+    """
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    n = int(lo.size)
+    if n == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        trace = OpTrace(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int8), empty)
+        return trace, (empty, empty, empty)
+    lay = tree.layout
+    data = tree.arena.data
+    size = data.size
+    tok_lane: list[np.ndarray] = []  # tokens, appended in program order per lane
+    tok_code: list[np.ndarray] = []
+    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (lane, key, value)
+
+    def emit(lanes: np.ndarray, code) -> None:
+        tok_lane.append(lanes)
+        tok_code.append(np.broadcast_to(np.asarray(code, dtype=np.int8), lanes.shape))
+
+    # descent (d_find_leaf): level-synchronous, each lane until its leaf flag
+    node = np.full(n, tree.root, dtype=np.int64)
+    lanes = np.arange(n)
+    width = np.arange(lay.fanout)
+    while lanes.size:
+        base = _node_bases(tree, node[lanes], OFF_LEAF)
+        inner = _load(data, base + OFF_LEAF) == 0
+        emit(lanes, _CHECK)
+        lanes, base = lanes[inner], base[inner]
+        # the row may run past the arena; only the words scanned are checked
+        rows = data[np.minimum(base[:, None] + OFF_KEYS + width, size - 1)]
+        above = rows > lo[lanes, None]
+        slot = np.where(above.any(axis=1), above.argmax(axis=1), lay.fanout)
+        scanned = np.minimum(slot + 1, lay.fanout)
+        _check_runs(data, base + OFF_KEYS, scanned)
+        emit(np.repeat(lanes, scanned), _CHECK)
+        node[lanes] = _load(data, base + lay.payload_off + slot)
+        emit(lanes, _CHILD)
+
+    # leaf-chain walk: one leaf per step for every lane still walking
+    lanes = np.arange(n)
+    while lanes.size:
+        base = _node_bases(tree, node[lanes], OFF_COUNT)
+        count = _load(data, base + OFF_COUNT)
+        emit(lanes, _CHECK)
+        first = base + OFF_KEYS
+        # keys the lane may scan without leaving the arena
+        avail = np.minimum(np.maximum(count, 0), np.maximum(size - first, 0))
+        seg = np.repeat(np.arange(lanes.size), avail)
+        slot = np.arange(seg.size) - np.repeat(np.cumsum(avail) - avail, avail)
+        keys = data[first[seg] + slot]
+        above = keys > hi[lanes][seg]
+        seg_above = seg[above]
+        lead = np.diff(seg_above, prepend=-1) != 0
+        stop = np.full(lanes.size, np.iinfo(np.int64).max)
+        stop[seg_above[lead]] = slot[above][lead]
+        done = stop < np.iinfo(np.int64).max
+        # a lane that finds no key above ``hi`` reads all ``count`` keys
+        _check_runs(data, first, np.where(done, 0, count))
+        read = slot <= stop[seg]
+        seg, slot, keys = seg[read], slot[read], keys[read]
+        hit = (keys >= lo[lanes][seg]) & (keys <= hi[lanes][seg])
+        emit(lanes[seg], np.where(hit, _HIT, _CHECK))
+        values = _load(data, base[seg[hit]] + lay.payload_off + slot[hit])
+        found.append((lanes[seg[hit]], keys[hit], values))
+        nxt = _load(data, base + OFF_NEXT)
+        emit(lanes, _CHECK)
+        go = ~done & (nxt != NO_NODE)
+        lanes = lanes[go]
+        node[lanes] = nxt[go]
+
+    lane = np.concatenate(tok_lane)
+    order = np.argsort(lane, kind="stable")
+    code = np.concatenate(tok_code)[order]
+    starts = np.concatenate(([0], np.cumsum(_TOKEN_LEN[code])))
+    offsets = starts[np.searchsorted(lane[order], np.arange(n + 1))]
+    kinds = np.full(starts[-1], OP_LOAD, dtype=np.int8)
+    kinds[starts[:-1][code != _CHILD] + 1] = OP_BRANCH
+    trace = OpTrace(offsets, kinds, np.zeros(0, dtype=np.int64))
+
+    hit_lane, hit_keys, hit_values = (np.concatenate(a) for a in zip(*found))
+    order = np.argsort(hit_lane, kind="stable")
+    counts = np.bincount(hit_lane, minlength=n)
+    return trace, (counts, hit_keys[order], hit_values[order])
 
 
 def batch_leaf_lookup(

@@ -181,8 +181,9 @@ class ExecutionConfig:
 
     #: use the optimized :meth:`~repro.simt.Warp.step` path (batched
     #: counter flushes, barrier-wait lane parking, one-lane warps run
-    #: inline by the launcher). Read when a warp is built; attaching an
-    #: analysis probe always selects the reference interpreter instead.
+    #: inline by the launcher, range-only launches lowered). Read when a
+    #: warp is built; attaching an analysis probe always selects the
+    #: reference interpreter instead.
     vectorize_slots: bool = True
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._types import NULL_VALUE, OpKind
-from ..btree import batch_find_leaf, batch_leaf_lookup
+from ..btree import batch_find_leaf, batch_leaf_lookup, batch_range_scan
 from ..btree.tree import BPlusTree
 from ..config import EireneConfig, FULL_EIRENE
 from ..device import DeviceContext
@@ -506,8 +506,8 @@ class EireneTree(System):
         """Install the pre-update range scans (host plane) into ``results``;
         returns the number of ranges and the total leaves they span."""
         range_idx = np.flatnonzero(batch.kinds == OpKind.RANGE)
-        counts, keys, values = flatten_scans(
-            [self.tree.range_scan(int(batch.keys[i]), int(batch.range_ends[i])) for i in range_idx]
+        _, (counts, keys, values) = batch_range_scan(
+            self.tree, batch.keys[range_idx], batch.range_ends[range_idx]
         )
         results.set_range_results(range_idx, counts, keys, values)
         span_total = int((counts // max(self.imodel.fanout // 2, 1) + 1).sum())
@@ -533,8 +533,9 @@ class EireneTree(System):
         request. A ``protected`` launch runs beside writers: update-class
         requests take the leaf-region STM, queries a protected leaf read,
         and the STM's conflicts are accounted. ``ranges`` adds one raw-scan
-        warp per range request and installs the scans into ``ctx.results``
-        after the run.
+        warp per range request, lowered when they make up the whole launch
+        (see :meth:`~repro.simt.KernelLaunch.add_lowered_warps`), and
+        installs the scans into ``ctx.results`` after the run.
         """
         plan: CombinePlan = ctx.art["plan"]
         old_vals = ctx.art["old_vals"]
@@ -553,12 +554,25 @@ class EireneTree(System):
         if ranges:
             range_idx, _ = range_ordinals(ctx.batch)
             scans: list = [None] * range_idx.size
-            for slot, i in enumerate(range_idx):
-                # one warp per range (one-lane warps run inline)
-                launch.add_warp([self._range_program(ctx.batch, int(i), scans, slot)])
+
+            def lower():
+                trace, found = batch_range_scan(
+                    self.tree, ctx.batch.keys[range_idx], ctx.batch.range_ends[range_idx]
+                )
+                return trace.with_marks(range_idx), found
+
+            # one warp per range; the launch runs lowered when they are all of it
+            launch.add_lowered_warps(
+                [self._range_program(ctx.batch, int(i), scans, slot)
+                 for slot, i in enumerate(range_idx)],
+                lower,
+            )
         ctx.run_launch(launch, bucket)
         if ranges:
-            ctx.results.set_range_results(range_idx, *flatten_scans(scans))
+            found = launch.lowered_result
+            ctx.results.set_range_results(
+                range_idx, *(flatten_scans(scans) if found is None else found)
+            )
         if protected:
             stm_delta = self.stm.stats.delta_since(stm_before)
             ctx.totals.conflicts += float(stm_delta.conflicts)

@@ -11,7 +11,8 @@ Three modes:
     repo's slot loop, kept verbatim as the semantic baseline;
 ``vectorized``
     the optimized :meth:`~repro.simt.Warp.step` fast path (batched counter
-    flushes, parked barrier waits, one-lane warps run inline);
+    flushes, parked barrier waits, one-lane warps run inline, range-only
+    launches lowered);
 ``vect+shards``
     the fast path with the batch split across a
     :class:`~repro.sharding.ParallelShardedSystem` fleet (worker
@@ -42,9 +43,9 @@ from ..workloads import YCSB_A, YCSB_B, YCSB_C, YCSB_E, YcsbWorkload, build_key_
 from .experiment import SYSTEMS, ExperimentConfig
 from .report import FigureResult
 
-#: YCSB-E's range requests reach the launcher's one-lane inline path
-#: (Eirene launches each range scan as its own one-lane warp); A/B/C launch
-#: wide warps
+#: YCSB-E's range requests reach the launcher's one-lane paths (Eirene
+#: launches each range scan as its own one-lane warp, and a launch of only
+#: those runs lowered); A/B/C launch wide warps
 MIXES = {"YCSB-A": YCSB_A, "YCSB-B": YCSB_B, "YCSB-C": YCSB_C, "YCSB-E": YCSB_E}
 
 #: the reference interpreter, exactly as the escape hatch selects it

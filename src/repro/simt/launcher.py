@@ -31,11 +31,20 @@ park. Eirene launches each range request as its own one-lane warp: on the
 benchmark's ``ycsb-e-zipf-sharded`` workload about 96.5 % of warp steps
 run inline, on ``ycsb-a-simt`` none. ``REPRO_SLOW_PATH=1`` and attached
 probes keep every warp on the reference path.
+
+Store-free one-lane launches are lowered: warps registered through
+:meth:`KernelLaunch.add_lowered_warps` come with one lowering callable that
+returns every lane's op-kind stream straight from the arena. When every
+warp of a launch was registered that way and every warp may run inline,
+:meth:`KernelLaunch.run` calls it and replays the round loop over the
+streams in numpy (:func:`~repro.simt.lowered.run_lowered`), again
+bit-for-bit the reference path, rng stream included. Any other launch
+(a mixed one included) runs the generators as above.
 """
 
 from __future__ import annotations
 
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 
 from ..config import DeviceConfig
 from ..errors import SimulationError
@@ -53,6 +62,7 @@ from .instructions import (
     Store,
     WaitGE,
 )
+from .lowered import OpTrace, run_lowered
 from .warp import Warp
 
 
@@ -76,6 +86,12 @@ class KernelLaunch:
         self.probe = probe
         self._warps: list[Warp] = []
         self._launched = False
+        #: the lowering callable of :meth:`add_lowered_warps`, the number of
+        #: warps it covers, and what it returned beside the trace (set only
+        #: when the launch ran lowered)
+        self._lower: Callable[[], tuple[OpTrace, object]] | None = None
+        self._n_lowered = 0
+        self.lowered_result: object = None
 
     # ------------------------------------------------------------------ #
     def add_warp(self, programs: list[Generator]) -> Warp:
@@ -93,6 +109,21 @@ class KernelLaunch:
         ws = self.device.warp_size
         for start in range(0, len(programs), ws):
             self.add_warp(programs[start : start + ws])
+
+    def add_lowered_warps(
+        self, programs: list[Generator], lower: Callable[[], tuple[OpTrace, object]]
+    ) -> None:
+        """Add one one-lane warp per store-free program, plus ``lower()``:
+        it returns the programs' op streams as one :class:`OpTrace` (lane
+        ``j`` is ``programs[j]``) and their results. If the whole launch can
+        run lowered, :meth:`run` executes the trace instead of the programs
+        and keeps those results in :attr:`lowered_result`."""
+        if self._lower is not None:
+            raise SimulationError("a launch takes one set of lowered warps")
+        self._lower = lower
+        self._n_lowered = len(programs)
+        for program in programs:
+            self.add_warp([program])
 
     @property
     def n_warps(self) -> int:
@@ -118,11 +149,16 @@ class KernelLaunch:
         cpa = dev.cycles_per_atomic_conflict
 
         warps = self._warps
-        steps = [w.step for w in warps]
         # one-lane warps run inline (None = call Warp.step): one slot is one
         # op of one lane, so its charges are fixed per op kind. The costs use
         # the timing expression below verbatim, keeping sm_cycles identical.
         solo = [w.inline_lane() for w in warps]
+        if self._lower is not None and 0 < self._n_lowered == len(warps) \
+                and all(lane is not None for lane in solo):
+            trace, self.lowered_result = self._lower()
+            run_lowered(trace, counters, n_sms, self.rng, cpi, cpm, cpa)
+            return counters
+        steps = [w.step for w in warps]
         data = self.arena.data
         item = data.item
         size = data.size

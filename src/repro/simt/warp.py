@@ -33,6 +33,9 @@ path (:meth:`Warp.inline_lane`) is resumed directly by
 :meth:`~repro.simt.launcher.KernelLaunch.run`, again bit-for-bit identical
 to :meth:`Warp._step_slow`. Eirene launches every range request as a
 one-lane warp, so on range-scan workloads nearly all warp steps take it.
+When such store-free one-lane warps make up a whole launch, the launcher
+runs none of their generators: it replays the launch over op streams built
+in numpy (:mod:`repro.simt.lowered`), with the same bit-for-bit contract.
 
 The path is chosen once, when the warp is built: an analysis probe (race
 sanitizer, hotspot profiler) or ``vectorize_slots=False`` (see

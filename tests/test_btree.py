@@ -1,6 +1,7 @@
 """Unit + property tests for the B+tree substrate."""
 
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -14,14 +15,18 @@ from repro.btree import (
     batch_find_leaf,
     batch_horizontal_find_leaf,
     batch_leaf_lookup,
+    batch_range_scan,
     batch_range_spans,
     leaf_max_keys,
     leaf_rf_values,
 )
 from repro.btree.layout import HEADER_WORDS, OFF_KEYS
 from repro.config import TreeConfig
-from repro.errors import TreeError
+from repro.errors import SimulationError, TreeError
 from repro.memory import MemoryArena
+from repro.simt import Branch, Load, run_subroutine
+from repro.simt.lowered import OP_BRANCH, OP_LOAD
+from repro.workloads.requests import flatten_scans
 
 
 def build(n=500, fanout=8, fill=0.7, seed=0, headroom=2.0):
@@ -423,6 +428,92 @@ class TestLeafIds:
             for l, h in zip(lo, hi)
         ]
         assert batch_range_spans(tree, lo, hi).tolist() == want
+
+
+def program_ops(tree: BPlusTree, lo: int, hi: int) -> list[int]:
+    """Op kinds ``d_range_raw(tree, lo, hi)`` yields, run against the arena."""
+    from repro.core.kernels import d_range_raw
+
+    gen = d_range_raw(tree, lo, hi)
+    kinds, send = [], None
+    while True:
+        try:
+            op = gen.send(send)
+        except StopIteration:
+            return kinds
+        assert type(op) in (Load, Branch)
+        kinds.append(OP_LOAD if type(op) is Load else OP_BRANCH)
+        send = int(tree.arena.data[op.addr]) if type(op) is Load else None
+
+
+class TestBatchRangeScan:
+    @pytest.mark.parametrize("fanout", [4, 8, 32])
+    def test_matches_host_range_scan_and_program_ops(self, fanout):
+        tree = grown_tree(fanout, seed=fanout)
+        present, _ = tree.items()
+        rng = np.random.default_rng(fanout)
+        gap = int(np.setdiff1d(np.arange(present[0], present[-1]), present)[0])
+        lo = np.concatenate([
+            [gap, 0, present[-1] + 1, present[0], present[1]],
+            rng.integers(0, 21_000, size=40),
+        ])
+        hi = np.concatenate([
+            [gap, present[0] - 1, present[-1] + 500, present[-1], present[5 * fanout]],
+            rng.integers(0, 3_000, size=40),
+        ])
+        hi[5:] += lo[5:]
+        hi[0] = lo[0] - 1  # an inverted range scans nothing
+        spans = batch_range_spans(tree, lo, hi)
+        assert spans[4] >= 3
+
+        trace, (counts, keys, values) = batch_range_scan(tree, lo, hi)
+        want = flatten_scans([tree.range_scan(int(a), int(b)) for a, b in zip(lo, hi)])
+        assert counts.tolist() == want[0].tolist()
+        assert counts[:3].tolist() == [0, 0, 0]
+        assert np.array_equal(keys, want[1]) and np.array_equal(values, want[2])
+        assert trace.kinds.dtype == np.int8 and trace.mark_ids.size == 0
+        for j, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+            ops = trace.kinds[trace.offsets[j] : trace.offsets[j + 1]]
+            assert ops.tolist() == program_ops(tree, a, b)
+
+    @pytest.mark.parametrize("where", ["child", "next_leaf"])
+    @pytest.mark.parametrize("node", ["straddling", "negative", "huge"])
+    def test_out_of_arena_pointer_faults_like_the_interpreter(self, where, node):
+        from repro.core.kernels import d_range_raw
+
+        cfg = TreeConfig(fanout=8)
+        keys = np.arange(0, 400, 2, dtype=np.int64)
+        max_nodes = BPlusTree.plan_max_nodes(keys.size, cfg)
+        words = NodeLayout(fanout=8).arena_words(max_nodes)
+        # the arena ends 3 words into node ``max_nodes``: its count and leaf
+        # words are inside, its keys and next pointer outside
+        tree = BPlusTree.build(keys, keys, cfg, arena=MemoryArena(words + 3))
+        bad = {"straddling": max_nodes, "negative": -2, "huge": 2**62}[node]
+        if where == "child":
+            tree.views.host(tree.root).children[0] = bad
+        else:
+            tree.views.host(tree.leaf_ids()[0]).next_leaf = bad
+        with pytest.raises(SimulationError, match="out of bounds") as want:
+            run_subroutine(d_range_raw(tree, 0, 10**6), tree.arena)
+        with pytest.raises(SimulationError, match=re.escape(str(want.value))):
+            batch_range_scan(tree, [0, 0], [10**6, 10**6])
+
+    def test_count_past_the_fanout_reads_on_to_the_arena_end(self):
+        from repro.core.kernels import d_range_raw
+
+        tree, _, _ = build(n=64)
+        tree.views.host(tree.leaf_ids()[0]).count = EMPTY_KEY
+        # no word exceeds EMPTY_KEY: the key scan runs off the end of the arena
+        with pytest.raises(SimulationError, match="out of bounds") as want:
+            run_subroutine(d_range_raw(tree, EMPTY_KEY, EMPTY_KEY), tree.arena)
+        with pytest.raises(SimulationError, match=re.escape(str(want.value))):
+            batch_range_scan(tree, [EMPTY_KEY], [EMPTY_KEY])
+
+    def test_empty_input(self):
+        tree, _, _ = build(n=50)
+        trace, (counts, keys, values) = batch_range_scan(tree, [], [])
+        assert trace.offsets.tolist() == [0] and trace.kinds.size == 0
+        assert counts.size == keys.size == values.size == 0
 
 
 def loop_apply(tree: BPlusTree, kinds, keys, values) -> np.ndarray:

@@ -13,6 +13,9 @@ arrays are bit-for-bit identical on the reference path
   warps under a seeded warp-order rng,
 * whole-system batches for every system kind (host mutation mid-kernel
   included), plus Eirene range scans (one one-lane warp per range request),
+* lowered store-free launches (range-only launches replayed from numpy op
+  streams) against the reference path, rng stream and bounds checks
+  included,
 
 plus the probe fallback rule (an attached probe must see every op, i.e.
 the reference path runs), the ``REPRO_SLOW_PATH=1`` escape hatch, the
@@ -407,6 +410,209 @@ def test_eirene_range_batches_equivalent():
     assert deep_eq(ref_outs, fast_outs)
     assert np.array_equal(ref_items[0], fast_items[0])
     assert np.array_equal(ref_items[1], fast_items[1])
+
+
+# --------------------------------------------------------------------- #
+# lowered store-free launches (Eirene's range scans)
+# --------------------------------------------------------------------- #
+@pytest.fixture
+def launch_spy(monkeypatch):
+    """Records every launch's scheduling rng and counters, and counts the
+    launches that ran lowered."""
+    import repro.simt.launcher as launcher
+
+    seen = {"rngs": [], "counters": [], "lowered": 0}
+    run, run_lowered = launcher.KernelLaunch.run, launcher.run_lowered
+
+    def spy_run(self):
+        seen["rngs"].append(self.rng)
+        seen["counters"].append(run(self))
+        return seen["counters"][-1]
+
+    def spy_lowered(*args):
+        seen["lowered"] += 1
+        return run_lowered(*args)
+
+    monkeypatch.setattr(launcher.KernelLaunch, "run", spy_run)
+    monkeypatch.setattr(launcher, "run_lowered", spy_lowered)
+    return seen
+
+
+def _run_range_batches(execution, seen, system="eirene", fanout=32, distribution="zipfian",
+                       batches=None, probe=None):
+    """Seeded YCSB-E batches (or ``batches``) on the SIMT engine. Returns the
+    outcomes, the final arena words, each launch's counters, the rng states
+    after each batch, and how many launches ran lowered."""
+    from repro import YcsbWorkload, build_key_pool, make_system
+    from repro.config import TreeConfig
+    from repro.workloads import YCSB_E
+
+    previous = set_execution_config(execution)
+    seen.update(rngs=[], counters=[], lowered=0)
+    try:
+        rng = np.random.default_rng(fanout)
+        keys, values = build_key_pool(2**10, rng)
+        sys_ = make_system(system, keys, values, TreeConfig(fanout=fanout), seed=3)
+        if probe is not None:
+            sys_.devctx.attach_probe(probe)
+        wl = YcsbWorkload(pool=keys, mix=YCSB_E, distribution=distribution)
+        if batches is None:
+            batches = [wl.generate(2**9, rng) for _ in range(2)]
+        outs, states = [], []
+        for batch in batches:
+            outs.append(sys_.process_batch(batch, engine="simt"))
+            states.append(seen["rngs"][-1].bit_generator.state)
+    finally:
+        set_execution_config(previous)
+    return outs, sys_.tree.arena.data.copy(), seen["counters"], states, seen["lowered"]
+
+
+def assert_lowered_matches_reference(seen, **kwargs):
+    ref = _run_range_batches(SEQUENTIAL, seen, **kwargs)
+    assert ref[4] == 0
+    low = _run_range_batches(ExecutionConfig(), seen, **kwargs)
+    assert low[4] >= 1, "no launch ran lowered"
+    assert deep_eq(ref[0], low[0]), "outcomes diverged"
+    assert np.array_equal(ref[1], low[1]), "arena words diverged"
+    assert deep_eq(ref[2], low[2]), "per-launch counters diverged"
+    assert ref[3] == low[3], "scheduling-rng stream diverged"
+    return low
+
+
+def run_store_free_grid(seed: int, execution: ExecutionConfig, n_warps: int):
+    """A grid of seeded one-lane Load/Branch/Mark programs registered as
+    lowered warps, on a device whose cycle costs are not integers (so the
+    per-SM accumulation order shows in the last bits)."""
+    from repro.simt.lowered import OP_BRANCH, OP_LOAD, OP_MARK, OpTrace
+
+    set_execution_config(execution)
+    rng = np.random.default_rng((444, seed))
+    # warp 0 runs only its Mark: on its SM it may be the first op charged
+    streams = [
+        rng.choice([OP_LOAD, OP_BRANCH], size=int(rng.integers(0, 30)) if i else 0)
+        for i in range(n_warps)
+    ]
+    arena = MemoryArena(DATA_WORDS)
+
+    def prog(stream, rid):
+        for code in stream.tolist():
+            yield Load(rid % DATA_WORDS) if code == OP_LOAD else Branch()
+        yield Mark(rid)
+
+    def lower():
+        kinds = [np.append(st, OP_MARK).astype(np.int8) for st in streams]
+        offsets = np.cumsum([0] + [k.size for k in kinds])
+        return OpTrace(offsets, np.concatenate(kinds), np.arange(n_warps)), "lowered"
+
+    device = DeviceConfig(
+        num_sms=3, cycles_per_inst=0.1, cycles_per_mem_transaction=0.7
+    )
+    launch = KernelLaunch(device, arena, n_warps, rng=np.random.default_rng((333, seed)))
+    launch.add_lowered_warps([prog(st, i) for i, st in enumerate(streams)], lower)
+    counters = launch.run()
+    return counters, launch.lowered_result, launch.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n_warps", [1, 2, 40])
+def test_lowered_store_free_grid_equivalent(seed, n_warps):
+    ref = run_store_free_grid(seed, SEQUENTIAL, n_warps)
+    low = run_store_free_grid(seed, ExecutionConfig(), n_warps)
+    assert (ref[1], low[1]) == (None, "lowered")
+    assert deep_eq(ref[0], low[0]), "KernelCounters diverged"
+    assert ref[0].cycles == low[0].cycles > 0
+    assert ref[2] == low[2], "scheduling-rng stream diverged"
+
+
+@pytest.mark.parametrize("fanout", [8, 16, 32])
+@pytest.mark.parametrize("distribution", ["zipfian", "uniform"])
+def test_lowered_range_launches_equivalent(launch_spy, fanout, distribution):
+    low = assert_lowered_matches_reference(launch_spy, fanout=fanout, distribution=distribution)
+    assert low[4] == 2  # the query kernel of each batch holds only ranges
+    assert all(out.results.range_keys.size for out in low[0])
+
+
+def test_lowered_single_range_launch_equivalent(launch_spy):
+    """One warp: no permutation is drawn."""
+    from repro._types import OpKind
+    from repro.workloads.requests import RequestBatch
+
+    batch = RequestBatch(
+        kinds=np.array([OpKind.RANGE]), keys=np.array([0]), values=np.array([0]),
+        range_ends=np.array([10**9]),
+    )
+    assert_lowered_matches_reference(launch_spy, batches=[batch])
+
+
+def test_lowered_unified_kernel_range_pass_equivalent(launch_spy):
+    """``eirene-no-partition`` scans ranges in their own launch
+    (``SimtRangeScanPass``) before the unified kernel."""
+    low = assert_lowered_matches_reference(launch_spy, system="eirene-no-partition")
+    assert "range_scan" in low[0][0].trace.pass_names
+
+
+@pytest.mark.parametrize("where", ["next_leaf", "child"])
+@pytest.mark.parametrize("side", ["low", "high"])
+@pytest.mark.parametrize("execution", [SEQUENTIAL, ExecutionConfig()], ids=["reference", "lowered"])
+def test_lowered_range_scan_bounds_check(where, side, execution):
+    """A node pointer outside the arena faults with the interpreter's
+    SimulationError on both paths — never an IndexError or a silent wrap."""
+    from repro import build_key_pool, make_system
+    from repro._types import OpKind
+    from repro.workloads.requests import RequestBatch
+
+    set_execution_config(execution)
+    rng = np.random.default_rng(4)
+    keys, values = build_key_pool(2**10, rng)
+    sys_ = make_system("eirene", keys, values, seed=3)
+    tree = sys_.tree
+    bad = -3 if side == "low" else tree.arena.data.size // tree.layout.stride + 7
+    lo = int(tree.items()[0][0])  # routed through the root's first child
+    if where == "next_leaf":
+        tree.views.host(tree.leaf_ids()[0]).next_leaf = bad
+    else:
+        tree.views.host(tree.root).children[0] = bad
+    batch = RequestBatch(
+        kinds=np.full(3, OpKind.RANGE), keys=np.full(3, lo), values=np.zeros(3),
+        range_ends=np.full(3, 10**12),
+    )
+    with pytest.raises(SimulationError, match="load address -?[0-9]+ out of bounds") as err:
+        sys_.process_batch(batch, engine="simt")
+    lowered = any(entry.name == "batch_range_scan" for entry in err.traceback)
+    assert lowered == execution.vectorize_slots
+
+
+class LaunchCountingProbe(CountingProbe):
+    """Counts ops per launch, beside each launch's issued slots."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.launches: list[tuple[int, int]] = []
+
+    def begin_launch(self) -> None:
+        self.start = self.ops
+
+    def end_launch(self, counters) -> None:
+        self.launches.append((self.ops - self.start, counters.issued_slots))
+
+
+@pytest.mark.parametrize("how", ["probe", "slow-path-env"])
+def test_probes_keep_the_interpreter_for_range_launches(launch_spy, monkeypatch, how):
+    lowered = _run_range_batches(ExecutionConfig(), launch_spy)
+    assert lowered[4] == 2
+    if how == "slow-path-env":
+        monkeypatch.setenv("REPRO_SLOW_PATH", "1")
+        set_execution_config(None)
+    probe = LaunchCountingProbe()
+    probed = _run_range_batches(execution_config(), launch_spy, probe=probe)
+    assert probed[4] == 0, "a probed launch ran lowered"
+    # each batch's first launch is the range-only query kernel: one op per slot
+    range_launches = probe.launches[::2]
+    assert len(range_launches) == 2
+    assert all(ops == slots > 0 for ops, slots in range_launches)
+    assert deep_eq(lowered[0], probed[0])
+    assert np.array_equal(lowered[1], probed[1])
+    assert lowered[3] == probed[3]
 
 
 # --------------------------------------------------------------------- #
