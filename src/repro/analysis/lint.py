@@ -20,10 +20,11 @@ R2    **unused-result** — a ``yield Load(...)`` or ``yield
       dead traffic: the executor charges a transaction for a value the
       program never sees. ``AtomicAdd``/``AtomicExch`` are exempt — they
       are legitimately used for their side effect (version bumps).
-R3    **host-call** — counted arena accessors (``arena.read``,
-      ``arena.write``, ``arena.atomic_*``, gathers/scatters) must not be
-      called from device code: they mutate memory *and* statistics
-      outside the instruction stream, bypassing the SIMT cost model.
+R3    **host-call** — device code touches memory only through yielded
+      Ops. The arena has no accessor API, so a method-style access on it
+      (``arena.read``, ``arena.write``, ``arena.atomic_*``,
+      gathers/scatters) in device code is a stale or invented call that
+      would bypass the instruction stream and the SIMT cost model.
       (Host-plane idioms — reading ``arena.data`` to charge equivalent
       Stores, calling ``tree.upsert`` under a held latch — stay legal:
       they are the documented "instantaneous host mutation" device.)
@@ -59,8 +60,8 @@ OP_SINGLETONS = {"BRANCH": "Branch"}
 DATA_OPS = frozenset({"Load", "AtomicCAS", "AtomicAdd", "AtomicExch"})
 #: ops whose result must be consumed (R2)
 CONSUME_OPS = frozenset({"Load", "AtomicCAS"})
-#: counted MemoryArena accessors forbidden in device code (R3)
-COUNTED_ACCESSORS = frozenset(
+#: method-style arena accesses forbidden in device code (R3)
+ARENA_ACCESSORS = frozenset(
     {"read", "write", "atomic_cas", "atomic_add", "atomic_exch",
      "read_gather", "write_scatter"}
 )
@@ -188,13 +189,13 @@ class _FunctionLinter:
             if (
                 isinstance(n, ast.Call)
                 and isinstance(n.func, ast.Attribute)
-                and n.func.attr in COUNTED_ACCESSORS
+                and n.func.attr in ARENA_ACCESSORS
                 and "arena" in ast.unparse(n.func.value)
             ):
                 self.emit(
                     n.lineno, "R3-host-call",
-                    f"counted accessor {ast.unparse(n.func)}() bypasses "
-                    "the Op stream in device code",
+                    f"{ast.unparse(n.func)}() in device code: the arena has "
+                    "no accessor API; touch memory only through yielded Ops",
                 )
 
     # -- R4 (linear taint scan) ------------------------------------------ #

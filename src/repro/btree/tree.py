@@ -7,10 +7,10 @@ the layout of :mod:`repro.btree.layout`.
 
 The methods here are the *host plane*: bulk build, point/range operations
 and structural maintenance used by the vectorized engine, the sequential
-reference executor, and — through counted wrappers — the device programs.
-They manipulate the arena through uncounted views; device-side counting is
-the responsibility of the callers in :mod:`repro.btree.device_ops` and the
-kernels.
+reference executor, and — as instantaneous host mutations — the device
+programs. They manipulate the arena's words through the host views of
+:mod:`repro.btree.views`; device-side counting is the responsibility of the
+callers in :mod:`repro.btree.device_ops` and the kernels.
 
 Deletion is **merge-free** (keys are removed and slots compacted, leaves may
 underflow but are never merged), the standard choice in GPU B-trees — the
@@ -29,7 +29,6 @@ from ..config import TreeConfig
 from ..errors import TreeError, TreeFullError
 from ..memory import MemoryArena
 from .layout import NodeLayout
-from .node import NodeAccessor
 from .views import StructView
 
 
@@ -56,7 +55,6 @@ class BPlusTree:
         self.layout = layout
         self.config = config
         self.max_nodes = max_nodes
-        self.nodes = NodeAccessor(arena, layout)
         self.root = NO_NODE
         self.height = 0  # number of node levels on a root->leaf path
         self._next_node = 0
@@ -147,7 +145,12 @@ class BPlusTree:
             )
         node = self._next_node
         self._next_node += 1
-        self.nodes.clear_node(node, leaf)
+        h = self.views.host(node)
+        h.words()[:] = 0
+        h.leaf = 1 if leaf else 0
+        h.rf = EMPTY_KEY
+        h.next_leaf = NO_NODE
+        h.keys[:] = EMPTY_KEY
         return node
 
     @property
@@ -257,7 +260,7 @@ class BPlusTree:
     # ------------------------------------------------------------------ #
     def child_slot(self, node: int, key: int) -> int:
         """Index of the child to follow in an inner node for ``key``."""
-        hk = self.nodes.host_keys(node)
+        hk = self.views.host(node).keys
         return int(np.searchsorted(hk, key, side="right"))
 
     def find_leaf(self, key: int) -> tuple[int, int]:
@@ -272,7 +275,7 @@ class BPlusTree:
 
     def leaf_slot(self, leaf: int, key: int) -> int:
         """Slot of ``key`` in ``leaf``, or -1 when absent."""
-        hk = self.nodes.host_keys(leaf)
+        hk = self.views.host(leaf).keys
         pos = int(np.searchsorted(hk, key, side="left"))
         if pos < self.layout.fanout and hk[pos] == key:
             return pos
@@ -287,7 +290,7 @@ class BPlusTree:
         slot = self.leaf_slot(leaf, key)
         if slot < 0:
             return NULL_VALUE
-        return int(self.nodes.host_payload(leaf)[slot])
+        return int(self.views.host(leaf).payload[slot])
 
     def upsert(self, key: int, value: int) -> int:
         """Insert or overwrite ``key``; returns the old value or NULL_VALUE.
@@ -302,7 +305,7 @@ class BPlusTree:
         leaf = path[-1][0]
         slot = self.leaf_slot(leaf, key)
         if slot >= 0:
-            payload = self.nodes.host_payload(leaf)
+            payload = self.views.host(leaf).payload
             old = int(payload[slot])
             payload[slot] = value
             return old

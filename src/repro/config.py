@@ -120,8 +120,6 @@ class TreeConfig:
 class EireneConfig:
     """Feature flags and tunables for Eirene (§4, §5, §7 of the paper)."""
 
-    #: §4.1 combining-based synchronization (sort + combine + RESULT_CAL).
-    enable_combining: bool = True
     #: §5 locality-aware warp reorganization (iteration warps + RF field).
     enable_locality: bool = True
     #: §4.2 split query/update requests into separate kernels. When False
@@ -135,9 +133,6 @@ class EireneConfig:
     stm_retry_threshold: int = 3
     #: §5 number of request groups folded into one iteration warp.
     rgs_per_iteration_warp: int = 4
-    #: §7 CPU-side buffering threshold (requests per batch) — scaled from
-    #: the paper's 1M default; harness configs override per experiment.
-    batch_threshold: int = 8192
     #: use the RF field to choose vertical vs horizontal traversal (§5);
     #: when False, iteration warps always traverse horizontally (ablation).
     enable_rf_decision: bool = True
@@ -152,13 +147,6 @@ class EireneConfig:
             raise ConfigError("stm_retry_threshold must be >= 0")
         if self.rgs_per_iteration_warp < 1:
             raise ConfigError("rgs_per_iteration_warp must be >= 1")
-        if self.batch_threshold < 1:
-            raise ConfigError("batch_threshold must be >= 1")
-        if self.enable_locality and not self.enable_combining:
-            raise ConfigError(
-                "locality-aware warp reorganization requires combining: "
-                "request groups are formed from the sorted/combined stream"
-            )
 
     def replace(self, **kwargs: object) -> "EireneConfig":
         """Return a copy with the given fields replaced."""

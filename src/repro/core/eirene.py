@@ -38,7 +38,6 @@ from ..btree import batch_find_leaf, batch_leaf_lookup, batch_range_scan
 from ..btree.tree import BPlusTree
 from ..config import EireneConfig, FULL_EIRENE
 from ..device import DeviceContext
-from ..errors import ConfigError
 from ..simt import Mark
 from ..stm import DeviceStm, StmRegion
 from ..baselines.base import System
@@ -438,11 +437,6 @@ class EireneTree(System):
         config: EireneConfig = FULL_EIRENE,
     ) -> None:
         super().__init__(tree, devctx)
-        if not config.enable_combining:
-            raise ConfigError(
-                "EireneTree always combines; for the no-combining baseline "
-                "use StmGBTree (the paper's Fig. 11 ablation does the same)"
-            )
         self.config = config
         self.stm = DeviceStm(tree.arena, stm_region)
         self.smo_lock_addr = smo_lock_addr

@@ -229,9 +229,9 @@ def eirene_pass_plan(config, engine: str) -> tuple[str, ...]:
     This is the single source of truth for the Fig. 11/12 ablation
     variants: ``enable_locality`` swaps the traversal pass,
     ``enable_kernel_partition`` swaps the split query/update kernels for
-    one unified (fully protected) kernel. ``enable_combining`` is
-    structural for Eirene (the no-combining bar is the STM baseline, as in
-    the paper), so ``combine`` is always present.
+    one unified (fully protected) kernel. Combining is structural for
+    Eirene (the no-combining bar is the STM baseline, as in the paper), so
+    ``combine`` is always present.
     """
     names = ["combine", "partition"]
     if engine == "vector":

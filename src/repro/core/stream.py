@@ -4,9 +4,9 @@ The real system accepts individual key-value requests, buffers them in host
 memory, and ships a batch to the GPU once a configurable threshold (1M in
 the paper) is reached. :class:`EireneService` reproduces that interface:
 ``submit_*`` calls enqueue a request and return a :class:`Ticket`; a batch
-is processed automatically when the buffer reaches
-``EireneConfig.batch_threshold`` (or explicitly via :meth:`flush`), after
-which every ticket of that batch is resolved.
+is processed automatically when the buffer reaches the service's
+``batch_threshold`` (or explicitly via :meth:`flush`), after which every
+ticket of that batch is resolved.
 
 Tickets expose the request's linearization-consistent result — queries get
 the value at their logical timestamp, update-class requests get the value
@@ -23,6 +23,10 @@ from .._types import KIND_DTYPE, NULL_VALUE, OpKind
 from ..baselines.base import BatchOutcome, System
 from ..errors import WorkloadError
 from ..workloads.requests import RequestBatch
+
+#: §7 CPU-side buffering threshold (requests per batch) — scaled from the
+#: paper's 1M default
+DEFAULT_BATCH_THRESHOLD = 8192
 
 
 @dataclass
@@ -72,15 +76,14 @@ class EireneService:
     """Buffered request front-end over any :class:`~repro.baselines.base.System`.
 
     Works with Eirene (linearizable results) or a baseline (for
-    comparisons); the batch threshold comes from Eirene's config when
-    available, else the constructor argument.
+    comparisons).
     """
 
-    def __init__(self, system: System, batch_threshold: int | None = None,
+    def __init__(self, system: System,
+                 batch_threshold: int = DEFAULT_BATCH_THRESHOLD,
                  engine: str = "vector") -> None:
         self.system = system
-        cfg = getattr(system, "config", None)
-        self.batch_threshold = batch_threshold or getattr(cfg, "batch_threshold", 8192)
+        self.batch_threshold = batch_threshold
         if self.batch_threshold < 1:
             raise WorkloadError("batch_threshold must be >= 1")
         self.engine = engine

@@ -4,16 +4,16 @@ Historically the reproduction treated "the device" as ambient state — one
 :class:`~repro.memory.MemoryArena` created wherever convenient, a
 :class:`~repro.config.DeviceConfig` passed alongside, cost models and warp
 rngs constructed ad hoc. A :class:`DeviceContext` makes ownership explicit:
-it bundles the arena (global memory + access counters), the device
-configuration, the calibrated cost model, and the scheduling RNG seed, and
-it is the unit the sharding layer replicates — one context per shard, so
-"which device owns which memory" is always answerable.
+it bundles the arena (global memory), the device configuration, the
+calibrated cost model, and the scheduling RNG seed, and it is the unit the
+sharding layer replicates — one context per shard, so "which device owns
+which memory" is always answerable.
 
 Three lifecycle operations support cheap reuse:
 
 * :meth:`snapshot` / :meth:`restore` — capture and rewind the full device
-  memory state (words, bump pointer, statistics) in place, so code holding
-  references to the arena (trees, STM regions) stays valid;
+  memory state (words, bump pointer) in place, so code holding references
+  to the arena (trees, STM regions) stays valid;
 * :meth:`fork` — an independent deep copy (new arena, same config), for
   building per-test or per-shard replicas without re-running setup.
 """
@@ -27,7 +27,6 @@ import numpy as np
 from .config import DeviceConfig
 from .errors import ConfigError
 from .memory import MemoryArena
-from .memory.stats import MemoryStats
 
 #: default arena capacity (words) when a context is created bare
 DEFAULT_CAPACITY_WORDS = 1 << 16
@@ -39,7 +38,6 @@ class DeviceSnapshot:
 
     data: np.ndarray
     brk: int
-    stats: MemoryStats
 
 
 class DeviceContext:
@@ -81,11 +79,6 @@ class DeviceContext:
     # ------------------------------------------------------------------ #
     # ownership views
     # ------------------------------------------------------------------ #
-    @property
-    def counters(self) -> MemoryStats:
-        """The device's global-memory access counters."""
-        return self.arena.stats
-
     def make_rng(self, salt: int = 0) -> np.random.Generator:
         """Deterministic per-purpose rng derived from the context seed."""
         return np.random.default_rng((self.seed, salt))
@@ -114,7 +107,7 @@ class DeviceContext:
     # lifecycle
     # ------------------------------------------------------------------ #
     def snapshot(self) -> DeviceSnapshot:
-        """Capture arena words, bump pointer and counters.
+        """Capture arena words and bump pointer.
 
         Only the device-visible heap is captured — sanitizer shadow words
         (``alloc_system``) are analysis state, not device state.
@@ -122,7 +115,6 @@ class DeviceContext:
         return DeviceSnapshot(
             data=self.arena.data[: self.arena.capacity].copy(),
             brk=self.arena.allocated,
-            stats=self.arena.stats.snapshot(),
         )
 
     def restore(self, snap: DeviceSnapshot) -> None:
@@ -134,11 +126,10 @@ class DeviceContext:
             )
         np.copyto(self.arena.data[: self.arena.capacity], snap.data)
         self.arena._brk = snap.brk
-        self.arena.stats = snap.stats.snapshot()
 
     def fork(self, seed: int | None = None) -> "DeviceContext":
-        """Independent copy: new arena with the same words, config shared
-        (configs are frozen), fresh counters state copied from this one."""
+        """Independent copy: new arena with the same words and bump
+        pointer, config shared (configs are frozen)."""
         twin = DeviceContext(
             arena=MemoryArena(
                 self.arena.capacity,
@@ -150,7 +141,6 @@ class DeviceContext:
         )
         np.copyto(twin.arena.data, self.arena.data[: self.arena.capacity])
         twin.arena._brk = self.arena.allocated
-        twin.arena.stats = self.arena.stats.snapshot()
         return twin
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import LockError
-from ..memory import MemoryArena
 from ..simt.instructions import BRANCH, AtomicCAS, Load, Store
 
 FREE = 0
@@ -45,33 +43,12 @@ class LockStats:
 
 
 class LatchTable:
-    """Shared latch state + counters for one tree's node lock words."""
+    """Latch protocol (thread-program generators) + counters for one tree's
+    node lock words."""
 
-    def __init__(self, arena: MemoryArena, stats: LockStats | None = None) -> None:
-        self.arena = arena
-        self.stats = stats if stats is not None else LockStats()
+    def __init__(self) -> None:
+        self.stats = LockStats()
 
-    # ------------------------------------------------------------------ #
-    # host plane (vector engine / tests)
-    # ------------------------------------------------------------------ #
-    def try_acquire(self, lock_addr: int, owner: int) -> bool:
-        old = self.arena.atomic_cas(lock_addr, FREE, owner + 1)
-        if old == FREE:
-            self.stats.acquires += 1
-            return True
-        self.stats.spins += 1
-        return False
-
-    def release(self, lock_addr: int, owner: int) -> None:
-        cur = int(self.arena.data[lock_addr])
-        if cur != owner + 1:
-            raise LockError(f"lock {lock_addr} held by {cur - 1}, not {owner}")
-        self.arena.write(lock_addr, FREE, "lock")
-        self.stats.releases += 1
-
-    # ------------------------------------------------------------------ #
-    # device plane (thread-program generators)
-    # ------------------------------------------------------------------ #
     def d_acquire(self, lock_addr: int, owner: int):
         """Spin until the latch is ours; returns the number of failed spins."""
         spins = 0

@@ -193,20 +193,22 @@ class ParallelShardedSystem:
         return merge_shard_outcomes(batch, routed, outcomes, self.name)
 
     # ------------------------------------------------------------------ #
-    def items(self) -> tuple[np.ndarray, np.ndarray]:
-        """All (key, value) pairs across shards, in global key order."""
-        if self._local is not None:
-            return self._local.items()
+    def _shard_items(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Every worker shard's (keys, values), in shard order."""
         per_shard: list = [None] * self.n_shards
         for _, conn in self._workers:
             conn.send(("items",))
         for _, conn in self._workers:
             for s, ks, vs in self._recv(conn):
                 per_shard[s] = (ks, vs)
-        return (
-            np.concatenate([ks for ks, _ in per_shard]),
-            np.concatenate([vs for _, vs in per_shard]),
-        )
+        return per_shard
+
+    def items(self) -> tuple[np.ndarray, np.ndarray]:
+        """All (key, value) pairs across shards, in global key order."""
+        if self._local is not None:
+            return self._local.items()
+        ks, vs = zip(*self._shard_items())
+        return np.concatenate(ks), np.concatenate(vs)
 
     def validate(self) -> None:
         """Every shard tree is valid and respects its fence bounds."""
@@ -217,9 +219,7 @@ class ParallelShardedSystem:
             conn.send(("validate",))
         for _, conn in self._workers:
             self._recv(conn)
-        keys, _ = self.items()
-        if keys.size and np.any(np.diff(keys) < 0):
-            raise ConfigError("shard key ranges overlap across workers")
+        self.plan.check_fences([ks for ks, _ in self._shard_items()])
 
     def reference(self) -> SequentialReference:
         """Sequential reference seeded with the fleet's current contents."""

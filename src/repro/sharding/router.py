@@ -71,6 +71,23 @@ class ShardPlan:
         hi = _I64_MAX if shard == self.n_shards - 1 else int(self.fences[shard]) - 1
         return lo, hi
 
+    def check_fences(self, shard_keys: list[np.ndarray]) -> None:
+        """Raise unless every shard's keys lie within its own bounds.
+
+        ``shard_keys[s]`` holds the keys of shard ``s``. The ranges are
+        disjoint, so this also rules out a key held by two shards.
+        """
+        for s, keys in enumerate(shard_keys):
+            if keys.size == 0:
+                continue
+            lo, hi = self.bounds(s)
+            kmin, kmax = int(keys.min()), int(keys.max())
+            if kmin < lo or kmax > hi:
+                raise ConfigError(
+                    f"shard {s} holds keys outside its range "
+                    f"[{lo}, {hi}]: [{kmin}, {kmax}]"
+                )
+
     @classmethod
     def from_pool(cls, pool: np.ndarray, n_shards: int) -> "ShardPlan":
         """Quantile fences over a key pool: each shard starts with an equal

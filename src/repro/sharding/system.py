@@ -91,17 +91,9 @@ class ShardedSystem:
 
     def validate(self) -> None:
         """Every shard tree is valid and respects its fence bounds."""
-        for s, sys_ in enumerate(self.shards):
+        for sys_ in self.shards:
             sys_.tree.validate()
-            keys, _ = sys_.tree.items()
-            if keys.size == 0:
-                continue
-            lo, hi = self.plan.bounds(s)
-            if int(keys[0]) < lo or int(keys[-1]) > hi:
-                raise ConfigError(
-                    f"shard {s} holds keys outside its range "
-                    f"[{lo}, {hi}]: [{keys[0]}, {keys[-1]}]"
-                )
+        self.plan.check_fences([sys_.tree.items()[0] for sys_ in self.shards])
 
     def reference(self) -> SequentialReference:
         """Sequential reference seeded with the fleet's current contents."""

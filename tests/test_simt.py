@@ -10,6 +10,7 @@ from repro.simt import (
     Alu,
     AtomicAdd,
     AtomicCAS,
+    AtomicExch,
     Branch,
     CostModel,
     KernelLaunch,
@@ -136,6 +137,20 @@ class TestWarpExecution:
         _, counters = launch_one_warp([prog(), prog2()], arena, device)
         assert counters.atomic_conflicts == 1
         assert arena.data[0] == 1
+
+    def test_atomic_add_and_exch_return_old_and_count(self, arena, device):
+        arena.data[4] = 7
+        arena.data[5] = 1
+
+        def prog():
+            added = yield AtomicAdd(4, 3)
+            swapped = yield AtomicExch(5, 2)
+            return added, swapped
+
+        launch, counters = launch_one_warp([prog()], arena, device)
+        assert launch.lane_results() == [(7, 1)]
+        assert (arena.data[4], arena.data[5]) == (10, 2)
+        assert counters.atomic_inst == counters.atomic_transactions == 2
 
     def test_service_steps_exclude_noop(self, arena, device):
         def worker():

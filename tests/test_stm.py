@@ -1,6 +1,5 @@
-"""Unit + property tests for the STM (host plane and device plane)."""
+"""Unit + property tests for the STM protocol (device plane)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,161 +8,90 @@ from repro.errors import TransactionAborted, TransactionError
 from repro.memory import MemoryArena
 from repro.simt import KernelLaunch
 from repro.simt.warp import run_subroutine
-from repro.stm import FREE, DeviceStm, StmRegion, TransactionManager
+from repro.stm import FREE, DeviceStm, StmRegion
 from repro.config import DeviceConfig
 
 
-@pytest.fixture
-def tm():
-    arena = MemoryArena(1024)
-    data_base = arena.alloc(64)
-    region = StmRegion(arena, data_base, 64)
-    return TransactionManager(arena, region), arena, data_base
-
-
-class TestHostStm:
-    def test_read_write_commit(self, tm):
-        mgr, arena, base = tm
-        tx = mgr.begin()
-        mgr.write(tx, base, 42)
-        mgr.commit(tx)
-        assert arena.data[base] == 42
-        assert mgr.stats.commits == 1
-
-    def test_abort_rolls_back(self, tm):
-        mgr, arena, base = tm
-        arena.data[base] = 7
-        tx = mgr.begin()
-        mgr.write(tx, base, 99)
-        assert arena.data[base] == 99  # eager in-place write
-        mgr.abort(tx)
-        assert arena.data[base] == 7
-
-    def test_ww_conflict_aborts_second_writer(self, tm):
-        mgr, arena, base = tm
-        t1 = mgr.begin()
-        t2 = mgr.begin()
-        mgr.write(t1, base, 1)
-        with pytest.raises(TransactionAborted):
-            mgr.write(t2, base, 2)
-        assert mgr.stats.conflicts_ww == 1
-        assert not t2.active
-        mgr.commit(t1)
-        assert arena.data[base] == 1
-
-    def test_read_of_owned_word_aborts_reader(self, tm):
-        mgr, arena, base = tm
-        t1 = mgr.begin()
-        mgr.write(t1, base, 1)
-        t2 = mgr.begin()
-        with pytest.raises(TransactionAborted):
-            mgr.read(t2, base)
-        assert mgr.stats.conflicts_rw == 1
-
-    def test_commit_validation_catches_stale_read(self, tm):
-        mgr, arena, base = tm
-        t1 = mgr.begin()
-        assert mgr.read(t1, base) == 0
-        # another tx writes and commits in between
-        t2 = mgr.begin()
-        mgr.write(t2, base, 5)
-        mgr.commit(t2)
-        with pytest.raises(TransactionAborted):
-            mgr.commit(t1)
-        assert mgr.stats.conflicts_validation == 1
-
-    def test_read_own_write(self, tm):
-        mgr, _, base = tm
-        tx = mgr.begin()
-        mgr.write(tx, base, 11)
-        assert mgr.read(tx, base) == 11
-        mgr.commit(tx)
-
-    def test_ownership_released_after_commit(self, tm):
-        mgr, arena, base = tm
-        tx = mgr.begin()
-        mgr.write(tx, base, 1)
-        mgr.commit(tx)
-        assert arena.data[mgr.region.owner_addr(base)] == FREE
-
-    def test_double_commit_rejected(self, tm):
-        mgr, _, base = tm
-        tx = mgr.begin()
-        mgr.commit(tx)
-        with pytest.raises(TransactionError):
-            mgr.commit(tx)
-
-    def test_address_outside_region_rejected(self, tm):
-        mgr, _, base = tm
-        tx = mgr.begin()
-        with pytest.raises(TransactionError):
-            mgr.read(tx, base + 1000)
-
-    def test_run_retries_until_success(self, tm):
-        mgr, arena, base = tm
-        blocker = mgr.begin()
-        mgr.write(blocker, base, 1)
-        attempts = []
-
-        def body(tx):
-            attempts.append(1)
-            if len(attempts) == 1:
-                # simulate the blocker committing mid-flight
-                mgr.commit(blocker)
-            return mgr.read(tx, base)
-
-        val, n = mgr.run(body)
-        assert val == 1
-        assert n >= 1
-
-    def test_run_gives_up(self, tm):
-        mgr, _, base = tm
-
-        def body(tx):
-            raise TransactionAborted("forced")
-
-        # aborted outside the manager: begin/abort mismatch is fine, the
-        # retry loop just exhausts
-        with pytest.raises(TransactionError):
-            mgr.run(body, max_retries=3)
-
-    def test_metadata_traffic_is_counted(self, tm):
-        mgr, arena, base = tm
-        before = arena.stats.snapshot()
-        tx = mgr.begin()
-        mgr.read(tx, base)
-        mgr.commit(tx)
-        delta = arena.stats.delta_since(before)
-        assert delta.by_label.get("stm_meta", 0) >= 2  # owner + version reads
+def _stm(words: int = 64, capacity: int = 2048):
+    arena = MemoryArena(capacity)
+    base = arena.alloc(words)
+    return arena, base, DeviceStm(arena, StmRegion(arena, base, words))
 
 
 class TestSerializabilityProperty:
     @given(st.lists(st.tuples(st.integers(0, 7), st.integers(1, 50)), min_size=1, max_size=20))
     @settings(max_examples=40, deadline=None)
     def test_sequential_transactions_apply_all_writes(self, writes):
-        arena = MemoryArena(256)
-        base = arena.alloc(8)
-        region = StmRegion(arena, base, 8)
-        mgr = TransactionManager(arena, region)
+        arena, base, stm = _stm(words=8, capacity=256)
         model = [0] * 8
         for off, val in writes:
-            tx = mgr.begin()
-            mgr.write(tx, base + off, val)
-            mgr.commit(tx)
+            tx = stm.begin()
+            run_subroutine(stm.d_write(tx, base + off, val), arena)
+            run_subroutine(stm.d_commit(tx), arena)
             model[off] = val
         assert [int(arena.data[base + i]) for i in range(8)] == model
-        assert mgr.stats.aborts == 0
+        assert stm.stats.aborts == 0
 
 
 class TestDeviceStm:
-    def _setup(self):
-        arena = MemoryArena(2048)
-        base = arena.alloc(64)
-        region = StmRegion(arena, base, 64)
-        return arena, base, DeviceStm(arena, region)
+    """Each ``d_*`` call is one generator driven to completion, so two
+    transactions interleave at operation granularity."""
+
+    def test_ww_conflict_aborts_second_writer(self):
+        arena, base, stm = _stm()
+        t1, t2 = stm.begin(), stm.begin()
+        run_subroutine(stm.d_write(t1, base, 1), arena)
+        with pytest.raises(TransactionAborted):
+            run_subroutine(stm.d_write(t2, base, 2), arena)
+        assert stm.stats.conflicts_ww == 1
+        assert stm.stats.aborts == 1
+        run_subroutine(stm.d_commit(t1), arena)
+        assert arena.data[base] == 1
+
+    def test_read_of_owned_word_aborts_reader(self):
+        arena, base, stm = _stm()
+        t1, t2 = stm.begin(), stm.begin()
+        run_subroutine(stm.d_write(t1, base, 1), arena)
+        with pytest.raises(TransactionAborted):
+            run_subroutine(stm.d_read(t2, base), arena)
+        assert stm.stats.conflicts_rw == 1
+
+    def test_commit_validation_catches_stale_read(self):
+        arena, base, stm = _stm()
+        t1 = stm.begin()
+        assert run_subroutine(stm.d_read(t1, base), arena) == 0
+        # another tx writes and commits in between
+        t2 = stm.begin()
+        run_subroutine(stm.d_write(t2, base, 5), arena)
+        run_subroutine(stm.d_commit(t2), arena)
+        with pytest.raises(TransactionAborted):
+            run_subroutine(stm.d_commit(t1), arena)
+        assert stm.stats.conflicts_validation == 1
+
+    def test_read_own_write(self):
+        arena, base, stm = _stm()
+        tx = stm.begin()
+        run_subroutine(stm.d_write(tx, base, 11), arena)
+        assert run_subroutine(stm.d_read(tx, base), arena) == 11
+        run_subroutine(stm.d_commit(tx), arena)
+        assert stm.stats.commits == 1
+
+    def test_ownership_released_after_commit(self):
+        arena, base, stm = _stm()
+        tx = stm.begin()
+        run_subroutine(stm.d_write(tx, base, 1), arena)
+        assert arena.data[stm.region.owner_addr(base)] != FREE
+        run_subroutine(stm.d_commit(tx), arena)
+        assert arena.data[stm.region.owner_addr(base)] == FREE
+
+    def test_address_outside_region_rejected(self):
+        arena, base, stm = _stm()
+        tx = stm.begin()
+        with pytest.raises(TransactionError):
+            run_subroutine(stm.d_read(tx, base + 1000), arena)
 
     def test_single_tx_commit(self):
-        arena, base, stm = self._setup()
+        arena, base, stm = _stm()
 
         def prog():
             tx = stm.begin()
@@ -176,7 +104,7 @@ class TestDeviceStm:
         assert stm.stats.commits == 1
 
     def test_two_lanes_same_word_serialize(self):
-        arena, base, stm = self._setup()
+        arena, base, stm = _stm()
         device = DeviceConfig(num_sms=1)
         outcomes = []
 
@@ -207,7 +135,7 @@ class TestDeviceStm:
         assert stm.stats.aborts >= 1  # they genuinely conflicted
 
     def test_device_abort_rolls_back(self):
-        arena, base, stm = self._setup()
+        arena, base, stm = _stm()
         arena.data[base] = 5
 
         def prog():
@@ -221,7 +149,7 @@ class TestDeviceStm:
         assert stm.stats.aborts == 1
 
     def test_host_invalidate_fails_concurrent_validation(self):
-        arena, base, stm = self._setup()
+        arena, base, stm = _stm()
 
         def prog():
             tx = stm.begin()

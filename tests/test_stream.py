@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import NULL_VALUE, build_key_pool, make_system, TreeConfig
-from repro.core.stream import EireneService
+from repro.core.stream import DEFAULT_BATCH_THRESHOLD, EireneService
 from repro.errors import WorkloadError
 
 
@@ -119,8 +119,9 @@ class TestAccounting:
         assert svc.requests_processed == 40
         assert len(svc.outcomes) == svc.batches_processed
 
-    def test_threshold_from_eirene_config(self, rng):
+    def test_default_threshold(self, rng):
         keys, values = build_key_pool(128, rng)
         sys_ = make_system("eirene", keys, values, tree_config=TreeConfig(fanout=8))
-        svc = EireneService(sys_)
-        assert svc.batch_threshold == sys_.config.batch_threshold
+        assert EireneService(sys_).batch_threshold == DEFAULT_BATCH_THRESHOLD
+        with pytest.raises(WorkloadError):
+            EireneService(sys_, batch_threshold=0)

@@ -18,7 +18,6 @@ import pytest
 
 from repro import (
     COMBINING_ONLY,
-    EireneConfig,
     NULL_VALUE,
     OpKind,
     YcsbMix,
@@ -197,13 +196,6 @@ class TestEireneConfigurations:
             results[label] = sys_.process_batch(batch, engine="vector")
         # locality reduces traversal steps (tree big + batch dense enough)
         assert results["full"].traversal_steps <= results["comb"].traversal_steps
-
-    def test_combining_required(self, rng):
-        with pytest.raises(Exception):
-            make_test_system(
-                "eirene", rng, tree_size=256,
-                config=EireneConfig(enable_combining=False, enable_locality=False),
-            )
 
     def test_kernel_partition_counts(self, rng):
         sys_, keys = make_test_system("eirene", rng, tree_size=512)
