@@ -16,6 +16,7 @@ from .traversal import (
     batch_find_leaf,
     batch_horizontal_find_leaf,
     batch_leaf_lookup,
+    batch_leaf_slots,
     batch_range_scan,
     batch_range_spans,
     leaf_max_keys,
@@ -39,6 +40,7 @@ __all__ = [
     "batch_find_leaf",
     "batch_horizontal_find_leaf",
     "batch_leaf_lookup",
+    "batch_leaf_slots",
     "batch_range_scan",
     "batch_range_spans",
     "leaf_max_keys",

@@ -14,6 +14,7 @@ covered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,7 +22,9 @@ from .._types import EMPTY_KEY, NO_NODE, NULL_VALUE
 from ..errors import SimulationError
 from ..simt.lowered import OP_BRANCH, OP_LOAD, OpTrace
 from .layout import OFF_COUNT, OFF_KEYS, OFF_LEAF, OFF_NEXT
-from .tree import BPlusTree
+
+if TYPE_CHECKING:  # tree.py imports this module
+    from .tree import BPlusTree
 
 
 @dataclass
@@ -283,6 +286,35 @@ def batch_range_scan(
     return trace, (counts, hit_keys[order], hit_values[order])
 
 
+def batch_leaf_slots(
+    tree: BPlusTree, leaves: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slot of each ``keys[i]`` in leaf ``leaves[i]``, and whether the leaf
+    holds the key there.
+
+    The slot is the number of key words in the leaf's row below
+    ``keys[i]`` (unused slots hold ``EMPTY_KEY``, above every key), capped
+    at the last slot, so a hit reads the payload at it. Leaves need not
+    hold their key, and keys may come in any order. A leaf's row is sorted,
+    so every key runs a branch-free binary search over its own row, all
+    keys at once: each step is one gather of ``n`` words, about
+    ``log2(fanout)`` of them, where comparing each key with its whole row
+    reads ``n * fanout``.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    lay = tree.layout
+    data = tree.arena.data
+    first = tree.views.node_bases(leaves) + OFF_KEYS
+    at = first.copy()  # per key: the row word its search stands on
+    width = lay.fanout
+    while width > 1:
+        half = width // 2
+        at += half * (data[at + half] < keys)
+        width -= half
+    slots = np.minimum(at - first + (data[at] < keys), lay.fanout - 1)
+    return slots, data[first + slots] == keys
+
+
 def batch_leaf_lookup(
     tree: BPlusTree, leaves: np.ndarray, keys: np.ndarray
 ) -> tuple[np.ndarray, TraversalEvents]:
@@ -293,15 +325,10 @@ def batch_leaf_lookup(
     ev = TraversalEvents(requests=n, leaf_lookups=n)
     if n == 0:
         return np.zeros(0, dtype=np.int64), ev
-    lay = tree.layout
-    rows = _key_rows(tree, leaves)
-    ev.key_words_read += n * lay.fanout
-    pos = (rows < keys[:, None]).sum(axis=1)
-    pos_c = np.minimum(pos, lay.fanout - 1)
-    hit = rows[np.arange(n), pos_c] == keys
-    payload = tree.arena.data[tree.views.payload_addrs(leaves, pos_c)]
-    vals = np.where(hit, payload, NULL_VALUE)
-    return vals.astype(np.int64), ev
+    ev.key_words_read += n * tree.layout.fanout
+    slots, hit = batch_leaf_slots(tree, leaves, keys)
+    payload = tree.arena.data[tree.views.payload_addrs(leaves, slots)]
+    return np.where(hit, payload, NULL_VALUE).astype(np.int64), ev
 
 
 def batch_horizontal_find_leaf(

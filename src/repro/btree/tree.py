@@ -29,6 +29,7 @@ from ..config import TreeConfig
 from ..errors import TreeError, TreeFullError
 from ..memory import MemoryArena
 from .layout import NodeLayout
+from .traversal import batch_leaf_slots
 from .views import StructView
 
 
@@ -374,9 +375,8 @@ class BPlusTree:
             or not np.all(views.host_field(leaves, "leaf"))
         ):
             raise TreeError("leaves must name leaf nodes of this tree")
-        rows = views.key_rows(leaves)
-        slots = np.minimum((rows < keys[:, None]).sum(axis=1), self.layout.fanout - 1)
-        overwrite = (rows[np.arange(n), slots] == keys) & (kinds != OpKind.DELETE)
+        slots, hit = batch_leaf_slots(self, leaves, keys)
+        overwrite = hit & (kinds != OpKind.DELETE)
         addrs = views.payload_addrs(leaves[overwrite], slots[overwrite])
         data = self.arena.data
         old[overwrite] = data[addrs]

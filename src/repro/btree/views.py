@@ -220,10 +220,16 @@ class StructView:
         return self.arena.data[self.field_addrs(nodes, name)]
 
     def key_rows(self, nodes: np.ndarray) -> np.ndarray:
-        """Key rows of ``nodes`` (host plane; shape ``len(nodes) x fanout``)."""
+        """Key rows of ``nodes`` (host plane; shape ``len(nodes) x fanout``).
+
+        Gathered as whole rows of the node region viewed as a
+        ``(node, word)`` matrix, rather than word by word.
+        """
         lay = self.layout
-        idx = self.node_bases(nodes)[:, None] + OFF_KEYS + np.arange(lay.fanout)
-        return self.arena.data[idx]
+        data = self.arena.data
+        cap = (data.size - lay.base) // lay.stride
+        matrix = data[lay.base : lay.base + cap * lay.stride].reshape(cap, lay.stride)
+        return matrix[np.asarray(nodes, dtype=np.int64), OFF_KEYS : OFF_KEYS + lay.fanout]
 
     def payload_addrs(self, nodes: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """Address of payload slot ``slots[i]`` in node ``nodes[i]``."""

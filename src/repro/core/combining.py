@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._types import NULL_VALUE, OpKind, is_query_kind_array, is_update_kind_array
-from ..gpuprims import RadixWork, ScanWork, radix_argsort, run_heads, run_lengths
+from ..gpuprims import RadixWork, radix_argsort, run_heads, run_lengths
 from ..workloads.requests import BatchResults, RequestBatch
 
 
@@ -38,7 +38,6 @@ class CombineWork:
     """Primitive work performed by the combining pass (for the cost model)."""
 
     sort: RadixWork = field(default_factory=RadixWork)
-    scan: ScanWork = field(default_factory=ScanWork)
     scan_elements: int = 0
 
 
@@ -109,7 +108,7 @@ def combine_point_requests(batch: RequestBatch) -> CombinePlan:
     sorted_values = batch.values[sorted_orig]
 
     heads = run_heads(sorted_keys)
-    run_start, run_len = run_lengths(heads, work.scan)
+    run_start, run_len = run_lengths(heads)
     run_id = np.cumsum(heads, dtype=np.int64) - 1
     work.scan_elements += ns
 

@@ -34,7 +34,10 @@ class IterationPlan:
     rgs_per_warp: int
     rg_start: np.ndarray  # per RG: first request index
     rg_end: np.ndarray  # per RG: one past last
-    warp_of_rg: np.ndarray
+    #: per warp: its first RG; one past the last RG at the end (the
+    #: partition is contiguous, so warp ``w`` runs RGs
+    #: ``warp_offsets[w]:warp_offsets[w + 1]``)
+    warp_offsets: np.ndarray
 
     @property
     def n_rgs(self) -> int:
@@ -42,10 +45,10 @@ class IterationPlan:
 
     @property
     def n_warps(self) -> int:
-        return int(self.warp_of_rg.max()) + 1 if self.n_rgs else 0
+        return int(self.warp_offsets.size) - 1
 
     def rgs_of_warp(self, w: int) -> np.ndarray:
-        return np.flatnonzero(self.warp_of_rg == w)
+        return np.arange(self.warp_offsets[w], self.warp_offsets[w + 1])
 
 
 def build_iteration_plan(
@@ -65,18 +68,16 @@ def build_iteration_plan(
     n_warps = (n_rgs + max(rgs_per_warp, 1) - 1) // max(rgs_per_warp, 1)
     if num_sms is not None and n_rgs:
         n_warps = max(n_warps, min(n_rgs, num_sms))
-    if n_rgs:
-        # contiguous, even partition: consecutive RGs share a warp
-        warp_of_rg = (np.arange(n_rgs, dtype=np.int64) * n_warps) // n_rgs
-    else:
-        warp_of_rg = np.zeros(0, dtype=np.int64)
+    # contiguous, even partition: RG r goes to warp r * n_warps // n_rgs, so
+    # warp w starts at the first r with r * n_warps >= w * n_rgs
+    warp_offsets = -(np.arange(n_warps + 1, dtype=np.int64) * -n_rgs // max(n_warps, 1))
     return IterationPlan(
         n=n,
         warp_size=warp_size,
         rgs_per_warp=rgs_per_warp,
         rg_start=rg_start,
         rg_end=rg_end,
-        warp_of_rg=warp_of_rg,
+        warp_offsets=warp_offsets,
     )
 
 
@@ -106,54 +107,62 @@ def vector_locality_steps(
 ) -> LocalitySteps:
     """Exact traversal-step computation for the vector engine.
 
-    Uses the leaf-chain index: a horizontal walk from leaf at chain
-    position ``a`` to position ``b`` takes ``b - a + 1`` node visits
-    (reading the buffered leaf included), versus ``height`` for a vertical
-    descent.
+    ``keys`` are the issued keys, strictly increasing. Uses the leaf-chain
+    index: a horizontal walk from leaf at chain position ``a`` to position
+    ``b`` takes ``b - a + 1`` node visits (reading the buffered leaf
+    included), versus ``height`` for a vertical descent.
+
+    Every RG's decision is derived at once. An RG has a buffered leaf when
+    the previous RG ran in the same warp: that RG's last (largest-key)
+    leaf. It walks horizontally when it has one and, with RF on, its max
+    key does not exceed the buffered leaf's RF. Each RG whose walk then
+    takes more than ``height`` steps records an RF (§5) through
+    :meth:`BPlusTree.update_rf`, in RG order.
+
+    Reading every RF as it stood when the call started is exact. A walk
+    longer than ``height`` from buffered chain position ``b`` ends at a
+    position past ``b``, so the RG's last leaf, and with it every later
+    RG's buffered leaf, lies strictly past ``b``: buffered positions never
+    decrease because the keys are increasing. No later RG of the call
+    reads the RF written at ``b``.
     """
+    keys = np.asarray(keys, dtype=np.int64)
     n = int(keys.size)
+    if np.any(keys[1:] <= keys[:-1]):
+        raise ValueError("issued keys must be strictly increasing")
     leaves, _ = batch_find_leaf(tree, keys)
-    chain = tree.leaf_ids()
-    index_of = np.full(tree.max_nodes, -1, dtype=np.int64)
-    index_of[np.asarray(chain, dtype=np.int64)] = np.arange(len(chain))
-    leaf_idx = index_of[leaves]
     height = tree.height
+    if n == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return LocalitySteps(
+            steps=empty, horizontal=np.zeros(0, dtype=bool), leaves=leaves,
+            rg_lockstep_steps=empty,
+        )
+    chain = np.asarray(tree.leaf_ids(), dtype=np.int64)
+    index_of = np.full(tree.max_nodes, -1, dtype=np.int64)
+    index_of[chain] = np.arange(chain.size)
+    leaf_idx = index_of[leaves]
 
-    steps = np.full(n, height, dtype=np.int64)
-    horizontal = np.zeros(n, dtype=bool)
-    rg_lockstep = np.zeros(plan.n_rgs, dtype=np.int64)
-    rf_updates = 0
+    last = plan.rg_end - 1  # key-sorted: an RG's last lane holds its max
+    go = np.ones(plan.n_rgs, dtype=bool)
+    go[plan.warp_offsets[:-1]] = False  # a warp's first RG has no buffer
+    buf_idx = np.concatenate(([-1], leaf_idx[last[:-1]]))
+    if enable_rf:
+        buf_rf = np.concatenate(([EMPTY_KEY], leaf_rf_values(tree, leaves[last[:-1]])))
+        go &= keys[last] <= buf_rf
 
-    rf_of_leaf = leaf_rf_values(tree, np.asarray(chain, dtype=np.int64))
-    for w in range(plan.n_warps):
-        buffered_idx = -1
-        buffered_rf = -1
-        for r in plan.rgs_of_warp(w):
-            lo, hi = int(plan.rg_start[r]), int(plan.rg_end[r])
-            rg_max_key = int(keys[hi - 1])  # key-sorted: last lane holds max
-            go_horizontal = buffered_idx >= 0 and (
-                not enable_rf or rg_max_key <= buffered_rf
-            )
-            if go_horizontal:
-                s = leaf_idx[lo:hi] - buffered_idx + 1
-                steps[lo:hi] = s
-                horizontal[lo:hi] = True
-                rg_lockstep[r] = int(s.max())
-                if update_rf and int(s.max()) > height:
-                    # §5: record the RF so later iterations go vertical
-                    tree.update_rf(int(chain[buffered_idx]), int(s.max()))
-                    rf_of_leaf = leaf_rf_values(tree, np.asarray(chain, dtype=np.int64))
-                    rf_updates += 1
-            else:
-                rg_lockstep[r] = height
-            buffered_idx = int(leaf_idx[hi - 1])
-            buffered_rf = int(rf_of_leaf[buffered_idx])
-            if buffered_rf == EMPTY_KEY:
-                buffered_rf = np.iinfo(np.int64).max
+    rg_of = np.repeat(np.arange(plan.n_rgs), plan.rg_end - plan.rg_start)
+    horizontal = go[rg_of]
+    steps = np.where(horizontal, leaf_idx - buf_idx[rg_of] + 1, height)
+    rg_lockstep = np.maximum.reduceat(steps, plan.rg_start)
+
+    rf_rgs = np.flatnonzero(go & (rg_lockstep > height)) if update_rf else []
+    for r in rf_rgs:
+        tree.update_rf(int(chain[buf_idx[r]]), int(rg_lockstep[r]))
     return LocalitySteps(
         steps=steps,
         horizontal=horizontal,
         leaves=leaves,
         rg_lockstep_steps=rg_lockstep,
-        rf_updates=rf_updates,
+        rf_updates=len(rf_rgs),
     )

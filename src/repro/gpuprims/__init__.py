@@ -2,8 +2,10 @@
 
 Everything Eirene's host pipeline needs: stable LSD radix sort, Blelloch
 scans (plain and segmented), stream compaction and run-length detection.
-All primitives execute their real GPU dataflow (per-level / per-pass
-vectorized steps) and report work counts for the device cost model.
+Each primitive reports work counts for the device cost model. The scans
+execute their GPU dataflow level by level; the radix sort's passes are
+only charged, and its permutation, which stability fixes, is computed by
+a numpy sort.
 """
 
 from .compact import compact_indices, expand_runs, run_heads, run_lengths

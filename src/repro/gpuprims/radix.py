@@ -2,14 +2,14 @@
 
 Eirene sorts each request batch by (key, logical timestamp) before the
 combining scan (§4.1.1, §7). Because a batch arrives in timestamp order, a
-*stable* sort by key alone yields exactly the (key, ts) lexicographic order;
-this module therefore implements a stable LSD radix sort and returns the
-permutation.
+*stable* sort by key alone yields exactly the (key, ts) lexicographic order.
 
-Each digit pass is a genuine counting sort: histogram → exclusive scan →
-stable scatter, the same three phases as a GPU onesweep pass, executed as
-vectorized numpy steps. :class:`RadixWork` records passes and element moves
-for the device cost model.
+The sort's *cost* is modeled, not executed: :class:`RadixWork` charges one
+onesweep pass (histogram, exclusive scan, stable scatter) per significant
+8-bit digit, as CUB skips passes whose digits are uniformly zero. A stable
+sort's permutation is unique, so the host may compute it any stable way:
+it sorts each key packed with its index into one word, or, when the keys
+leave no room for the index bits, uses numpy's stable argsort.
 """
 
 from __future__ import annotations
@@ -18,13 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scan import ScanWork, exclusive_scan
-
 #: digit width in bits; 8 gives 8 passes over int64 keys, matching CUB's
 #: default configuration.
 DIGIT_BITS = 8
-RADIX = 1 << DIGIT_BITS
-DIGIT_MASK = RADIX - 1
 
 
 @dataclass
@@ -34,34 +30,11 @@ class RadixWork:
     n: int = 0
     passes: int = 0
     element_moves: int = 0
-    scan_work: ScanWork | None = None
 
     def merge(self, other: "RadixWork") -> None:
         self.n += other.n
         self.passes += other.passes
         self.element_moves += other.element_moves
-
-
-def _stable_rank(digits: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Stable scatter position for each element of a digit pass.
-
-    position(i) = starts[digit_i] + |{j < i : digit_j == digit_i}|.
-    The within-bucket rank is computed via a stable ordering of the digit
-    array — the per-warp match/ballot ranking a GPU pass performs, expressed
-    as one vectorized step.
-    """
-    n = digits.size
-    order = np.argsort(digits, kind="stable")
-    sorted_digits = digits[order]
-    run_head = np.empty(n, dtype=bool)
-    run_head[0] = True
-    np.not_equal(sorted_digits[1:], sorted_digits[:-1], out=run_head[1:])
-    head_pos = np.flatnonzero(run_head)
-    run_id = np.cumsum(run_head) - 1
-    within = np.arange(n) - head_pos[run_id]
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = within
-    return starts[digits] + rank
 
 
 def significant_passes(keys: np.ndarray) -> int:
@@ -85,31 +58,27 @@ def radix_argsort(keys: np.ndarray, work: RadixWork | None = None) -> np.ndarray
     """Stable ascending argsort of non-negative int64 ``keys``.
 
     Returns the permutation such that ``keys[perm]`` is sorted, ties in
-    input order (stability).
+    input order (stability), and charges ``work`` one pass over all ``n``
+    keys per significant digit.
     """
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    keys = np.asarray(keys, dtype=np.int64)
     n = int(keys.size)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     if keys.min() < 0:
         raise ValueError("radix sort requires non-negative keys")
-    perm = np.arange(n, dtype=np.int64)
-    cur = keys.copy()
-    npasses = significant_passes(keys)
-    scan_work = ScanWork()
-    for p in range(npasses):
-        digits = (cur >> (p * DIGIT_BITS)) & DIGIT_MASK
-        hist = np.bincount(digits, minlength=RADIX).astype(np.int64)
-        starts = exclusive_scan(hist, scan_work)
-        pos = _stable_rank(digits, starts)
-        out_perm = np.empty_like(perm)
-        out_cur = np.empty_like(cur)
-        out_perm[pos] = perm
-        out_cur[pos] = cur
-        perm, cur = out_perm, out_cur
+    bits = (n - 1).bit_length()  # of an element index
+    if int(keys.max()) >> (63 - bits):
+        perm = np.argsort(keys, kind="stable")
+    else:
+        # key and index packed in one word: the words are distinct and
+        # order as (key, index) pairs, so sorting them is a stable sort
+        packed = (keys << bits) | np.arange(n)
+        packed.sort()
+        perm = packed & ((1 << bits) - 1)
     if work is not None:
+        npasses = significant_passes(keys)
         work.merge(RadixWork(n=n, passes=npasses, element_moves=npasses * n))
-        work.scan_work = scan_work
     return perm
 
 

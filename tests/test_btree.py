@@ -15,6 +15,7 @@ from repro.btree import (
     batch_find_leaf,
     batch_horizontal_find_leaf,
     batch_leaf_lookup,
+    batch_leaf_slots,
     batch_range_scan,
     batch_range_spans,
     leaf_max_keys,
@@ -559,6 +560,63 @@ def mixed_batch(tree: BPlusTree, rng: np.random.Generator, n_fresh: int):
     return kinds, keys, values
 
 
+def row_compare_slots(tree: BPlusTree, leaves, keys):
+    """The full-row compare :func:`batch_leaf_slots` must equal: per key, the
+    count of its leaf's key words below it, capped at the last slot."""
+    rows = tree.views.key_rows(np.asarray(leaves, dtype=np.int64))
+    slots = np.minimum((rows < np.asarray(keys)[:, None]).sum(axis=1), tree.layout.fanout - 1)
+    return slots, rows[np.arange(len(keys)), slots] == keys
+
+
+class TestLeafSlots:
+    def assert_matches_row_compare(self, tree, leaves, keys):
+        slots, hit = batch_leaf_slots(tree, leaves, keys)
+        ref_slots, ref_hit = row_compare_slots(tree, leaves, keys)
+        assert np.array_equal(slots, ref_slots)
+        assert np.array_equal(hit, ref_hit)
+        vals, _ = batch_leaf_lookup(tree, leaves, keys)
+        assert np.array_equal(vals[hit], tree.arena.data[
+            tree.views.payload_addrs(np.asarray(leaves)[hit], slots[hit])])
+        return hit
+
+    @pytest.mark.parametrize("fanout", [4, 5, 8, 12, 32])
+    def test_unsorted_keys(self, fanout):
+        tree, keys, _ = build(n=600, fanout=fanout)
+        rng = np.random.default_rng(fanout)
+        probe = rng.integers(0, 6100, size=400)  # present and absent, any order
+        leaves, _ = batch_find_leaf(tree, probe)
+        hit = self.assert_matches_row_compare(tree, leaves, probe)
+        assert np.array_equal(hit, np.isin(probe, keys))
+
+    def test_leaves_that_do_not_hold_their_key(self):
+        tree, keys, _ = build(n=600)
+        rng = np.random.default_rng(5)
+        probe = rng.choice(keys, size=300)
+        chain = np.array(tree.leaf_ids())
+        leaves = rng.choice(chain, size=probe.size)  # mostly the wrong leaf
+        hit = self.assert_matches_row_compare(tree, leaves, probe)
+        assert 0 < hit.sum() < hit.size
+
+    def test_empty_and_compacted_leaves(self):
+        tree, keys, _ = build(n=300, fanout=8)
+        chain = tree.leaf_ids()
+        emptied = tree.views.host(chain[2]).keys[: tree.views.host(chain[2]).count].copy()
+        for k in emptied:  # leaf 2 empty
+            tree.delete(int(k))
+        for k in keys[::3]:  # the rest compacted by deletes
+            tree.delete(int(k))
+        assert tree.views.host(chain[2]).count == 0
+        probe = np.concatenate([keys, emptied, keys[::-1] + 1])
+        leaves, _ = batch_find_leaf(tree, probe)
+        hit = self.assert_matches_row_compare(tree, leaves, probe)
+        assert np.array_equal(hit, np.isin(probe, tree.items()[0]))
+
+    def test_empty_input(self):
+        tree, _, _ = build(n=50)
+        slots, hit = batch_leaf_slots(tree, [], [])
+        assert slots.size == hit.size == 0
+
+
 class TestApplyUpdates:
     @pytest.mark.parametrize("fanout, n_fresh", [(4, 150), (8, 300), (32, 1500)])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -589,6 +647,24 @@ class TestApplyUpdates:
         leaves = np.full(keys.size, tree.leaf_ids()[0], dtype=np.int64)
         old = tree.apply_updates(kinds, keys, values, leaves)
         assert np.array_equal(old, loop_apply(ref, kinds, keys, values))
+        assert_same_tree(tree, ref)
+
+    def test_leaves_gone_stale_after_splits(self):
+        # leaves found before a run of inserts split them: keys that moved to
+        # a new leaf take the per-key path, the rest are overwritten in place
+        rng = np.random.default_rng(7)
+        tree, keys, _ = build(n=200, fanout=4, headroom=8.0)
+        targets = np.sort(rng.choice(keys, size=120, replace=False))
+        leaves, _ = batch_find_leaf(tree, targets)
+        for k in rng.choice(np.setdiff1d(np.arange(2000), keys), size=150, replace=False):
+            tree.upsert(int(k), 1)
+        assert np.any(batch_find_leaf(tree, targets)[0] != leaves)
+        kinds = np.where(rng.random(targets.size) < 0.2, OpKind.DELETE, OpKind.UPDATE)
+        kinds = kinds.astype(np.int8)
+        values = rng.integers(0, 10**9, size=targets.size)
+        ref = copy.deepcopy(tree)
+        old = tree.apply_updates(kinds, targets, values, leaves)
+        assert np.array_equal(old, loop_apply(ref, kinds, targets, values))
         assert_same_tree(tree, ref)
 
     def test_empty_batch(self):

@@ -102,6 +102,19 @@ class TestRadixSort:
         keys = np.array(xs, dtype=np.int64)
         assert np.array_equal(radix_argsort(keys), np.argsort(keys, kind="stable"))
 
+    @given(st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=300))
+    @settings(max_examples=60, deadline=None)
+    def test_property_wide_keys_match_numpy(self, xs):
+        keys = np.array(xs + xs[::2], dtype=np.int64)  # with duplicates
+        assert np.array_equal(radix_argsort(keys), np.argsort(keys, kind="stable"))
+
+    @pytest.mark.parametrize("top", [2**53 - 1, 2**53, 2**63 - 1])
+    def test_keys_at_the_index_packing_limit(self, top):
+        # 1024 keys need 10 index bits, which leave room for keys below 2**53
+        rng = np.random.default_rng(top % 97)
+        keys = rng.integers(top - 40, top, size=1024, endpoint=True)
+        assert np.array_equal(radix_argsort(keys), np.argsort(keys, kind="stable"))
+
     def test_empty(self):
         assert radix_argsort(np.zeros(0, dtype=np.int64)).size == 0
 

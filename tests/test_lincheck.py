@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._types import NULL_VALUE, OpKind
 from repro.errors import LinearizabilityViolation
@@ -12,6 +14,7 @@ from repro.lincheck import (
     compare_state,
 )
 from repro.workloads import BatchResults, RequestBatch
+from repro.workloads.requests import flatten_scans
 
 
 def ref_with(keys=(1, 2, 3), values=(10, 20, 30)):
@@ -81,6 +84,113 @@ class TestSequentialReference:
         ks, vs = ref.items()
         assert np.array_equal(ks, [1, 3, 7])
         assert np.array_equal(vs, [10, 30, 70])
+
+
+class DictReference:
+    """The one-request-at-a-time replay over a dict that
+    :class:`SequentialReference` must equal."""
+
+    def __init__(self, keys, values) -> None:
+        self.map = {int(k): int(v) for k, v in zip(keys, values, strict=True)}
+
+    def execute(self, batch: RequestBatch) -> BatchResults:
+        results = BatchResults.empty(batch.n)
+        scans = []
+        for i in range(batch.n):
+            kind, key = batch.kinds[i], int(batch.keys[i])
+            if kind == OpKind.QUERY:
+                results.values[i] = self.map.get(key, NULL_VALUE)
+            elif kind in (OpKind.UPDATE, OpKind.INSERT):
+                results.values[i] = self.map.get(key, NULL_VALUE)
+                self.map[key] = int(batch.values[i])
+            elif kind == OpKind.DELETE:
+                results.values[i] = self.map.pop(key, NULL_VALUE)
+            else:
+                rk = sorted(k for k in self.map if key <= k <= int(batch.range_ends[i]))
+                scans.append((rk, [self.map[k] for k in rk]))
+        results.set_range_results(
+            np.flatnonzero(batch.kinds == OpKind.RANGE), *flatten_scans(scans)
+        )
+        return results
+
+    def items(self):
+        ks = sorted(self.map)
+        return np.array(ks, dtype=np.int64), np.array([self.map[k] for k in ks], dtype=np.int64)
+
+
+def assert_same_run(initial, batches) -> None:
+    """Both references answer every batch and end in equal states."""
+    ref, oracle = SequentialReference(*initial), DictReference(*initial)
+    for batch in batches:
+        got, want = ref.execute(batch), oracle.execute(batch)
+        for name in ("values", "range_offsets", "range_keys", "range_values"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for got_arr, want_arr in zip(ref.items(), oracle.items(), strict=True):
+            assert np.array_equal(got_arr, want_arr)
+
+
+#: a small key space, so same-key storms and ranges over fresh inserts and
+#: deletes are common
+KEY_SPACE = 24
+
+
+@st.composite
+def batches(draw):
+    n = draw(st.integers(0, 40))
+    kinds = draw(st.lists(st.sampled_from(list(OpKind)), min_size=n, max_size=n))
+    keys = draw(st.lists(st.integers(0, KEY_SPACE), min_size=n, max_size=n))
+    spans = draw(st.lists(st.integers(0, KEY_SPACE // 2), min_size=n, max_size=n))
+    values = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+    kinds = np.array(kinds, dtype=np.int8)
+    keys = np.array(keys, dtype=np.int64)
+    return RequestBatch(
+        kinds=kinds,
+        keys=keys,
+        values=np.array(values, dtype=np.int64),
+        range_ends=np.where(kinds == OpKind.RANGE, keys + np.array(spans, dtype=np.int64), 0),
+    )
+
+
+class TestArrayStateMatchesDictReplay:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        initial_keys=st.lists(st.integers(0, KEY_SPACE), max_size=20),
+        data=st.data(),
+        run=st.lists(batches(), max_size=3),
+    )
+    def test_property_all_kinds(self, initial_keys, data, run):
+        # duplicate initial keys are allowed: the last value wins
+        values = data.draw(
+            st.lists(st.integers(0, 10**6), min_size=len(initial_keys),
+                     max_size=len(initial_keys))
+        )
+        assert_same_run((np.array(initial_keys, dtype=np.int64),
+                         np.array(values, dtype=np.int64)), run)
+
+    def test_duplicate_initial_keys_keep_last_value(self):
+        ref = ref_with(keys=(5, 1, 5, 1), values=(50, 10, 51, 11))
+        assert [a.tolist() for a in ref.items()] == [[1, 5], [11, 51]]
+
+    def test_empty_map_and_empty_batch(self):
+        empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        assert_same_run(empty, [RequestBatch.from_ops([])])
+        assert_same_run(empty, [RequestBatch.from_ops(
+            [(OpKind.RANGE, 0, 9), (OpKind.QUERY, 3), (OpKind.DELETE, 3)]
+        )])
+
+    def test_ranges_straddle_inserts_and_deletes(self):
+        batch = RequestBatch.from_ops([
+            (OpKind.RANGE, 0, 9), (OpKind.INSERT, 4, 40), (OpKind.QUERY, 4),
+            (OpKind.RANGE, 2, 5), (OpKind.RANGE, 3, 4), (OpKind.DELETE, 2),
+            (OpKind.DELETE, 4), (OpKind.INSERT, 4, 41), (OpKind.RANGE, 0, 9),
+            (OpKind.UPDATE, 3, 33), (OpKind.QUERY, 3),
+        ])
+        assert_same_run((np.array([1, 2, 3]), np.array([10, 20, 30])), [batch])
+
+    def test_same_key_storm(self):
+        ops = [(OpKind.UPDATE, 7, v) if v % 3 else (OpKind.DELETE, 7) for v in range(60)]
+        ops += [(OpKind.QUERY, 7), (OpKind.INSERT, 7, 1), (OpKind.RANGE, 7, 7)]
+        assert_same_run((np.array([7]), np.array([70])), [RequestBatch.from_ops(ops)] * 2)
 
 
 class TestChecker:
