@@ -6,17 +6,18 @@ fast path + :class:`~repro.sharding.ParallelShardedSystem` workers) and
 writes ``benchmarks/results/BENCH_interp.json``. Every mode computes
 bit-identical counters — this file measures only how fast the simulator
 itself runs, so its numbers are machine-dependent and the golden-drift
-gate never looks at them. YCSB-E is the row set that exercises the
-launcher's one-lane paths: each Eirene range request runs as a one-lane
-warp, and Eirene's range-only query-kernel launches run lowered (one numpy
-trace per launch, no generator); the A/B/C rows launch wide warps and barely
-touch them.
+gate never looks at them. Eirene's query-kernel launches run lowered (one
+numpy trace per launch, no generator): its iteration warps on every row
+with point queries, its one-lane range warps on YCSB-E. Only Eirene's
+update kernel and the baselines' kernels are interpreted.
 
 Assertions are the CI ``perf-smoke`` floor: the vectorized path must not be
 slower than the sequential one by more than noise (>= 0.8x on every row),
-must reach >= 1.5x on the headline Eirene YCSB-A row, and >= 3.5x on Eirene
-YCSB-E — a silent fallback from the lowered path to the interpreter would
-drop that row to about 3x.
+must reach >= 1.5x on the headline Eirene YCSB-A row, >= 4x on Eirene
+YCSB-C (all queries: the whole batch is one lowered launch; interpreted it
+ran about 1.2x) and >= 3.5x on Eirene YCSB-E — a silent fallback from the
+lowered path to the interpreter would drop those two rows to about 1.2x and
+3x.
 """
 
 from repro.harness import ExperimentConfig, interp_speed
@@ -50,6 +51,11 @@ def test_interp_speed(benchmark, results_dir):
     headline = fig.value("eirene YCSB-A", "speedup")
     assert headline >= 1.5, (
         f"eirene YCSB-A vectorized speedup {headline:.2f}x below the 1.5x floor"
+    )
+    queries = fig.value("eirene YCSB-C", "speedup")
+    assert queries >= 4.0, (
+        f"eirene YCSB-C vectorized speedup {queries:.2f}x below the 4x floor: "
+        "is the point-query kernel still lowered?"
     )
     lowered = fig.value("eirene YCSB-E", "speedup")
     assert lowered >= 3.5, (

@@ -17,6 +17,7 @@ from .traversal import (
     batch_horizontal_find_leaf,
     batch_leaf_lookup,
     batch_leaf_slots,
+    batch_point_query,
     batch_range_scan,
     batch_range_spans,
     leaf_max_keys,
@@ -41,6 +42,7 @@ __all__ = [
     "batch_horizontal_find_leaf",
     "batch_leaf_lookup",
     "batch_leaf_slots",
+    "batch_point_query",
     "batch_range_scan",
     "batch_range_spans",
     "leaf_max_keys",

@@ -29,11 +29,8 @@ from ..errors import SimulationError, TransactionAborted
 from ..locks import LatchTable
 from ..simt.instructions import BRANCH, Alu, AtomicCAS, Load, Store
 from ..stm import FREE, DeviceStm, Tx
+from .traversal import MAX_HORIZONTAL_STEPS
 from .tree import BPlusTree
-
-#: safety valve for leaf-chain walks (a correct walk is bounded by the leaf
-#: count; hitting this indicates a broken chain, not contention).
-MAX_HORIZONTAL_STEPS = 1_000_000
 
 
 # --------------------------------------------------------------------- #

@@ -20,8 +20,8 @@ import numpy as np
 
 from .._types import EMPTY_KEY, NO_NODE, NULL_VALUE
 from ..errors import SimulationError
-from ..simt.lowered import OP_BRANCH, OP_LOAD, OpTrace
-from .layout import OFF_COUNT, OFF_KEYS, OFF_LEAF, OFF_NEXT
+from ..simt.lowered import OP_BRANCH, OP_LOAD, OP_MARK, OpTrace
+from .layout import OFF_COUNT, OFF_FENCE, OFF_KEYS, OFF_LEAF, OFF_NEXT, OFF_RF
 
 if TYPE_CHECKING:  # tree.py imports this module
     from .tree import BPlusTree
@@ -128,16 +128,61 @@ def batch_range_spans(tree: BPlusTree, lo: np.ndarray, hi: np.ndarray) -> np.nda
     hi_leaves, _ = batch_find_leaf(tree, hi)
     leaves = tree.leaf_ids()
     chain_pos = np.zeros(tree.max_nodes, dtype=np.int64)
-    chain_pos[leaves] = np.arange(len(leaves))
+    chain_pos[leaves] = np.arange(leaves.size)
     return chain_pos[hi_leaves] - chain_pos[lo_leaves] + 1
 
 
-#: op-stream tokens of :func:`batch_range_scan` and their lengths: a checked
-#: word (``Load``, ``Branch``), a key in range (``Load``, ``Branch``, value
-#: ``Load``) and a child pointer (``Load``). Every token opens with a Load,
-#: and a token's second op, if any, is its Branch.
-_CHECK, _HIT, _CHILD = 0, 1, 2
-_TOKEN_LEN = np.array([2, 3, 1])
+#: op-stream tokens of the trace builders and their lengths: a checked word
+#: (``Load``, ``Branch``), a matched key (``Load``, ``Branch`` and the
+#: ``Load`` of the value in the same slot of the payload row), a lone
+#: ``Load`` and a ``Mark``. A token's first op is its Load (or Mark), and
+#: its second op, if any, is its Branch.
+_CHECK, _HIT, _LOAD, _MARK = 0, 1, 2, 3
+_TOKEN_LEN = np.array([2, 3, 1, 1])
+
+#: safety valve for leaf-chain walks (a correct walk is bounded by the leaf
+#: count; hitting this indicates a broken chain, not contention).
+MAX_HORIZONTAL_STEPS = 1_000_000
+
+
+class _Tokens:
+    """Tokens of ``n`` op streams, appended in program order per stream."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        #: stream ids are kept as small integers: a stable sort of those is
+        #: a radix sort
+        self.dtype = np.min_scalar_type(n)
+        self.streams: list[np.ndarray] = []
+        self.codes: list[np.ndarray] = []
+        self.addrs: list[np.ndarray] = []
+
+    def emit(self, streams: np.ndarray, code, addrs) -> None:
+        """One token per entry of ``streams``, whose first op reads
+        ``addrs`` (0 for a Mark)."""
+        self.streams.append(streams.astype(self.dtype))
+        self.codes.append(np.broadcast_to(np.asarray(code, dtype=np.int8), streams.shape))
+        self.addrs.append(np.broadcast_to(addrs, streams.shape))
+
+    def ops(self, value_off: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The streams as CSR ``(offsets, kinds, addrs)``; a matched key's
+        value lies ``value_off`` words past the key."""
+        n = self.n
+        stream = np.concatenate(self.streams)
+        order = np.argsort(stream, kind="stable")
+        code = np.concatenate(self.codes)[order]
+        addr = np.concatenate(self.addrs)[order]
+        starts = np.concatenate(([0], np.cumsum(np.take(_TOKEN_LEN, code))))
+        offsets = starts[np.searchsorted(stream[order], np.arange(n + 1))]
+        first = starts[:-1]
+        kinds = np.full(starts[-1], OP_LOAD, dtype=np.int8)
+        kinds[first[code <= _HIT] + 1] = OP_BRANCH
+        kinds[first[code == _MARK]] = OP_MARK
+        addrs = np.zeros(starts[-1], dtype=np.int64)
+        addrs[first] = addr  # a Mark token carries address 0
+        hit = code == _HIT
+        addrs[first[hit] + 2] = addr[hit] + value_off
+        return offsets, kinds, addrs
 
 
 def _load(data: np.ndarray, addrs: np.ndarray) -> np.ndarray:
@@ -176,21 +221,64 @@ def _check_runs(data: np.ndarray, first: np.ndarray, n: np.ndarray) -> None:
         )
 
 
+def _runs(first: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The words of runs of ``n`` consecutive words from ``first``, flat."""
+    ends = np.cumsum(n)
+    return np.repeat(first - (ends - n), n) + np.arange(ends[-1] if n.size else 0)
+
+
+def _descend(tree: BPlusTree, keys: np.ndarray, streams: np.ndarray,
+             tokens: _Tokens) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`~repro.btree.device_ops.d_find_leaf` for every key at once.
+
+    Emits each descent's op stream into ``tokens`` (key ``i`` into stream
+    ``streams[i]``): per inner level ``Load leaf``, ``Branch``, one
+    (``Load``, ``Branch``) per separator scanned — up to the first one above
+    the key, at most ``fanout`` — and ``Load child``; at the leaf ``Load
+    leaf``, ``Branch``. Lanes advance level by level, every word is
+    bounds-checked before it is read, and words are read as the program
+    reads them, so the descent follows the arena even where the tree is
+    malformed. Returns each key's leaf and nodes visited.
+    """
+    lay = tree.layout
+    data = tree.arena.data
+    size = data.size
+    node = np.full(keys.size, tree.root, dtype=np.int64)
+    steps = np.ones(keys.size, dtype=np.int64)
+    lanes = np.arange(keys.size)
+    width = np.arange(lay.fanout)
+    while lanes.size:
+        base = _node_bases(tree, node[lanes], OFF_LEAF)
+        inner = _load(data, base + OFF_LEAF) == 0
+        tokens.emit(streams[lanes], _CHECK, base + OFF_LEAF)
+        lanes, base = lanes[inner], base[inner]
+        # the row may run past the arena; only the words scanned are checked
+        rows = data[np.minimum(base[:, None] + OFF_KEYS + width, size - 1)]
+        above = rows > keys[lanes, None]
+        slot = np.where(above.any(axis=1), above.argmax(axis=1), lay.fanout)
+        scanned = np.minimum(slot + 1, lay.fanout)
+        _check_runs(data, base + OFF_KEYS, scanned)
+        tokens.emit(np.repeat(streams[lanes], scanned), _CHECK, _runs(base + OFF_KEYS, scanned))
+        child = base + lay.payload_off + slot
+        node[lanes] = _load(data, child)
+        tokens.emit(streams[lanes], _LOAD, child)
+        steps[lanes] += 1
+    return node, steps
+
+
 def batch_range_scan(
     tree: BPlusTree, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[OpTrace, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Every ``[lo[j], hi[j]]`` scan of
     :func:`~repro.core.kernels.d_range_raw` at once, in numpy.
 
-    Returns the scans' op streams (lane ``j`` is range ``j``; no Marks) and
-    their results as one CSR triple ``(counts, keys, values)``, equal to
-    :func:`~repro.workloads.requests.flatten_scans` of the programs' results.
-    Each stream is ``d_range_raw``'s, op by op:
+    Returns the scans' op streams (lane ``j`` is range ``j``, each its own
+    warp; no Marks) and their results as one CSR triple ``(counts, keys,
+    values)``, equal to :func:`~repro.workloads.requests.flatten_scans` of
+    the programs' results. Each stream is ``d_range_raw``'s, op by op, with
+    every Load's address:
 
-    * descent, per inner level: ``Load leaf``, ``Branch``, one (``Load``,
-      ``Branch``) per separator scanned — up to the first one above ``lo``,
-      at most ``fanout`` — and ``Load child``; at the leaf ``Load leaf``,
-      ``Branch``;
+    * the descent of :func:`_descend` toward ``lo``;
     * leaf-chain walk, per leaf: ``Load count``, ``Branch``; one (``Load``,
       ``Branch``) per key scanned, plus the value's ``Load`` for a key in
       ``[lo, hi]``; ``Load next``, ``Branch``. The walk ends after the leaf
@@ -207,50 +295,30 @@ def batch_range_scan(
     n = int(lo.size)
     if n == 0:
         empty = np.zeros(0, dtype=np.int64)
-        trace = OpTrace(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int8), empty)
+        trace = OpTrace.one_lane_warps(
+            np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int8), empty
+        )
         return trace, (empty, empty, empty)
     lay = tree.layout
     data = tree.arena.data
     size = data.size
-    tok_lane: list[np.ndarray] = []  # tokens, appended in program order per lane
-    tok_code: list[np.ndarray] = []
+    tokens = _Tokens(n)
     found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (lane, key, value)
-
-    def emit(lanes: np.ndarray, code) -> None:
-        tok_lane.append(lanes)
-        tok_code.append(np.broadcast_to(np.asarray(code, dtype=np.int8), lanes.shape))
-
-    # descent (d_find_leaf): level-synchronous, each lane until its leaf flag
-    node = np.full(n, tree.root, dtype=np.int64)
-    lanes = np.arange(n)
-    width = np.arange(lay.fanout)
-    while lanes.size:
-        base = _node_bases(tree, node[lanes], OFF_LEAF)
-        inner = _load(data, base + OFF_LEAF) == 0
-        emit(lanes, _CHECK)
-        lanes, base = lanes[inner], base[inner]
-        # the row may run past the arena; only the words scanned are checked
-        rows = data[np.minimum(base[:, None] + OFF_KEYS + width, size - 1)]
-        above = rows > lo[lanes, None]
-        slot = np.where(above.any(axis=1), above.argmax(axis=1), lay.fanout)
-        scanned = np.minimum(slot + 1, lay.fanout)
-        _check_runs(data, base + OFF_KEYS, scanned)
-        emit(np.repeat(lanes, scanned), _CHECK)
-        node[lanes] = _load(data, base + lay.payload_off + slot)
-        emit(lanes, _CHILD)
+    node, _ = _descend(tree, lo, np.arange(n), tokens)
 
     # leaf-chain walk: one leaf per step for every lane still walking
     lanes = np.arange(n)
     while lanes.size:
         base = _node_bases(tree, node[lanes], OFF_COUNT)
         count = _load(data, base + OFF_COUNT)
-        emit(lanes, _CHECK)
+        tokens.emit(lanes, _CHECK, base + OFF_COUNT)
         first = base + OFF_KEYS
         # keys the lane may scan without leaving the arena
         avail = np.minimum(np.maximum(count, 0), np.maximum(size - first, 0))
         seg = np.repeat(np.arange(lanes.size), avail)
         slot = np.arange(seg.size) - np.repeat(np.cumsum(avail) - avail, avail)
-        keys = data[first[seg] + slot]
+        key_at = first[seg] + slot
+        keys = data[key_at]
         above = keys > hi[lanes][seg]
         seg_above = seg[above]
         lead = np.diff(seg_above, prepend=-1) != 0
@@ -260,30 +328,109 @@ def batch_range_scan(
         # a lane that finds no key above ``hi`` reads all ``count`` keys
         _check_runs(data, first, np.where(done, 0, count))
         read = slot <= stop[seg]
-        seg, slot, keys = seg[read], slot[read], keys[read]
+        seg, key_at, keys = seg[read], key_at[read], keys[read]
         hit = (keys >= lo[lanes][seg]) & (keys <= hi[lanes][seg])
-        emit(lanes[seg], np.where(hit, _HIT, _CHECK))
-        values = _load(data, base[seg[hit]] + lay.payload_off + slot[hit])
+        tokens.emit(lanes[seg], np.where(hit, _HIT, _CHECK), key_at)
+        values = _load(data, key_at[hit] + (lay.payload_off - OFF_KEYS))
         found.append((lanes[seg[hit]], keys[hit], values))
         nxt = _load(data, base + OFF_NEXT)
-        emit(lanes, _CHECK)
+        tokens.emit(lanes, _CHECK, base + OFF_NEXT)
         go = ~done & (nxt != NO_NODE)
         lanes = lanes[go]
         node[lanes] = nxt[go]
 
-    lane = np.concatenate(tok_lane)
-    order = np.argsort(lane, kind="stable")
-    code = np.concatenate(tok_code)[order]
-    starts = np.concatenate(([0], np.cumsum(_TOKEN_LEN[code])))
-    offsets = starts[np.searchsorted(lane[order], np.arange(n + 1))]
-    kinds = np.full(starts[-1], OP_LOAD, dtype=np.int8)
-    kinds[starts[:-1][code != _CHILD] + 1] = OP_BRANCH
-    trace = OpTrace(offsets, kinds, np.zeros(0, dtype=np.int64))
-
+    trace = OpTrace.one_lane_warps(*tokens.ops(lay.payload_off - OFF_KEYS))
     hit_lane, hit_keys, hit_values = (np.concatenate(a) for a in zip(*found))
     order = np.argsort(hit_lane, kind="stable")
     counts = np.bincount(hit_lane, minlength=n)
     return trace, (counts, hit_keys[order], hit_values[order])
+
+
+def batch_point_query(
+    tree: BPlusTree,
+    keys: np.ndarray,
+    start_leaves: np.ndarray,
+    load_rf: np.ndarray,
+    streams: np.ndarray,
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every unprotected point query of Eirene's query kernel at once, in
+    numpy: the op stream a lane of :func:`~repro.core.kernels.d_query` or
+    of an iteration warp
+    (:func:`~repro.core.kernels.make_iteration_lane_program`) runs for
+    ``keys[i]``, op by op with every Load's address.
+
+    * A query with ``start_leaves[i] == NO_NODE`` descends as in
+      :func:`_descend`; any other walks the leaf chain from that buffered
+      leaf (``d_walk_leaves``): per leaf ``Load next``, ``Branch`` and, if
+      there is a next leaf, ``Load`` of its fence, ``Branch``, moving on
+      while that fence is at most the key.
+    * Then ``d_search_leaf``: one (``Load``, ``Branch``) per key word
+      scanned, up to the first one at least the key (at most ``fanout``),
+      plus the value's ``Load`` when that word is the key.
+    * With ``load_rf[i]`` (the last lane of a request group) a ``Load`` of
+      the found leaf's RF word, then the ``Mark``.
+
+    Query ``i``'s ops form stream ``streams[i]`` (a permutation of
+    ``0..n-1``), returned as CSR ``(offsets, kinds, addrs)``, beside each
+    query's value (``NULL_VALUE`` when absent), leaf and nodes visited.
+    Every word is bounds-checked before it is read, as in
+    :func:`batch_range_scan`.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    start_leaves = np.asarray(start_leaves, dtype=np.int64)
+    streams = np.asarray(streams, dtype=np.int64)
+    n = int(keys.size)
+    lay = tree.layout
+    data = tree.arena.data
+    size = data.size
+    tokens = _Tokens(n)
+    walk = start_leaves != NO_NODE
+    down = np.flatnonzero(~walk)
+    node = start_leaves.copy()
+    steps = np.ones(n, dtype=np.int64)
+    if down.size:
+        node[down], steps[down] = _descend(tree, keys[down], streams[down], tokens)
+
+    lanes = np.flatnonzero(walk)
+    while lanes.size:
+        if steps[lanes[0]] > MAX_HORIZONTAL_STEPS:  # all walking lanes are level
+            raise SimulationError("leaf chain walk did not terminate")
+        at = _node_bases(tree, node[lanes], OFF_NEXT) + OFF_NEXT
+        nxt = _load(data, at)
+        tokens.emit(streams[lanes], _CHECK, at)
+        go = nxt != NO_NODE
+        lanes, nxt = lanes[go], nxt[go]
+        at = _node_bases(tree, nxt, OFF_FENCE) + OFF_FENCE
+        fence = _load(data, at)
+        tokens.emit(streams[lanes], _CHECK, at)
+        go = fence <= keys[lanes]
+        lanes = lanes[go]
+        node[lanes] = nxt[go]
+        steps[lanes] += 1
+
+    # d_search_leaf: the row may run past the arena; only the words scanned
+    # are checked
+    base = _node_bases(tree, node, OFF_KEYS)
+    first = base + OFF_KEYS
+    rows = data[np.minimum(first[:, None] + np.arange(lay.fanout), size - 1)]
+    at_least = rows >= keys[:, None]
+    stop = at_least.any(axis=1)
+    slot = np.where(stop, at_least.argmax(axis=1), lay.fanout - 1)
+    scanned = slot + 1
+    _check_runs(data, first, scanned)
+    hit = stop & (rows[np.arange(n), slot] == keys)
+    code = np.full(int(scanned.sum()), _CHECK, dtype=np.int8)
+    code[np.cumsum(scanned)[hit] - 1] = _HIT
+    tokens.emit(np.repeat(streams, scanned), code, _runs(first, scanned))
+    values = np.full(n, NULL_VALUE, dtype=np.int64)
+    values[hit] = _load(data, base[hit] + lay.payload_off + slot[hit])
+
+    rf = np.flatnonzero(load_rf)
+    at = base[rf] + OFF_RF
+    _load(data, at)
+    tokens.emit(streams[rf], _LOAD, at)
+    tokens.emit(streams, _MARK, 0)
+    return tokens.ops(lay.payload_off - OFF_KEYS), (values, node, steps)
 
 
 def batch_leaf_slots(

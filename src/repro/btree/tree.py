@@ -227,7 +227,7 @@ class BPlusTree:
         """Set each leaf's RF to the min key of the leaf ``height + 1`` hops
         ahead on the chain (``EMPTY_KEY`` when the chain ends earlier)."""
         views = self.views
-        leaves = self.leaf_ids()
+        leaves = self.leaf_ids().tolist()
         hop = self.height + 1
         for i, leaf in enumerate(leaves):
             j = i + hop
@@ -534,8 +534,8 @@ class BPlusTree:
     # ------------------------------------------------------------------ #
     # inspection / validation
     # ------------------------------------------------------------------ #
-    def leaf_ids(self) -> list[int]:
-        """Leaf node ids in key order.
+    def leaf_ids(self) -> np.ndarray:
+        """Leaf node ids in key order, as an int64 array.
 
         Gathered level by level from the root: each inner level is one
         gather of its nodes' child rows, keeping the first ``count + 1``
@@ -550,23 +550,19 @@ class BPlusTree:
             counts = views.host_field(nodes, "count")
             rows = self.arena.data[views.payload_addrs(nodes, 0)[:, None] + width]
             nodes = rows[width <= counts[:, None]]
-        return nodes.tolist()
+        return nodes
 
     def items(self) -> tuple[np.ndarray, np.ndarray]:
         """All (key, value) pairs in key order (host plane)."""
-        ks: list[np.ndarray] = []
-        vs: list[np.ndarray] = []
-        for leaf in self.leaf_ids():
-            h = self.views.host(leaf)
-            cnt = h.count
-            ks.append(h.keys[:cnt].copy())
-            vs.append(h.values[:cnt].copy())
-        if not ks:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        return np.concatenate(ks), np.concatenate(vs)
+        views = self.views
+        leaves = self.leaf_ids()
+        width = np.arange(self.layout.fanout)
+        held = width < views.host_field(leaves, "count")[:, None]
+        values = self.arena.data[views.payload_addrs(leaves, 0)[:, None] + width]
+        return views.key_rows(leaves)[held], values[held]
 
     def __len__(self) -> int:
-        return int(sum(self.views.host(leaf).count for leaf in self.leaf_ids()))
+        return int(self.views.host_field(self.leaf_ids(), "count").sum())
 
     def validate(self) -> None:
         """Check structural invariants; raises :class:`TreeError` on failure.
@@ -609,7 +605,7 @@ class BPlusTree:
             raise TreeError("stored height disagrees with actual leaf depth")
         # the chain must visit exactly the in-order leaves: stepping it in
         # lockstep with leaf_ids() also bounds the walk on a cyclic chain
-        leaves = self.leaf_ids()
+        leaves = self.leaf_ids().tolist()
         node = leaves[0]
         for leaf in leaves:
             if node != leaf:

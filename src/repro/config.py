@@ -168,10 +168,10 @@ class ExecutionConfig:
     """
 
     #: use the optimized :meth:`~repro.simt.Warp.step` path (batched
-    #: counter flushes, barrier-wait lane parking, one-lane warps run
-    #: inline by the launcher, range-only launches lowered). Read when a
-    #: warp is built; attaching an analysis probe always selects the
-    #: reference interpreter instead.
+    #: counter flushes, barrier-wait lane parking) and lower Eirene's
+    #: unprotected query-kernel launches. Read when a warp or launch is
+    #: built; attaching an analysis probe always selects the reference
+    #: interpreter instead.
     vectorize_slots: bool = True
 
 

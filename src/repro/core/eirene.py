@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._types import NULL_VALUE, OpKind
-from ..btree import batch_find_leaf, batch_leaf_lookup, batch_range_scan
+from .._types import NO_NODE, NULL_VALUE, OpKind
+from ..btree import batch_find_leaf, batch_leaf_lookup, batch_point_query, batch_range_scan
 from ..btree.tree import BPlusTree
 from ..config import EireneConfig, FULL_EIRENE
 from ..device import DeviceContext
 from ..simt import Mark
+from ..simt.lowered import OpTrace
 from ..stm import DeviceStm, StmRegion
 from ..baselines.base import System
 from ..baselines.model import (
@@ -527,9 +528,14 @@ class EireneTree(System):
         request. A ``protected`` launch runs beside writers: update-class
         requests take the leaf-region STM, queries a protected leaf read,
         and the STM's conflicts are accounted. ``ranges`` adds one raw-scan
-        warp per range request, lowered when they make up the whole launch
-        (see :meth:`~repro.simt.KernelLaunch.add_lowered_warps`), and
-        installs the scans into ``ctx.results`` after the run.
+        warp per range request, after the runs' warps, and installs the
+        scans into ``ctx.results`` after the run.
+
+        An unprotected launch is lowered whole when the launch allows it
+        (:attr:`~repro.simt.KernelLaunch.lowers`) and
+        :meth:`_lower_queries` finds its point queries' streams fixed at
+        launch time: no lane program is built then, and the launch replays
+        one trace of its query and range warps.
         """
         plan: CombinePlan = ctx.art["plan"]
         old_vals = ctx.art["old_vals"]
@@ -537,30 +543,39 @@ class EireneTree(System):
         retries = np.zeros(ctx.n, dtype=np.int64)
         stm_before = self.stm.stats.snapshot()
         launch = ctx.launch()
-        if runs.size:
-            if locality:
-                self._add_iteration_warps(launch, plan, runs, old_vals, steps_record, protected)
-            else:
-                launch.add_programs([
-                    self._lane_program(plan, int(r), old_vals, retries, steps_record, protected)
-                    for r in runs
-                ])
-        if ranges:
-            range_idx, _ = range_ordinals(ctx.batch)
-            scans: list = [None] * range_idx.size
+        range_idx = range_ordinals(ctx.batch)[0] if ranges else np.zeros(0, dtype=np.int64)
+        scans: list = []
+        lowered = None
+        if launch.lowers and not protected:
+            lowered = self._lower_queries(plan, runs, locality)
+        if lowered is not None:
+            trace, values, steps = lowered
+            old_vals[runs] = values
+            steps_record.extend(steps.tolist())
 
             def lower():
-                trace, found = batch_range_scan(
+                if not range_idx.size:
+                    return trace, None
+                scan, found = batch_range_scan(
                     self.tree, ctx.batch.keys[range_idx], ctx.batch.range_ends[range_idx]
                 )
-                return trace.with_marks(range_idx), found
+                return OpTrace.concat([trace, scan.with_marks(range_idx)]), found
 
-            # one warp per range; the launch runs lowered when they are all of it
-            launch.add_lowered_warps(
-                [self._range_program(ctx.batch, int(i), scans, slot)
-                 for slot, i in enumerate(range_idx)],
-                lower,
-            )
+            launch.add_lowered(trace.warps.size - 1 + range_idx.size, lower)
+        else:
+            if runs.size:
+                if locality:
+                    self._add_iteration_warps(launch, plan, runs, old_vals, steps_record,
+                                              protected)
+                else:
+                    launch.add_programs([
+                        self._lane_program(plan, int(r), old_vals, retries, steps_record,
+                                           protected)
+                        for r in runs
+                    ])
+            scans = [None] * range_idx.size
+            for slot, i in enumerate(range_idx.tolist()):
+                launch.add_warp([self._range_program(ctx.batch, i, scans, slot)])
         ctx.run_launch(launch, bucket)
         if ranges:
             found = launch.lowered_result
@@ -572,6 +587,78 @@ class EireneTree(System):
             ctx.totals.conflicts += float(stm_delta.conflicts)
             ctx.extras["stm"] = stm_delta
             ctx.extras["retries"] = int(retries.sum())
+
+    def _lower_queries(
+        self, plan: CombinePlan, runs: np.ndarray, locality: bool
+    ) -> tuple[OpTrace, np.ndarray, np.ndarray] | None:
+        """The unprotected point queries of ``runs`` as one lowered trace,
+        laid out as :meth:`_add_iteration_warps` (``locality``) or
+        ``add_programs`` would pack their lanes, with their values and
+        traversal steps; ``None`` when the interpreter must run them.
+
+        Iteration warps take their RGs' walk decisions from
+        :func:`vector_locality_steps`, which reads every RF as it stood at
+        launch time. That is exact unless an RG rewrites the RF of a leaf
+        that another warp's RG-last lane loads for a later decision: the
+        two warps' interleaving then decides what the load sees, so such a
+        launch is interpreted. So is one whose traced leaves or steps differ
+        from the locality pass's (a malformed tree). Otherwise this makes
+        the kernel's ``update_rf`` calls and returns the trace.
+        """
+        tree = self.tree
+        ws = self.device.warp_size
+        n = int(runs.size)
+        keys = plan.issued_keys[runs]
+        req_ids = plan.issued_orig[runs]
+        if not locality or n == 0:
+            (offsets, kinds, addrs), (values, _, steps) = batch_point_query(
+                tree, keys, np.full(n, NO_NODE), np.zeros(n, dtype=bool), np.arange(n)
+            )
+            warps = np.append(np.arange(0, n, ws), n)
+            no_barriers = np.zeros(warps.size - 1, dtype=np.int64)
+            return OpTrace(offsets, kinds, addrs, req_ids, warps, no_barriers), values, steps
+
+        cfg = self.config
+        iplan = build_iteration_plan(n, ws, cfg.rgs_per_iteration_warp, self.device.num_sms)
+        ls = vector_locality_steps(tree, iplan, keys, cfg.enable_rf_decision, update_rf=False)
+        rg_size = iplan.rg_end - iplan.rg_start
+        rg_last = ls.leaves[iplan.rg_end - 1]
+        rg_warp = np.repeat(np.arange(iplan.n_warps), np.diff(iplan.warp_offsets))
+        if cfg.enable_rf_decision and ls.rf_leaves.size:
+            # RG-last leaves whose RF a later RG of the same warp decides by
+            reads = np.ones(iplan.n_rgs, dtype=bool)
+            reads[iplan.warp_offsets[1:] - 1] = False
+            watched = np.flatnonzero(reads & np.isin(rg_last, ls.rf_leaves))
+            watched = watched[np.argsort(rg_last[watched], kind="stable")]
+            leaf, warp = rg_last[watched], rg_warp[watched]
+            if np.any((leaf[1:] == leaf[:-1]) & (warp[1:] != warp[:-1])):
+                return None
+
+        # lane layout: request p runs in iteration ``it`` of lane ``lane``
+        rg = np.repeat(np.arange(iplan.n_rgs), rg_size)
+        warp = rg_warp[rg]
+        lane_count = np.maximum.reduceat(rg_size, iplan.warp_offsets[:-1])
+        warp_lanes = np.concatenate(([0], np.cumsum(lane_count)))
+        lane = warp_lanes[warp] + np.arange(n) - iplan.rg_start[rg]
+        it = rg - iplan.warp_offsets[warp]
+        order = np.lexsort((it, lane))
+        streams = np.empty(n, dtype=np.int64)
+        streams[order] = np.arange(n)
+        buffered = np.concatenate(([NO_NODE], rg_last[:-1]))[rg]
+        start = np.where(ls.horizontal, buffered, NO_NODE)
+        rf_load = np.zeros(n, dtype=bool)
+        rf_load[iplan.rg_end - 1] = True
+        (offsets, kinds, addrs), (values, leaves, steps) = batch_point_query(
+            tree, keys, start, rf_load, streams
+        )
+        if not (np.array_equal(leaves, ls.leaves) and np.array_equal(steps, ls.steps)):
+            return None
+        for leaf, walked in zip(ls.rf_leaves.tolist(), ls.rf_steps.tolist()):
+            tree.update_rf(leaf, walked)
+        lane_streams = np.concatenate(([0], np.cumsum(np.bincount(lane))))
+        trace = OpTrace(offsets[lane_streams], kinds, addrs, req_ids[order], warp_lanes,
+                        np.diff(iplan.warp_offsets))
+        return trace, values, steps
 
     def _lane_program(self, plan: CombinePlan, run: int, old_vals, retries, steps_record,
                       protected: bool):

@@ -16,7 +16,7 @@ live in :mod:`repro.core.kernels`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,6 +91,12 @@ class LocalitySteps:
     #: per RG: lockstep cost (max steps over its lanes — SIMT executes the
     #: longest lane's walk)
     rg_lockstep_steps: np.ndarray
+    #: per RG whose walk takes more than ``height`` steps, in RG order: its
+    #: buffered leaf, whose RF :meth:`BPlusTree.update_rf` rewrites, and the
+    #: walk's steps
+    rf_leaves: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    rf_steps: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    #: the ``update_rf`` calls made (0 with ``update_rf=False``)
     rf_updates: int = 0
 
     @property
@@ -117,7 +123,8 @@ def vector_locality_steps(
     leaf. It walks horizontally when it has one and, with RF on, its max
     key does not exceed the buffered leaf's RF. Each RG whose walk then
     takes more than ``height`` steps records an RF (§5) through
-    :meth:`BPlusTree.update_rf`, in RG order.
+    :meth:`BPlusTree.update_rf`, in RG order; with ``update_rf=False``
+    those calls are only listed in ``rf_leaves`` and ``rf_steps``.
 
     Reading every RF as it stood when the call started is exact. A walk
     longer than ``height`` from buffered chain position ``b`` ends at a
@@ -138,7 +145,7 @@ def vector_locality_steps(
             steps=empty, horizontal=np.zeros(0, dtype=bool), leaves=leaves,
             rg_lockstep_steps=empty,
         )
-    chain = np.asarray(tree.leaf_ids(), dtype=np.int64)
+    chain = tree.leaf_ids()
     index_of = np.full(tree.max_nodes, -1, dtype=np.int64)
     index_of[chain] = np.arange(chain.size)
     leaf_idx = index_of[leaves]
@@ -156,13 +163,18 @@ def vector_locality_steps(
     steps = np.where(horizontal, leaf_idx - buf_idx[rg_of] + 1, height)
     rg_lockstep = np.maximum.reduceat(steps, plan.rg_start)
 
-    rf_rgs = np.flatnonzero(go & (rg_lockstep > height)) if update_rf else []
-    for r in rf_rgs:
-        tree.update_rf(int(chain[buf_idx[r]]), int(rg_lockstep[r]))
+    rf_rgs = np.flatnonzero(go & (rg_lockstep > height))
+    rf_leaves = chain[buf_idx[rf_rgs]]
+    rf_steps = rg_lockstep[rf_rgs]
+    if update_rf:
+        for leaf, walked in zip(rf_leaves.tolist(), rf_steps.tolist()):
+            tree.update_rf(leaf, walked)
     return LocalitySteps(
         steps=steps,
         horizontal=horizontal,
         leaves=leaves,
         rg_lockstep_steps=rg_lockstep,
-        rf_updates=len(rf_rgs),
+        rf_leaves=rf_leaves,
+        rf_steps=rf_steps,
+        rf_updates=rf_rgs.size if update_rf else 0,
     )

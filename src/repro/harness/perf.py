@@ -11,7 +11,7 @@ Three modes:
     repo's slot loop, kept verbatim as the semantic baseline;
 ``vectorized``
     the optimized :meth:`~repro.simt.Warp.step` fast path (batched counter
-    flushes, parked barrier waits, one-lane warps run inline, range-only
+    flushes, parked barrier waits; Eirene's unprotected query-kernel
     launches lowered);
 ``vect+shards``
     the fast path with the batch split across a

@@ -28,14 +28,11 @@ Two interpreter paths implement the identical semantics (see DESIGN.md §9):
   counter updates into one flush per slot and drops retired lanes from the
   iteration list.
 
-A third, narrowest path lives in the launcher: a one-lane warp on the fast
-path (:meth:`Warp.inline_lane`) is resumed directly by
-:meth:`~repro.simt.launcher.KernelLaunch.run`, again bit-for-bit identical
-to :meth:`Warp._step_slow`. Eirene launches every range request as a
-one-lane warp, so on range-scan workloads nearly all warp steps take it.
-When such store-free one-lane warps make up a whole launch, the launcher
-runs none of their generators: it replays the launch over op streams built
-in numpy (:mod:`repro.simt.lowered`), with the same bit-for-bit contract.
+Launches that need neither path are not interpreted at all: when a
+store-free launch makes up its whole grid (Eirene's unprotected query
+kernel), the launcher runs none of its generators and replays the launch
+over op streams built in numpy (:mod:`repro.simt.lowered`), with the same
+bit-for-bit contract.
 
 The path is chosen once, when the warp is built: an analysis probe (race
 sanitizer, hotspot profiler) or ``vectorize_slots=False`` (see
@@ -159,17 +156,6 @@ class Warp:
         if self._fast:
             return self._step_fast(counters, cycle)
         return self._step_slow(counters, cycle)
-
-    def inline_lane(self) -> Lane | None:
-        """This warp's only lane if a launcher may run it inline, else None.
-
-        A one-lane warp on the fast path has nothing to batch, park or
-        coalesce; the launcher then resumes its lane directly (see
-        :meth:`KernelLaunch.run`) with the reference path's exact charges.
-        """
-        if self._fast and len(self.lanes) == 1:
-            return self.lanes[0]
-        return None
 
     # ------------------------------------------------------------------ #
     # reference interpreter (the executable specification)

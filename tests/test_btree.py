@@ -16,6 +16,7 @@ from repro.btree import (
     batch_horizontal_find_leaf,
     batch_leaf_lookup,
     batch_leaf_slots,
+    batch_point_query,
     batch_range_scan,
     batch_range_spans,
     leaf_max_keys,
@@ -25,8 +26,10 @@ from repro.btree.layout import HEADER_WORDS, OFF_KEYS
 from repro.config import TreeConfig
 from repro.errors import SimulationError, TreeError
 from repro.memory import MemoryArena
-from repro.simt import Branch, Load, run_subroutine
-from repro.simt.lowered import OP_BRANCH, OP_LOAD
+from repro.btree.device_ops import d_find_leaf, d_search_leaf, d_walk_leaves
+from repro.core.kernels import d_range_raw
+from repro.simt import Branch, Load, Mark, run_subroutine
+from repro.simt.lowered import OP_BRANCH, OP_LOAD, OP_MARK
 from repro.workloads.requests import flatten_scans
 
 
@@ -413,9 +416,9 @@ class TestLeafIds:
         tree = grown_tree(fanout, seed=fanout)
         assert tree.split_events
         leaves = tree.leaf_ids()
-        assert leaves == chain_walk(tree)
-        assert leaves != sorted(leaves)  # node ids really are out of key order
-        assert all(isinstance(leaf, int) for leaf in leaves)
+        assert leaves.dtype == np.int64
+        assert leaves.tolist() == chain_walk(tree)
+        assert np.any(np.diff(leaves) < 0)  # node ids really are out of key order
 
     @pytest.mark.parametrize("fanout", [4, 8, 32])
     def test_range_spans_count_chain_hops(self, fanout):
@@ -431,20 +434,34 @@ class TestLeafIds:
         assert batch_range_spans(tree, lo, hi).tolist() == want
 
 
-def program_ops(tree: BPlusTree, lo: int, hi: int) -> list[int]:
-    """Op kinds ``d_range_raw(tree, lo, hi)`` yields, run against the arena."""
-    from repro.core.kernels import d_range_raw
-
-    gen = d_range_raw(tree, lo, hi)
-    kinds, send = [], None
+def program_ops(tree: BPlusTree, gen) -> tuple[list[int], list[int], object]:
+    """Op kinds and addresses (0 for a Branch or Mark) a Load/Branch/Mark
+    program yields, run against the arena, and its return value."""
+    kinds, addrs, send = [], [], None
     while True:
         try:
             op = gen.send(send)
-        except StopIteration:
-            return kinds
-        assert type(op) in (Load, Branch)
-        kinds.append(OP_LOAD if type(op) is Load else OP_BRANCH)
+        except StopIteration as stop:
+            return kinds, addrs, stop.value
+        assert type(op) in (Load, Branch, Mark)
+        kinds.append({Load: OP_LOAD, Branch: OP_BRANCH, Mark: OP_MARK}[type(op)])
+        addrs.append(op.addr if type(op) is Load else 0)
         send = int(tree.arena.data[op.addr]) if type(op) is Load else None
+
+
+def point_query_program(tree: BPlusTree, key: int, start: int, load_rf: bool, req_id: int):
+    """One request of an iteration lane (or, from ``NO_NODE``, of a
+    ``d_query`` lane): descend or walk, search the leaf, load its RF if
+    the lane publishes it, then the Mark."""
+    if start == NO_NODE:
+        leaf, steps = yield from d_find_leaf(tree, key)
+    else:
+        leaf, steps = yield from d_walk_leaves(tree, start, key)
+    value = yield from d_search_leaf(tree, leaf, key)
+    if load_rf:
+        yield Load(tree.views.addrs(leaf).rf)
+    yield Mark(req_id)
+    return value, leaf, steps
 
 
 class TestBatchRangeScan:
@@ -473,15 +490,16 @@ class TestBatchRangeScan:
         assert counts[:3].tolist() == [0, 0, 0]
         assert np.array_equal(keys, want[1]) and np.array_equal(values, want[2])
         assert trace.kinds.dtype == np.int8 and trace.mark_ids.size == 0
+        assert trace.warps.tolist() == list(range(lo.size + 1)) and not trace.iters.any()
         for j, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
-            ops = trace.kinds[trace.offsets[j] : trace.offsets[j + 1]]
-            assert ops.tolist() == program_ops(tree, a, b)
+            at = slice(trace.offsets[j], trace.offsets[j + 1])
+            kinds, addrs, _ = program_ops(tree, d_range_raw(tree, a, b))
+            assert trace.kinds[at].tolist() == kinds
+            assert trace.addrs[at].tolist() == addrs
 
     @pytest.mark.parametrize("where", ["child", "next_leaf"])
     @pytest.mark.parametrize("node", ["straddling", "negative", "huge"])
     def test_out_of_arena_pointer_faults_like_the_interpreter(self, where, node):
-        from repro.core.kernels import d_range_raw
-
         cfg = TreeConfig(fanout=8)
         keys = np.arange(0, 400, 2, dtype=np.int64)
         max_nodes = BPlusTree.plan_max_nodes(keys.size, cfg)
@@ -500,8 +518,6 @@ class TestBatchRangeScan:
             batch_range_scan(tree, [0, 0], [10**6, 10**6])
 
     def test_count_past_the_fanout_reads_on_to_the_arena_end(self):
-        from repro.core.kernels import d_range_raw
-
         tree, _, _ = build(n=64)
         tree.views.host(tree.leaf_ids()[0]).count = EMPTY_KEY
         # no word exceeds EMPTY_KEY: the key scan runs off the end of the arena
@@ -515,6 +531,67 @@ class TestBatchRangeScan:
         trace, (counts, keys, values) = batch_range_scan(tree, [], [])
         assert trace.offsets.tolist() == [0] and trace.kinds.size == 0
         assert counts.size == keys.size == values.size == 0
+
+
+class TestBatchPointQuery:
+    @pytest.mark.parametrize("fanout", [4, 8, 32])
+    def test_matches_the_lane_programs_op_by_op(self, fanout):
+        tree = grown_tree(fanout, seed=fanout)
+        present, values = tree.items()
+        chain = tree.leaf_ids()
+        rng = np.random.default_rng(fanout)
+        keys = np.concatenate([
+            present[:: max(present.size // 60, 1)],  # hits
+            rng.integers(0, 21_000, size=60),  # mostly misses
+            [0, present[-1] + 1, EMPTY_KEY - 1],
+        ])
+        n = keys.size
+        leaves, _ = batch_find_leaf(tree, keys)
+        pos = np.searchsorted(chain, leaves, sorter=np.argsort(chain))
+        pos = np.argsort(chain)[pos]  # chain position of each key's leaf
+        # a walk starts at the key's leaf or up to 3 leaves before it
+        start = chain[np.maximum(pos - rng.integers(0, 4, size=n), 0)]
+        start = np.where(rng.random(n) < 0.5, NO_NODE, start)
+        load_rf = rng.random(n) < 0.3
+        streams = rng.permutation(n)
+
+        (offsets, kinds, addrs), (got_values, got_leaves, got_steps) = batch_point_query(
+            tree, keys, start, load_rf, streams
+        )
+        assert kinds.dtype == np.int8 and offsets.size == n + 1
+        for i in range(n):
+            at = slice(offsets[streams[i]], offsets[streams[i] + 1])
+            want_kinds, want_addrs, (value, leaf, steps) = program_ops(
+                tree,
+                point_query_program(tree, int(keys[i]), int(start[i]), bool(load_rf[i]), i),
+            )
+            assert kinds[at].tolist() == want_kinds
+            assert addrs[at].tolist() == want_addrs
+            assert (got_values[i], got_leaves[i], got_steps[i]) == (value, leaf, steps)
+        assert np.array_equal(got_leaves, leaves)
+        assert np.any(got_values != NULL_VALUE) and np.any(got_values == NULL_VALUE)
+        assert np.any(got_steps > 1 + (start == NO_NODE) * (tree.height - 1))  # real walks
+
+    @pytest.mark.parametrize("where", ["child", "next_leaf"])
+    @pytest.mark.parametrize("node", ["straddling", "negative", "huge"])
+    def test_out_of_arena_pointer_faults_like_the_interpreter(self, where, node):
+        cfg = TreeConfig(fanout=8)
+        keys = np.arange(0, 400, 2, dtype=np.int64)
+        max_nodes = BPlusTree.plan_max_nodes(keys.size, cfg)
+        words = NodeLayout(fanout=8).arena_words(max_nodes)
+        tree = BPlusTree.build(keys, keys, cfg, arena=MemoryArena(words + 3))
+        bad = {"straddling": max_nodes, "negative": -2, "huge": 2**62}[node]
+        first = int(tree.leaf_ids()[0])
+        start = NO_NODE
+        if where == "child":
+            tree.views.host(tree.root).children[0] = bad
+        else:
+            tree.views.host(first).next_leaf = bad
+            start = first
+        with pytest.raises(SimulationError, match="out of bounds") as want:
+            run_subroutine(point_query_program(tree, 1, start, True, 0), tree.arena)
+        with pytest.raises(SimulationError, match=re.escape(str(want.value))):
+            batch_point_query(tree, [1, 1], [start, start], [True, False], [1, 0])
 
 
 def loop_apply(tree: BPlusTree, kinds, keys, values) -> np.ndarray:

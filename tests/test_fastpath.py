@@ -9,13 +9,14 @@ arrays are bit-for-bit identical on the reference path
   divergent lengths, early retirees),
 * iteration-warp style ``WaitGE`` barriers with uneven arrival (the only
   construct the fast path *parks* on),
-* grids mixing one-lane warps (run inline by the launcher) with 8-lane
-  warps under a seeded warp-order rng,
+* grids mixing one-lane warps with 8-lane warps under a seeded
+  warp-order rng,
 * whole-system batches for every system kind (host mutation mid-kernel
   included), plus Eirene range scans (one one-lane warp per range request),
-* lowered store-free launches (range-only launches replayed from numpy op
-  streams) against the reference path, rng stream and bounds checks
-  included,
+* lowered store-free launches (synthetic grids of one-lane, multi-lane and
+  barrier warps, and Eirene's query kernels, replayed from numpy op
+  streams) against the reference path, rng stream, bounds checks and the
+  RF-hazard fallback included,
 
 plus the probe fallback rule (an attached probe must see every op, i.e.
 the reference path runs), the ``REPRO_SLOW_PATH=1`` escape hatch, the
@@ -26,8 +27,9 @@ interpreter path applies to loads, stores and atomics.
 Random programs respect the ``WaitGE`` contract: the condition sequence is
 only ever advanced by same-warp lanes, and each waiting program keeps its
 own ``while`` re-check around the yield. The one exception is the grid's
-one-lane waiter, advanced by another warp: one-lane warps never park, so
-every path must resume it in exactly the reference rounds.
+one-lane waiter, advanced by another warp: a lone lane's barrier group is
+re-checked at every slot start, so every path must resume it in exactly
+the reference rounds.
 """
 
 from __future__ import annotations
@@ -185,7 +187,7 @@ def test_barrier_programs_equivalent():
 
 
 # --------------------------------------------------------------------- #
-# grids of one-lane and 8-lane warps (the launcher's inline path)
+# grids of one-lane and 8-lane warps
 # --------------------------------------------------------------------- #
 def grid_programs(seed: int):
     """Seeded lane programs per warp for :func:`run_grid`, plus the number
@@ -254,7 +256,7 @@ def run_grid(seed: int, execution: ExecutionConfig, probe=None):
 def test_one_lane_grid_equivalent(seed):
     ref = run_grid(seed, SEQUENTIAL)
     opt = run_grid(seed, ExecutionConfig())
-    assert sum(w.inline_lane() is not None for w in opt[3]) >= 9
+    assert sum(len(w.lanes) == 1 for w in opt[3]) >= 9
     assert deep_eq(ref[0], opt[0]), "KernelCounters diverged"
     assert ref[0].cycles == opt[0].cycles > 0
     assert ref[1] == opt[1], "lane results diverged"
@@ -344,7 +346,7 @@ def test_probe_forces_reference_path():
     assert deep_eq(ref[0], opt[0])
     assert ref[1] == opt[1]
 
-    # one-lane warps must not take the launcher's inline path either
+    # one-lane warps must run under the probe too
     ref = run_grid(0, SEQUENTIAL)
     probe = CountingProbe()
     opt = run_grid(0, ExecutionConfig(), probe=probe)
@@ -441,7 +443,7 @@ def launch_spy(monkeypatch):
 
 
 def _run_range_batches(execution, seen, system="eirene", fanout=32, distribution="zipfian",
-                       batches=None, probe=None, mix=None):
+                       batches=None, probe=None, mix=None, device=None, **system_kwargs):
     """Seeded YCSB-E (or ``mix``) batches, or ``batches``, on the SIMT
     engine. Returns the outcomes, the final arena words, each launch's
     counters, the rng states after each batch, and how many launches ran
@@ -455,7 +457,8 @@ def _run_range_batches(execution, seen, system="eirene", fanout=32, distribution
     try:
         rng = np.random.default_rng(fanout)
         keys, values = build_key_pool(2**10, rng)
-        sys_ = make_system(system, keys, values, TreeConfig(fanout=fanout), seed=3)
+        sys_ = make_system(system, keys, values, TreeConfig(fanout=fanout), device=device,
+                           seed=3, **system_kwargs)
         if probe is not None:
             sys_.devctx.attach_probe(probe)
         wl = YcsbWorkload(pool=keys, mix=mix or YCSB_E, distribution=distribution)
@@ -470,11 +473,12 @@ def _run_range_batches(execution, seen, system="eirene", fanout=32, distribution
     return outs, sys_.tree.arena.data.copy(), seen["counters"], states, seen["lowered"]
 
 
-def assert_lowered_matches_reference(seen, **kwargs):
+def assert_lowered_matches_reference(seen, expect_lowered=True, **kwargs):
     ref = _run_range_batches(SEQUENTIAL, seen, **kwargs)
     assert ref[4] == 0
     low = _run_range_batches(ExecutionConfig(), seen, **kwargs)
-    assert low[4] >= 1, "no launch ran lowered"
+    if expect_lowered:
+        assert low[4] >= 1, "no launch ran lowered"
     assert deep_eq(ref[0], low[0]), "outcomes diverged"
     assert np.array_equal(ref[1], low[1]), "arena words diverged"
     assert deep_eq(ref[2], low[2]), "per-launch counters diverged"
@@ -482,38 +486,52 @@ def assert_lowered_matches_reference(seen, **kwargs):
     return low
 
 
+#: a device whose cycle costs are not integers, so the per-SM accumulation
+#: order shows in the last bits
+ODD_COSTS = DeviceConfig(num_sms=3, cycles_per_inst=0.1, cycles_per_mem_transaction=0.7)
+
+
+def run_lowerable_grid(seed: int, execution: ExecutionConfig, warps: list, trace_fn,
+                       n_requests: int, device: DeviceConfig = ODD_COSTS):
+    """Launch ``warps`` (lists of lane programs) as one grid: lowered from
+    ``trace_fn()`` when the launch allows it, else as programs."""
+    set_execution_config(execution)
+    arena = MemoryArena(DATA_WORDS)
+    launch = KernelLaunch(device, arena, n_requests, rng=np.random.default_rng((333, seed)))
+    if launch.lowers:
+        launch.add_lowered(len(warps), lambda: (trace_fn(), "lowered"))
+    else:
+        for programs in warps:
+            launch.add_warp(programs)
+    counters = launch.run()
+    return counters, launch.lowered_result, launch.rng.bit_generator.state
+
+
 def run_store_free_grid(seed: int, execution: ExecutionConfig, n_warps: int):
-    """A grid of seeded one-lane Load/Branch/Mark programs registered as
-    lowered warps, on a device whose cycle costs are not integers (so the
-    per-SM accumulation order shows in the last bits)."""
+    """A grid of seeded one-lane Load/Branch/Mark programs."""
     from repro.simt.lowered import OP_BRANCH, OP_LOAD, OP_MARK, OpTrace
 
-    set_execution_config(execution)
     rng = np.random.default_rng((444, seed))
     # warp 0 runs only its Mark: on its SM it may be the first op charged
     streams = [
         rng.choice([OP_LOAD, OP_BRANCH], size=int(rng.integers(0, 30)) if i else 0)
         for i in range(n_warps)
     ]
-    arena = MemoryArena(DATA_WORDS)
 
     def prog(stream, rid):
         for code in stream.tolist():
             yield Load(rid % DATA_WORDS) if code == OP_LOAD else Branch()
         yield Mark(rid)
 
-    def lower():
+    def trace():
         kinds = [np.append(st, OP_MARK).astype(np.int8) for st in streams]
+        addrs = [np.where(k == OP_LOAD, rid % DATA_WORDS, 0) for rid, k in enumerate(kinds)]
         offsets = np.cumsum([0] + [k.size for k in kinds])
-        return OpTrace(offsets, np.concatenate(kinds), np.arange(n_warps)), "lowered"
+        return OpTrace(offsets, np.concatenate(kinds), np.concatenate(addrs),
+                       np.arange(n_warps), np.arange(n_warps + 1), np.zeros(n_warps, dtype=int))
 
-    device = DeviceConfig(
-        num_sms=3, cycles_per_inst=0.1, cycles_per_mem_transaction=0.7
-    )
-    launch = KernelLaunch(device, arena, n_warps, rng=np.random.default_rng((333, seed)))
-    launch.add_lowered_warps([prog(st, i) for i, st in enumerate(streams)], lower)
-    counters = launch.run()
-    return counters, launch.lowered_result, launch.rng.bit_generator.state
+    warps = [[prog(st, i)] for i, st in enumerate(streams)]
+    return run_lowerable_grid(seed, execution, warps, trace, n_warps)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -521,6 +539,98 @@ def run_store_free_grid(seed: int, execution: ExecutionConfig, n_warps: int):
 def test_lowered_store_free_grid_equivalent(seed, n_warps):
     ref = run_store_free_grid(seed, SEQUENTIAL, n_warps)
     low = run_store_free_grid(seed, ExecutionConfig(), n_warps)
+    assert (ref[1], low[1]) == (None, "lowered")
+    assert deep_eq(ref[0], low[0]), "KernelCounters diverged"
+    assert ref[0].cycles == low[0].cycles > 0
+    assert ref[2] == low[2], "scheduling-rng stream diverged"
+
+
+def run_barrier_grid(seed: int, execution: ExecutionConfig, n_warps: int):
+    """A grid of seeded warps, 1 to 8 lanes wide. A barrier-free warp's
+    lanes run one request each; an iteration warp's lanes run one request
+    per iteration, separated by ``WaitGE`` barriers, and its last lanes may
+    skip trailing iterations (a ragged request group) — or all of them.
+    A request is a random Load/Branch stream, its loads landing in a few
+    segments so slots coalesce, then its Mark."""
+    from repro.simt.lowered import OP_BRANCH, OP_LOAD, OP_MARK, OpTrace
+
+    rng = np.random.default_rng((888, seed))
+    shapes = []  # per warp: (iterations, per lane: its requests)
+    rid = 0
+    for _ in range(n_warps):
+        width = int(rng.integers(1, 9))
+        iters = int(rng.integers(0, 4))
+        ragged = int(rng.integers(1, width + 1))
+        lanes = []
+        for lane in range(width):
+            n_req = max(iters, 1)
+            if iters and lane >= ragged:
+                n_req = int(rng.integers(0, iters))
+            reqs = []
+            for _ in range(n_req):
+                kinds = rng.choice([OP_LOAD, OP_BRANCH], size=int(rng.integers(0, 12)))
+                addrs = np.where(kinds == OP_LOAD, rng.integers(0, 64, size=kinds.size), 0)
+                reqs.append((kinds, addrs, rid))
+                rid += 1
+            lanes.append(reqs)
+        shapes.append((iters, lanes))
+
+    def ops(req):
+        kinds, addrs, req_id = req
+        for code, addr in zip(kinds.tolist(), addrs.tolist()):
+            yield Load(addr) if code == OP_LOAD else Branch()
+        yield Mark(req_id)
+
+    def free_lane(reqs):
+        for req in reqs:
+            yield from ops(req)
+
+    def iteration_lane(reqs, arrived, n_lanes):
+        for it in range(len(arrived)):
+            if it < len(reqs):
+                yield from ops(reqs[it])
+            arrived[it] += 1
+            while arrived[it] < n_lanes:
+                yield WaitGE(arrived, it, n_lanes)
+
+    warps = []
+    for iters, lanes in shapes:
+        if iters:
+            arrived = [0] * iters
+            warps.append([iteration_lane(reqs, arrived, len(lanes)) for reqs in lanes])
+        else:
+            warps.append([free_lane(reqs) for reqs in lanes])
+
+    def trace():
+        kinds, addrs, mark_ids, lane_ops, widths, iters = [], [], [], [], [], []
+        for n_iters, lanes in shapes:
+            widths.append(len(lanes))
+            iters.append(n_iters)
+            for reqs in lanes:
+                n = 0
+                for req_kinds, req_addrs, req_id in reqs:
+                    kinds.append(np.append(req_kinds, OP_MARK).astype(np.int8))
+                    addrs.append(np.append(req_addrs, 0))
+                    mark_ids.append(req_id)
+                    n += req_kinds.size + 1
+                lane_ops.append(n)
+        return OpTrace(
+            np.cumsum([0] + lane_ops), np.concatenate(kinds), np.concatenate(addrs),
+            np.array(mark_ids), np.cumsum([0] + widths), np.array(iters),
+        )
+
+    return run_lowerable_grid(seed, execution, warps, trace, rid,
+                              device=dataclasses.replace(ODD_COSTS, warp_size=8))
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("n_warps", [1, 3, 24])
+def test_lowered_barrier_grid_equivalent(seed, n_warps):
+    """The barrier rule, ragged iterations, the round each warp returns in
+    and per-slot coalescing, on multi-lane warps with and without
+    barriers."""
+    ref = run_barrier_grid(seed, SEQUENTIAL, n_warps)
+    low = run_barrier_grid(seed, ExecutionConfig(), n_warps)
     assert (ref[1], low[1]) == (None, "lowered")
     assert deep_eq(ref[0], low[0]), "KernelCounters diverged"
     assert ref[0].cycles == low[0].cycles > 0
@@ -535,15 +645,15 @@ def test_lowered_range_launches_equivalent(launch_spy, fanout, distribution):
     assert all(out.results.range_keys.size for out in low[0])
 
 
-def test_mixed_query_kernel_stays_interpreted(launch_spy):
-    """A query kernel holding point queries beside ranges is not lowered,
-    and still equals the reference interpreter."""
+def test_mixed_query_kernel_runs_lowered(launch_spy):
+    """A query kernel holding point queries (iteration warps) beside ranges
+    runs lowered whole, and equals the reference interpreter."""
     from repro.workloads import YcsbMix
 
     mix = YcsbMix(query=0.45, update=0.0, insert=0.05, range_=0.5)
     ref = _run_range_batches(SEQUENTIAL, launch_spy, mix=mix)
     fast = _run_range_batches(ExecutionConfig(), launch_spy, mix=mix)
-    assert fast[4] == 0, "a mixed query kernel ran lowered"
+    assert fast[4] == 2, "a mixed query kernel was interpreted"
     for out in fast[0]:  # the batches really hold hits and scanned ranges
         assert np.any(out.results.values != NULL_VALUE)
         assert out.results.range_keys.size
@@ -551,6 +661,165 @@ def test_mixed_query_kernel_stays_interpreted(launch_spy):
     assert np.array_equal(ref[1], fast[1]), "arena words diverged"
     assert deep_eq(ref[2], fast[2]), "per-launch counters diverged"
     assert ref[3] == fast[3], "scheduling-rng stream diverged"
+
+
+#: point queries beside updates, inserts and ranges: the query kernel holds
+#: iteration (or ``d_query``) warps and range warps, and the update kernel
+#: reshapes the tree between batches
+QUERY_MIX_KW = dict(query=0.6, update=0.2, insert=0.05, range_=0.15)
+#: two SMs: a batch's ~10 RGs share iteration warps of up to
+#: ``rgs_per_iteration_warp`` RGs (on many SMs each warp would run one)
+TWO_SMS = DeviceConfig(num_sms=2)
+
+QUERY_MATRIX = [
+    (fanout, distribution, rgs, rf, True)
+    for fanout in (4, 8, 32)
+    for distribution in ("uniform", "zipfian")
+    for rgs in (1, 2, 4)
+    for rf in (True, False)
+] + [  # locality off: 32-lane d_query warps (no RGs, no RF)
+    (fanout, distribution, 4, True, False)
+    for fanout in (4, 8, 32)
+    for distribution in ("uniform", "zipfian")
+]
+
+
+@pytest.mark.parametrize("fanout, distribution, rgs, rf, locality", QUERY_MATRIX)
+def test_lowered_query_kernel_equivalent(launch_spy, fanout, distribution, rgs, rf, locality):
+    from repro.config import EireneConfig
+    from repro.workloads import YcsbMix
+
+    config = EireneConfig(
+        rgs_per_iteration_warp=rgs, enable_rf_decision=rf, enable_locality=locality
+    )
+    low = assert_lowered_matches_reference(
+        launch_spy, fanout=fanout, distribution=distribution, device=TWO_SMS,
+        mix=YcsbMix(**QUERY_MIX_KW), config=config,
+    )
+    assert low[4] == 2, "a query kernel was interpreted"
+
+
+def test_lowered_query_kernel_makes_the_rf_updates(launch_spy, monkeypatch):
+    """Long horizontal walks rewrite RFs mid-kernel (here with the RF
+    decision off, so the walks get long): the lowered launch makes the same
+    ``update_rf`` calls, so the arena's RF words match."""
+    from repro.btree import BPlusTree
+    from repro.config import EireneConfig
+    from repro.workloads import YCSB_C
+
+    kwargs = dict(fanout=4, distribution="uniform", mix=YCSB_C, device=TWO_SMS,
+                  config=EireneConfig(enable_rf_decision=False))
+    calls = []
+    update_rf = BPlusTree.update_rf
+
+    def spy(tree, leaf, steps):
+        calls.append((int(leaf), int(steps)))
+        return update_rf(tree, leaf, steps)
+
+    monkeypatch.setattr(BPlusTree, "update_rf", spy)
+    ref = _run_range_batches(SEQUENTIAL, launch_spy, **kwargs)
+    ref_calls, calls[:] = sorted(calls), []
+    low = _run_range_batches(ExecutionConfig(), launch_spy, **kwargs)
+    assert low[4] == 2
+    assert ref_calls and sorted(calls) == ref_calls
+    assert deep_eq(ref[0], low[0]) and np.array_equal(ref[1], low[1])
+    assert deep_eq(ref[2], low[2]) and ref[3] == low[3]
+
+
+def _query_batch(keys) -> "RequestBatch":
+    from repro._types import OpKind
+    from repro.workloads.requests import RequestBatch
+
+    n = len(keys)
+    return RequestBatch(kinds=np.full(n, OpKind.QUERY), keys=np.asarray(keys),
+                        values=np.zeros(n), range_ends=np.zeros(n))
+
+
+def _small_system(fanout: int, device=None, **kwargs):
+    """The system :func:`_run_range_batches` builds, to pick batch keys from."""
+    from repro import build_key_pool, make_system
+    from repro.config import TreeConfig
+
+    keys, values = build_key_pool(2**10, np.random.default_rng(fanout))
+    return make_system("eirene", keys, values, TreeConfig(fanout=fanout), device=device,
+                       seed=3, **kwargs)
+
+
+def test_lowered_ragged_rg_and_one_request_launches(launch_spy):
+    """One SM: a 45-query launch is one iteration warp whose second RG
+    leaves lanes 13..31 without a request; then a launch of one query, with
+    locality on and off."""
+    from repro.config import EireneConfig
+
+    device = DeviceConfig(num_sms=1)
+    present, _ = _small_system(8, device).tree.items()
+    ragged = _query_batch(present[10:100:2][:45])
+    single = _query_batch(present[7:8])
+    for locality in (True, False):
+        config = EireneConfig(enable_locality=locality)
+        low = assert_lowered_matches_reference(
+            launch_spy, fanout=8, device=device, config=config, batches=[ragged, single]
+        )
+        assert low[4] == 2
+        assert np.all(low[0][0].results.values[:45] != NULL_VALUE)
+
+
+def test_cross_warp_rf_hazard_falls_back(launch_spy, monkeypatch):
+    """Four 4-lane RGs in two warps of two RGs: RG0 (warp 0) and RG2 (warp 1)
+    both end in leaf X, and RG3 walks from X to the leaf ``height + 1`` hops
+    on, rewriting X's RF — which RG1's decision read through RG0. Which warp
+    runs first decides what that load sees, so the launch is interpreted,
+    and still equals the reference."""
+    from repro.config import EireneConfig
+
+    device = DeviceConfig(num_sms=1, warp_size=4)
+    config = EireneConfig(rgs_per_iteration_warp=2)
+    tree = _small_system(8, device, config=config).tree
+    chain = tree.leaf_ids()
+    x = int(chain[5])
+    fence = tree.views.host(x).fence
+    assert tree.views.host(int(chain[6])).fence > fence + 8
+    rf = tree.views.host(x).rf
+    assert rf == tree.views.host(int(chain[5 + tree.height + 1])).keys[0]
+    keys = [fence + i for i in range(-3, 9)]  # RG0 ends in X; RG1, RG2 inside it
+    keys += [rf - 3, rf - 2, rf - 1, rf]  # RG3: a horizontal walk past height
+    batch = _query_batch(keys)
+
+    calls = []
+    update_rf = type(tree).update_rf
+    monkeypatch.setattr(type(tree), "update_rf",
+                        lambda t, leaf, steps: calls.append(int(leaf)) or update_rf(t, leaf, steps))
+    low = assert_lowered_matches_reference(
+        launch_spy, fanout=8, device=device, config=config, batches=[batch], expect_lowered=False
+    )
+    assert low[4] == 0, "the hazard launch ran lowered"
+    assert x in calls
+    # without the RF decision the loaded RF is never read: no hazard
+    config = EireneConfig(rgs_per_iteration_warp=2, enable_rf_decision=False)
+    low = assert_lowered_matches_reference(
+        launch_spy, fanout=8, device=device, config=config, batches=[batch]
+    )
+    assert low[4] == 1
+
+
+@pytest.mark.parametrize("how", ["probe", "slow-path-env"])
+def test_probes_keep_the_interpreter_for_query_kernels(launch_spy, monkeypatch, how):
+    from repro.workloads import YcsbMix
+
+    kwargs = dict(mix=YcsbMix(**QUERY_MIX_KW), device=TWO_SMS)
+    lowered = _run_range_batches(ExecutionConfig(), launch_spy, **kwargs)
+    assert lowered[4] == 2
+    if how == "slow-path-env":
+        monkeypatch.setenv("REPRO_SLOW_PATH", "1")
+        set_execution_config(None)
+    probe = LaunchCountingProbe()
+    probed = _run_range_batches(execution_config(), launch_spy, probe=probe, **kwargs)
+    assert probed[4] == 0, "a probed launch ran lowered"
+    assert len(probe.launches) == 4 and all(ops > 0 for ops, _ in probe.launches)
+    assert deep_eq(lowered[0], probed[0])
+    assert np.array_equal(lowered[1], probed[1])
+    assert deep_eq(lowered[2], probed[2])
+    assert lowered[3] == probed[3]
 
 
 def test_lowered_single_range_launch_equivalent(launch_spy):
