@@ -266,6 +266,36 @@ def _descend(tree: BPlusTree, keys: np.ndarray, streams: np.ndarray,
     return node, steps
 
 
+def _walk(tree: BPlusTree, keys: np.ndarray, starts: np.ndarray, streams: np.ndarray,
+          tokens: _Tokens) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`~repro.btree.device_ops.d_walk_leaves` from ``starts[i]``
+    toward every ``keys[i]`` at once, into stream ``streams[i]`` of
+    ``tokens``: per leaf ``Load next``, ``Branch`` and, if there is a next
+    leaf, ``Load`` of its fence, ``Branch``, moving on while that fence is
+    at most the key. Returns each walk's leaf and steps (the buffered leaf
+    counts as one)."""
+    data = tree.arena.data
+    node = np.array(starts, dtype=np.int64)
+    steps = np.ones(keys.size, dtype=np.int64)
+    lanes = np.arange(keys.size)
+    while lanes.size:
+        if steps[lanes[0]] > MAX_HORIZONTAL_STEPS:  # all walking lanes are level
+            raise SimulationError("leaf chain walk did not terminate")
+        at = _node_bases(tree, node[lanes], OFF_NEXT) + OFF_NEXT
+        nxt = _load(data, at)
+        tokens.emit(streams[lanes], _CHECK, at)
+        go = nxt != NO_NODE
+        lanes, nxt = lanes[go], nxt[go]
+        at = _node_bases(tree, nxt, OFF_FENCE) + OFF_FENCE
+        fence = _load(data, at)
+        tokens.emit(streams[lanes], _CHECK, at)
+        go = fence <= keys[lanes]
+        lanes = lanes[go]
+        node[lanes] = nxt[go]
+        steps[lanes] += 1
+    return node, steps
+
+
 def batch_range_scan(
     tree: BPlusTree, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[OpTrace, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -391,22 +421,9 @@ def batch_point_query(
     if down.size:
         node[down], steps[down] = _descend(tree, keys[down], streams[down], tokens)
 
-    lanes = np.flatnonzero(walk)
-    while lanes.size:
-        if steps[lanes[0]] > MAX_HORIZONTAL_STEPS:  # all walking lanes are level
-            raise SimulationError("leaf chain walk did not terminate")
-        at = _node_bases(tree, node[lanes], OFF_NEXT) + OFF_NEXT
-        nxt = _load(data, at)
-        tokens.emit(streams[lanes], _CHECK, at)
-        go = nxt != NO_NODE
-        lanes, nxt = lanes[go], nxt[go]
-        at = _node_bases(tree, nxt, OFF_FENCE) + OFF_FENCE
-        fence = _load(data, at)
-        tokens.emit(streams[lanes], _CHECK, at)
-        go = fence <= keys[lanes]
-        lanes = lanes[go]
-        node[lanes] = nxt[go]
-        steps[lanes] += 1
+    up = np.flatnonzero(walk)
+    if up.size:
+        node[up], steps[up] = _walk(tree, keys[up], start_leaves[up], streams[up], tokens)
 
     # d_search_leaf: the row may run past the arena; only the words scanned
     # are checked

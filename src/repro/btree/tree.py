@@ -245,16 +245,24 @@ class BPlusTree:
         vertical traversal instead."""
         if observed_steps <= self.height:
             return
+        rf = self.updated_rf(start_leaf)
+        if rf is not None:
+            self.views.host(start_leaf).rf = rf
+
+    def updated_rf(self, start_leaf: int) -> int | None:
+        """The RF :meth:`update_rf` records for ``start_leaf`` after a long
+        walk: the min key of the leaf ``height + 1`` hops ahead, or
+        ``None`` (the RF stays) when the chain ends earlier or that leaf is
+        empty. Reads only; callers that must decide before writing use it."""
         views = self.views
         node = start_leaf
         for _ in range(self.height + 1):
             nxt = views.host(node).next_leaf
             if nxt == NO_NODE:
-                return
+                return None
             node = nxt
         h = views.host(node)
-        if h.count > 0:
-            views.host(start_leaf).rf = int(h.keys[0])
+        return int(h.keys[0]) if h.count > 0 else None
 
     # ------------------------------------------------------------------ #
     # traversal helpers (host plane)

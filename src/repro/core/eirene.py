@@ -31,10 +31,19 @@ suite checks every batch against the sequential reference.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from dataclasses import dataclass
+
 import numpy as np
 
 from .._types import NO_NODE, NULL_VALUE, OpKind
-from ..btree import batch_find_leaf, batch_leaf_lookup, batch_point_query, batch_range_scan
+from ..btree import (
+    batch_find_leaf,
+    batch_leaf_lookup,
+    batch_leaf_slots,
+    batch_point_query,
+    batch_range_scan,
+)
 from ..btree.tree import BPlusTree
 from ..config import EireneConfig, FULL_EIRENE
 from ..device import DeviceContext
@@ -61,9 +70,11 @@ from .kernels import (
     make_iteration_lane_program,
     make_warp_shared,
 )
-from .locality import build_iteration_plan, vector_locality_steps
+from .locality import IterationPlan, build_iteration_plan, vector_locality_steps
 from .pipeline import FinalizePass, Pass, PassPipeline, PipelineContext
 from .range_combining import apply_range_patches, plan_range_patches
+from .update_schedule import UpdateSchedule
+from .update_trace import UpdateTemplates
 
 #: fraction of a writer's leaf-region transaction window a unified-kernel
 #: query's (much shorter) protected leaf read is exposed to. Only the
@@ -424,6 +435,53 @@ class SimtResultCalPass(Pass):
             ctx.traversal_steps = float(steps.mean())
 
 
+# --------------------------------------------------------------------- #
+# lowered SIMT launches
+# --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class LaneLayout:
+    """Where the issued requests of a launch run, as
+    :meth:`EireneTree._add_iteration_warps` (locality on) or
+    ``KernelLaunch.add_programs`` (locality off) packs them.
+
+    Request ``p`` runs in iteration ``it[p]`` of launch lane ``lane[p]``,
+    which belongs to warp ``warp[p]``. Warp ``w`` holds lanes
+    ``warp_lanes[w]:warp_lanes[w + 1]`` and runs ``iters[w]`` barrier
+    iterations (0 without locality). ``order`` lists the requests lane by
+    lane, each lane's in iteration order: the order of their op streams.
+    With locality, ``iplan`` is the iteration plan, ``rg[p]`` request
+    ``p``'s RG and ``rg_warp`` each RG's warp.
+    """
+
+    warp: np.ndarray
+    lane: np.ndarray
+    it: np.ndarray
+    order: np.ndarray
+    warp_lanes: np.ndarray
+    iters: np.ndarray
+    iplan: IterationPlan | None = None
+    rg: np.ndarray | None = None
+    rg_warp: np.ndarray | None = None
+
+    @property
+    def n_warps(self) -> int:
+        return int(self.iters.size)
+
+
+@dataclass(frozen=True)
+class LoweredRuns:
+    """The issued requests of a lowered launch, in ``runs`` order: their old
+    values, traversal steps and transaction retries, the warps they fill,
+    and ``build``, which returns those warps' trace (an update launch also
+    makes its arena, RF and STM writes there, inside the launch)."""
+
+    n_warps: int
+    build: Callable[[], OpTrace]
+    values: np.ndarray
+    steps: np.ndarray
+    retries: np.ndarray
+
+
 class EireneTree(System):
     """Combining-based concurrent GPU B+tree."""
 
@@ -531,11 +589,13 @@ class EireneTree(System):
         warp per range request, after the runs' warps, and installs the
         scans into ``ctx.results`` after the run.
 
-        An unprotected launch is lowered whole when the launch allows it
-        (:attr:`~repro.simt.KernelLaunch.lowers`) and
+        A launch is lowered whole when the launch allows it
+        (:attr:`~repro.simt.KernelLaunch.lowers`) and its requests' streams
+        can be built up front: an unprotected launch when
         :meth:`_lower_queries` finds its point queries' streams fixed at
-        launch time: no lane program is built then, and the launch replays
-        one trace of its query and range warps.
+        launch time, a protected one without ranges when
+        :meth:`_lower_updates` finds it split-free. No lane program is
+        built then, and the launch replays one trace of its warps.
         """
         plan: CombinePlan = ctx.art["plan"]
         old_vals = ctx.art["old_vals"]
@@ -548,12 +608,15 @@ class EireneTree(System):
         lowered = None
         if launch.lowers and not protected:
             lowered = self._lower_queries(plan, runs, locality)
+        elif launch.lowers and not ranges:
+            lowered = self._lower_updates(plan, runs, locality, launch.rng)
         if lowered is not None:
-            trace, values, steps = lowered
-            old_vals[runs] = values
-            steps_record.extend(steps.tolist())
+            old_vals[runs] = lowered.values
+            steps_record.extend(lowered.steps.tolist())
+            retries[plan.issued_orig[runs]] = lowered.retries
 
             def lower():
+                trace = lowered.build()
                 if not range_idx.size:
                     return trace, None
                 scan, found = batch_range_scan(
@@ -561,12 +624,12 @@ class EireneTree(System):
                 )
                 return OpTrace.concat([trace, scan.with_marks(range_idx)]), found
 
-            launch.add_lowered(trace.warps.size - 1 + range_idx.size, lower)
+            launch.add_lowered(lowered.n_warps + range_idx.size, lower)
         else:
             if runs.size:
                 if locality:
                     self._add_iteration_warps(launch, plan, runs, old_vals, steps_record,
-                                              protected)
+                                              retries, protected)
                 else:
                     launch.add_programs([
                         self._lane_program(plan, int(r), old_vals, retries, steps_record,
@@ -588,13 +651,38 @@ class EireneTree(System):
             ctx.extras["stm"] = stm_delta
             ctx.extras["retries"] = int(retries.sum())
 
+    def _lane_layout(self, n: int, locality: bool) -> LaneLayout:
+        """The :class:`LaneLayout` of ``n`` issued (key-sorted) requests."""
+        ws = self.device.warp_size
+        if not locality:
+            warp_lanes = np.append(np.arange(0, n, ws), n)
+            request = np.arange(n)
+            return LaneLayout(
+                warp=request // ws, lane=request, it=np.zeros(n, dtype=np.int64),
+                order=request, warp_lanes=warp_lanes,
+                iters=np.zeros(warp_lanes.size - 1, dtype=np.int64),
+            )
+        iplan = build_iteration_plan(n, ws, self.config.rgs_per_iteration_warp,
+                                     self.device.num_sms)
+        rg_size = iplan.rg_end - iplan.rg_start
+        rg_warp = np.repeat(np.arange(iplan.n_warps), np.diff(iplan.warp_offsets))
+        rg = np.repeat(np.arange(iplan.n_rgs), rg_size)
+        warp = rg_warp[rg]
+        lane_count = np.maximum.reduceat(rg_size, iplan.warp_offsets[:-1])
+        warp_lanes = np.concatenate(([0], np.cumsum(lane_count)))
+        lane = warp_lanes[warp] + np.arange(n) - iplan.rg_start[rg]
+        it = rg - iplan.warp_offsets[warp]
+        return LaneLayout(
+            warp=warp, lane=lane, it=it, order=np.lexsort((it, lane)), warp_lanes=warp_lanes,
+            iters=np.diff(iplan.warp_offsets), iplan=iplan, rg=rg, rg_warp=rg_warp,
+        )
+
     def _lower_queries(
         self, plan: CombinePlan, runs: np.ndarray, locality: bool
-    ) -> tuple[OpTrace, np.ndarray, np.ndarray] | None:
+    ) -> LoweredRuns | None:
         """The unprotected point queries of ``runs`` as one lowered trace,
-        laid out as :meth:`_add_iteration_warps` (``locality``) or
-        ``add_programs`` would pack their lanes, with their values and
-        traversal steps; ``None`` when the interpreter must run them.
+        laid out by :meth:`_lane_layout`, with their values and traversal
+        steps; ``None`` when the interpreter must run them.
 
         Iteration warps take their RGs' walk decisions from
         :func:`vector_locality_steps`, which reads every RF as it stood at
@@ -606,45 +694,35 @@ class EireneTree(System):
         the kernel's ``update_rf`` calls and returns the trace.
         """
         tree = self.tree
-        ws = self.device.warp_size
         n = int(runs.size)
         keys = plan.issued_keys[runs]
         req_ids = plan.issued_orig[runs]
-        if not locality or n == 0:
+        lay = self._lane_layout(n, locality and n > 0)
+        no_retries = np.zeros(n, dtype=np.int64)
+        if lay.iplan is None:
             (offsets, kinds, addrs), (values, _, steps) = batch_point_query(
-                tree, keys, np.full(n, NO_NODE), np.zeros(n, dtype=bool), np.arange(n)
+                tree, keys, np.full(n, NO_NODE), np.zeros(n, dtype=bool), lay.order
             )
-            warps = np.append(np.arange(0, n, ws), n)
-            no_barriers = np.zeros(warps.size - 1, dtype=np.int64)
-            return OpTrace(offsets, kinds, addrs, req_ids, warps, no_barriers), values, steps
+            trace = OpTrace(offsets, kinds, addrs, req_ids, lay.warp_lanes, lay.iters)
+            return LoweredRuns(lay.n_warps, lambda: trace, values, steps, no_retries)
 
         cfg = self.config
-        iplan = build_iteration_plan(n, ws, cfg.rgs_per_iteration_warp, self.device.num_sms)
+        iplan = lay.iplan
         ls = vector_locality_steps(tree, iplan, keys, cfg.enable_rf_decision, update_rf=False)
-        rg_size = iplan.rg_end - iplan.rg_start
         rg_last = ls.leaves[iplan.rg_end - 1]
-        rg_warp = np.repeat(np.arange(iplan.n_warps), np.diff(iplan.warp_offsets))
         if cfg.enable_rf_decision and ls.rf_leaves.size:
             # RG-last leaves whose RF a later RG of the same warp decides by
             reads = np.ones(iplan.n_rgs, dtype=bool)
             reads[iplan.warp_offsets[1:] - 1] = False
             watched = np.flatnonzero(reads & np.isin(rg_last, ls.rf_leaves))
             watched = watched[np.argsort(rg_last[watched], kind="stable")]
-            leaf, warp = rg_last[watched], rg_warp[watched]
+            leaf, warp = rg_last[watched], lay.rg_warp[watched]
             if np.any((leaf[1:] == leaf[:-1]) & (warp[1:] != warp[:-1])):
                 return None
 
-        # lane layout: request p runs in iteration ``it`` of lane ``lane``
-        rg = np.repeat(np.arange(iplan.n_rgs), rg_size)
-        warp = rg_warp[rg]
-        lane_count = np.maximum.reduceat(rg_size, iplan.warp_offsets[:-1])
-        warp_lanes = np.concatenate(([0], np.cumsum(lane_count)))
-        lane = warp_lanes[warp] + np.arange(n) - iplan.rg_start[rg]
-        it = rg - iplan.warp_offsets[warp]
-        order = np.lexsort((it, lane))
         streams = np.empty(n, dtype=np.int64)
-        streams[order] = np.arange(n)
-        buffered = np.concatenate(([NO_NODE], rg_last[:-1]))[rg]
+        streams[lay.order] = np.arange(n)
+        buffered = np.concatenate(([NO_NODE], rg_last[:-1]))[lay.rg]
         start = np.where(ls.horizontal, buffered, NO_NODE)
         rf_load = np.zeros(n, dtype=bool)
         rf_load[iplan.rg_end - 1] = True
@@ -655,10 +733,74 @@ class EireneTree(System):
             return None
         for leaf, walked in zip(ls.rf_leaves.tolist(), ls.rf_steps.tolist()):
             tree.update_rf(leaf, walked)
-        lane_streams = np.concatenate(([0], np.cumsum(np.bincount(lane))))
-        trace = OpTrace(offsets[lane_streams], kinds, addrs, req_ids[order], warp_lanes,
-                        np.diff(iplan.warp_offsets))
-        return trace, values, steps
+        lane_streams = np.concatenate(([0], np.cumsum(np.bincount(lay.lane))))
+        trace = OpTrace(offsets[lane_streams], kinds, addrs, req_ids[lay.order],
+                        lay.warp_lanes, lay.iters)
+        return LoweredRuns(lay.n_warps, lambda: trace, values, steps, no_retries)
+
+    def _lower_updates(
+        self, plan: CombinePlan, runs: np.ndarray, locality: bool, rng
+    ) -> LoweredRuns | None:
+        """The update kernel over ``runs`` as one lowered trace, laid out by
+        :meth:`_lane_layout`, or ``None`` when the interpreter must run it.
+
+        A launch lowers when it cannot split: every request is an
+        ``UPDATE`` or ``INSERT`` of a key present at launch start (no
+        ``DELETE``), so no leaf changes shape and a leaf transaction can
+        fail only at its leaf's ``count`` word (see
+        :mod:`repro.core.update_trace`). :class:`UpdateSchedule` plays
+        those words' events in the reference's order, on a copy of the
+        launch's scheduling ``rng`` where warps meet; the launch is
+        interpreted when it cannot (an RF one warp rewrites and another
+        loads, ``MAX_RETRIES``) or when the abort injector is set. All of
+        this is decided before any program is built and before any write:
+        the returned ``build`` makes the launch's writes — the new values,
+        the STM versions of the written words, the ``update_rf`` calls and
+        the STM statistics — and builds the trace.
+        """
+        stm = self.stm
+        n = int(runs.size)
+        kinds = plan.issued_kinds[runs]
+        if n == 0 or stm.abort_injector is not None or not np.all(
+            (kinds == OpKind.UPDATE) | (kinds == OpKind.INSERT)
+        ):
+            return None
+        tree = self.tree
+        cfg = self.config
+        keys = plan.issued_keys[runs]
+        # an absent key's leaf shifts or splits; an insert usually brings
+        # one, so its first insert is looked up alone before all keys are
+        inserts = keys[kinds == OpKind.INSERT]
+        if inserts.size and tree.leaf_slot(tree.find_leaf(int(inserts[0]))[0],
+                                           int(inserts[0])) < 0:
+            return None
+        if not batch_leaf_slots(tree, batch_find_leaf(tree, keys)[0], keys)[1].all():
+            return None
+        tpl = UpdateTemplates(tree, stm.region, keys)
+        if not tpl.valid.all():
+            return None
+        lay = self._lane_layout(n, locality)
+        sched = UpdateSchedule(tree, tpl, lay, cfg.stm_retry_threshold, cfg.enable_rf_decision,
+                               rng)
+        if not sched.play():
+            return None
+        values = plan.issued_values[runs]
+        stm_stats = sched.stm_stats()
+
+        def build() -> OpTrace:
+            data = tree.arena.data
+            region = stm.region
+            data[tpl.value_addr] = values
+            data[region.version_base + tpl.value_addr - region.data_base] += 1
+            np.add.at(data, region.version_base + tpl.count_addr - region.data_base, 1)
+            for leaf, walked in sched.rf_calls:
+                tree.update_rf(leaf, walked)
+            for name, count in stm_stats.items():
+                setattr(stm.stats, name, getattr(stm.stats, name) + count)
+            stm._next_tid += stm_stats["begins"]
+            return tpl.trace(lay, plan.issued_orig[runs], sched)
+
+        return LoweredRuns(lay.n_warps, build, tpl.old_values, sched.steps, sched.n_fails)
 
     def _lane_program(self, plan: CombinePlan, run: int, old_vals, retries, steps_record,
                       protected: bool):
@@ -681,7 +823,7 @@ class EireneTree(System):
                 val, steps = res.old, res.steps
                 retries[req_id] = res.retries
             elif protected:
-                val, steps, _retries, _horiz, _leaf = yield from d_protected_query(
+                val, steps, retries[req_id], _horiz, _leaf = yield from d_protected_query(
                     tree, self.stm, key
                 )
             else:
@@ -704,7 +846,7 @@ class EireneTree(System):
         return program()
 
     def _add_iteration_warps(self, launch, plan: CombinePlan, runs: np.ndarray,
-                             old_vals, steps_record, protected: bool) -> None:
+                             old_vals, steps_record, retries, protected: bool) -> None:
         """Pack the issued requests of ``runs`` (key-sorted) into iteration
         warps of ``rgs_per_iteration_warp`` request groups each."""
         cfg = self.config
@@ -712,9 +854,10 @@ class EireneTree(System):
             (self.stm, self.smo_lock_addr, cfg.stm_retry_threshold) if protected else None
         )
 
-        def on_result(slot: LaneSlot, val: int, steps: int, _horiz: bool) -> None:
+        def on_result(slot: LaneSlot, val: int, steps: int, _horiz: bool, n_retries: int) -> None:
             old_vals[slot.tag] = val
             steps_record.append(steps)
+            retries[slot.req_id] = n_retries
 
         ws = self.device.warp_size
         iplan = build_iteration_plan(

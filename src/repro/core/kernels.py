@@ -252,8 +252,9 @@ def make_iteration_lane_program(
     """Build one lane of an iteration warp.
 
     ``slots[it]`` is the lane's request in iteration ``it`` (None when the
-    final RG is ragged). ``on_result(slot, value, steps, horizontal)`` is
-    called with each finished request. For update kernels pass
+    final RG is ragged). ``on_result(slot, value, steps, horizontal,
+    retries)`` is called with each finished request (``retries`` counts its
+    transaction retries, 0 for an unprotected query). For update kernels pass
     ``update_ctx=(stm, smo_lock_addr, retry_threshold)``; queries run
     unprotected.
     """
@@ -275,15 +276,15 @@ def make_iteration_lane_program(
                         tree, stm, smo_addr, threshold,
                         slot.req_id, slot.kind, slot.key, slot.value, hint,
                     )
-                    val, steps, horiz, my_leaf = (
-                        res.old, res.steps, res.horizontal, res.leaf,
+                    val, steps, horiz, my_leaf, retries = (
+                        res.old, res.steps, res.horizontal, res.leaf, res.retries,
                     )
                 elif update_ctx is not None:
                     # unified kernel: query slots ride in update-class warps
                     # and read their leaf under STM protection
                     stm, _smo_addr, _threshold = update_ctx
                     hint = buffered if use_horizontal else None
-                    val, steps, _retries, horiz, my_leaf = yield from d_protected_query(
+                    val, steps, retries, horiz, my_leaf = yield from d_protected_query(
                         tree, stm, slot.key, hint
                     )
                 else:
@@ -294,7 +295,8 @@ def make_iteration_lane_program(
                         my_leaf, steps = yield from d_find_leaf(tree, slot.key)
                         horiz = False
                     val = yield from d_search_leaf(tree, my_leaf, slot.key)
-                on_result(slot, val, steps, horiz)
+                    retries = 0
+                on_result(slot, val, steps, horiz, retries)
                 # the RG's last lane publishes its leaf + RF to the buffer,
                 # and §5's dynamic RF maintenance fires on long walks
                 if lane == last_lane_of_iter[it] and my_leaf is not None:

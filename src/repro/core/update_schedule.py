@@ -1,0 +1,503 @@
+"""Guard resolution of a lowered split-free update kernel.
+
+In an update launch that cannot split (see :mod:`repro.core.update_trace`)
+a leaf transaction can fail only at its leaf's ``count`` word, so the
+launch is fixed once every such word's events are played in the order the
+reference interpreter runs them: by slot (a warp runs its slot ``r`` in
+round ``r``), then by the warp's place in the round, then by lane. Per
+attempt those events are the owner load (a read-write conflict if another
+lane owns the word), the version load, the compare-and-swap (a write-write
+conflict if owned), the commit validation (a conflict if the version moved
+since the load), then the publish's version bump and release, or, after a
+failed validation, the abort's release. A failed attempt is followed by a
+traversal and a fresh attempt.
+
+:class:`UpdateSchedule` plays a launch laid out by
+:meth:`~repro.core.eirene.EireneTree._lane_layout`:
+
+* **By iteration.** Iterations run in order, every warp at once: an RG's
+  walk decision reads the RF its predecessor's last lane loaded, and a
+  retry lengthens that lane's steps, which may fire ``update_rf`` first.
+  Lanes start an iteration by the barrier rule of
+  :mod:`repro.simt.lowered`. A lane alone on its leaf in its RG (its warp,
+  without locality) commits on its first attempt; lanes sharing a leaf in
+  one RG are played against each other, in lane order.
+* **In round order.** That assumes warps never meet. Where two warps
+  write one leaf in overlapping rounds, the launch is played again as one
+  event loop over all warps, iteration starts included, ordering each
+  round's events by the warp order the launch's scheduling rng will draw
+  (:class:`RoundOrder`, on a copy of the rng).
+
+RF words are the one other thing warps could share: a launch in which one
+warp rewrites the RF of a leaf whose RF another warp's RG-last lane loads
+(with the RF decision on) is left to the interpreter, as is one in which a
+lane would exceed ``MAX_RETRIES`` (the interpreter raises).
+"""
+
+from __future__ import annotations
+
+import copy
+import heapq
+from typing import NamedTuple
+
+import numpy as np
+
+from .kernels import MAX_RETRIES
+from .update_trace import RW, VAL, WW, UpdateTemplates
+
+
+class _Livelock(Exception):
+    """A lane would exceed ``MAX_RETRIES``."""
+
+
+class _Fallback(Exception):
+    """A walk ended off its key's leaf: the interpreter runs the launch."""
+
+
+class Lane(NamedTuple):
+    """One request as its ``count``-word events see it: where it runs, the
+    leaf it writes, the slot it starts in, its traversal lengths (the first
+    one, then before a retry the descent, or the STM-protected one from
+    retry ``threshold`` on) and its transaction's event offsets from
+    :class:`~repro.core.update_trace.UpdateTemplates`."""
+
+    warp: int
+    lane: int  # within the warp
+    leaf: int
+    start: int
+    first_len: int
+    desc_len: int
+    sdesc_len: int
+    pre: int
+    v0: int
+    p: int
+    bump: int
+    release: int
+    abort_release: int
+
+
+#: events of a transaction on its leaf's ``count`` word, and a scheduled
+#: callback (an iteration start)
+_G1, _VER, _CAS, _G3, _BUMP, _REL, _CALL = range(7)
+
+
+class RoundOrder:
+    """The order in which a launch's warps run each round, drawn from a copy
+    of its scheduling rng as :func:`~repro.simt.lowered.run_lowered` will
+    draw it: each round shuffles the warps still active, and a warp leaves
+    after the round its return slot names (:meth:`close`). Rounds are drawn
+    lazily, which is exact: a warp not closed yet still has events at or
+    after the round being drawn, so it is active there."""
+
+    def __init__(self, rng, n_warps: int) -> None:
+        self.rng = copy.deepcopy(rng)
+        self.order = np.arange(n_warps)
+        self.drawn = 0  # rounds drawn so far
+        self.leaving: dict[int, list[int]] = {}
+
+    def close(self, warp: int, returns: int) -> None:
+        self.leaving.setdefault(returns, []).append(warp)
+
+    def positions(self, r: int) -> dict[int, int]:
+        """Each warp's place in the order of round ``r`` (not drawn yet)."""
+        while True:
+            q = self.drawn
+            self.drawn += 1
+            if self.rng is not None and self.order.size > 1:
+                self.rng.shuffle(self.order)
+            at = {w: i for i, w in enumerate(self.order.tolist())} if q == r else None
+            gone = self.leaving.pop(q, None)
+            if gone:
+                self.order = self.order[~np.isin(self.order, gone)]
+            if at is not None:
+                return at
+
+
+class CountWordPlay:
+    """An event loop over ``count``-word events (see the module docstring)
+    and scheduled callbacks. Lanes join with :meth:`add`; when a lane's
+    attempt commits, ``on_commit(j, end)`` gets the slot after it. Within a
+    slot, events run by lane unless two warps meet at one leaf, then by
+    ``order``'s place of their warps."""
+
+    def __init__(self, threshold: int, on_commit, order: RoundOrder | None = None) -> None:
+        self.threshold = threshold
+        self.on_commit = on_commit
+        self.order = order
+        self.heap: list[tuple] = []
+        self.lanes: dict[int, Lane] = {}
+        self.att: dict[int, int] = {}  # each lane's running transaction start
+        self.seen: dict[int, int] = {}  # the word's version each lane loaded
+        self.fails: dict[int, list[int]] = {}
+        self.owner: dict[int, int] = {}  # leaf -> the lane owning its count word
+        self.version: dict[int, int] = {}  # leaf -> version bumps so far
+
+    def add(self, j: int, lane: Lane) -> None:
+        self.lanes[j] = lane
+        self.fails[j] = []
+        self.att[j] = lane.start + lane.first_len + 1
+        heapq.heappush(self.heap, (self.att[j] + lane.pre, lane.warp, lane.lane, j, _G1))
+
+    def call(self, slot: int, warp: int, fn) -> None:
+        heapq.heappush(self.heap, (slot, warp, -1, id(fn), _CALL, fn))
+
+    def _retry(self, j: int, code: int, free: int) -> None:
+        f = self.fails[j]
+        f.append(code)
+        if len(f) > MAX_RETRIES:
+            raise _Livelock
+        ln = self.lanes[j]
+        self.att[j] = a = free + (ln.desc_len if len(f) < self.threshold else ln.sdesc_len) + 1
+        heapq.heappush(self.heap, (a + ln.pre, ln.warp, ln.lane, j, _G1))
+
+    def run(self) -> None:
+        heap, pop, push = self.heap, heapq.heappop, heapq.heappush
+        lanes, att, seen, owner, version = (
+            self.lanes, self.att, self.seen, self.owner, self.version
+        )
+        while heap:
+            slot = heap[0][0]
+            batch = [pop(heap)]
+            while heap and heap[0][0] == slot:
+                batch.append(pop(heap))
+            if self.order is not None and len(batch) > 1:
+                warps_at: dict[int, set[int]] = {}
+                for e in batch:
+                    if e[4] != _CALL:
+                        warps_at.setdefault(lanes[e[3]].leaf, set()).add(e[1])
+                if any(len(w) > 1 for w in warps_at.values()):
+                    at = self.order.positions(slot)
+                    batch.sort(key=lambda e: (at[e[1]], e[2]))
+            for e in batch:
+                _, warp, lane, j, ev = e[:5]
+                if ev == _CALL:
+                    e[5]()
+                    continue
+                ln = lanes[j]
+                leaf = ln.leaf
+                if ev == _G1:
+                    if leaf in owner:
+                        self._retry(j, RW, slot + 2)
+                    else:
+                        push(heap, (slot + 2, warp, lane, j, _VER))
+                elif ev == _VER:
+                    seen[j] = version.get(leaf, 0)
+                    push(heap, (slot + 3, warp, lane, j, _CAS))
+                elif ev == _CAS:
+                    if leaf in owner:
+                        self._retry(j, WW, slot + 2)
+                    else:
+                        owner[leaf] = j
+                        push(heap, (att[j] + ln.v0 + 2, warp, lane, j, _G3))
+                elif ev == _G3:
+                    a = att[j]
+                    if version.get(leaf, 0) != seen[j]:
+                        push(heap, (a + ln.abort_release, warp, lane, j, _REL))
+                        self._retry(j, VAL, a + ln.v0 + 8)
+                    else:
+                        push(heap, (a + ln.bump, warp, lane, j, _BUMP))
+                        push(heap, (a + ln.release, warp, lane, j, _REL))
+                        self.on_commit(j, a + ln.p + 4)
+                elif ev == _BUMP:
+                    version[leaf] = version.get(leaf, 0) + 1
+                else:
+                    del owner[leaf]
+
+
+def overlapping_leaves(leaves: np.ndarray, warps: np.ndarray, first: np.ndarray,
+                       last: np.ndarray) -> bool:
+    """Whether two warps touch one leaf's ``count`` word in overlapping slot
+    windows (request ``q`` of warp ``warps[q]`` touches its leaf's word
+    from slot ``first[q]`` to ``last[q]``)."""
+    order = np.lexsort((warps, leaves))
+    leaf, warp = leaves[order], warps[order]
+    pair = np.ones(leaf.size, dtype=bool)
+    pair[1:] = (leaf[1:] != leaf[:-1]) | (warp[1:] != warp[:-1])
+    heads = np.flatnonzero(pair)
+    pair_leaf = leaf[heads]
+    lo = np.minimum.reduceat(first[order], heads)
+    hi = np.maximum.reduceat(last[order], heads)
+    for x in np.unique(pair_leaf[1:][pair_leaf[1:] == pair_leaf[:-1]]).tolist():
+        same = np.flatnonzero(pair_leaf == x)
+        spans = sorted(zip(lo[same].tolist(), hi[same].tolist()))
+        if any(b[0] <= a[1] for a, b in zip(spans, spans[1:])):
+            return True
+    return False
+
+
+class UpdateSchedule:
+    """The played schedule of a split-free update launch (see the module
+    docstring). After :meth:`play` returns True it holds, per request:
+    ``horizontal`` (its first traversal walks), ``first_len`` and
+    ``first_steps`` (that traversal's ops and steps), ``rg_last``,
+    ``n_ops`` (its ops, ``Mark`` included), ``fails`` (its failed attempts'
+    outcomes, when it has any), ``n_fails``, ``stm_descents`` and
+    ``steps``; and the ``update_rf`` calls in ``rf_calls``."""
+
+    def __init__(self, tree, tpl: UpdateTemplates, lay, threshold: int,
+                 enable_rf: bool, rng) -> None:
+        self.tree = tree
+        self.tpl = tpl
+        self.lay = lay
+        self.threshold = threshold
+        self.enable_rf = enable_rf
+        self.rng = rng
+        n = int(tpl.keys.size)
+        self.rg_last = np.zeros(n, dtype=bool)
+        if lay.iplan is not None:
+            self.rg_last[lay.iplan.rg_end - 1] = True
+        self.final = np.where(self.rg_last, 2, 1)  # Load rf and Mark, or the Mark
+        self.lane_warp = np.repeat(np.arange(lay.n_warps), np.diff(lay.warp_lanes))
+        self.lane_pos = np.arange(self.lane_warp.size) - lay.warp_lanes[self.lane_warp]
+
+    def _reset(self) -> None:
+        tpl = self.tpl
+        n = int(tpl.keys.size)
+        self.first_len = tpl.desc_len.copy() if self.threshold > 0 else tpl.sdesc_len.copy()
+        self.first_steps = tpl.desc_steps.copy()
+        self.horizontal = np.zeros(n, dtype=bool)
+        self.start = np.zeros(n, dtype=np.int64)
+        self.n_ops = np.zeros(n, dtype=np.int64)
+        self.n_fails = np.zeros(n, dtype=np.int64)
+        self.fails: dict[int, list[int]] = {}
+        self.release = np.zeros(self.lane_warp.size, dtype=np.int64)
+        self.rf_seen: dict[int, int] = {}  # RF words as the warps see them
+        self.rf_calls: list[tuple[int, int]] = []
+        self.rf_writers: dict[int, set[int]] = {}
+        self.rf_readers: dict[int, set[int]] = {}
+        if self.lay.iplan is not None:
+            self.rg_rf = np.zeros(self.lay.iplan.n_rgs, dtype=np.int64)
+
+    def play(self) -> bool:
+        """Play the launch; False when the interpreter must run it."""
+        try:
+            if not self._by_iteration():
+                return False
+            if overlapping_leaves(self.tpl.leaves, self.lay.warp, self.touch_first,
+                                  self.touch_last):
+                if not self._in_round_order():
+                    return False
+        except _Livelock:
+            return False
+        if self.enable_rf:
+            for leaf, writers in self.rf_writers.items():
+                readers = self.rf_readers.get(leaf)
+                if readers and len(writers | readers) > 1:
+                    return False
+        self.steps = self.first_steps + self.n_fails * self.tpl.desc_steps
+        # attempt r descends STM-protected from r = threshold on, unless it
+        # is a first walk
+        no_stm = np.maximum(self.threshold, self.horizontal.astype(np.int64))
+        self.stm_descents = np.maximum(self.n_fails + 1 - no_stm, 0)
+        return True
+
+    def stm_stats(self) -> dict[str, int]:
+        """The :class:`~repro.stm.StmStats` increments of the launch: a
+        transaction per attempt and per STM-protected descent, each descent
+        and each request committing once."""
+        descents = int(self.stm_descents.sum())
+        codes = np.bincount([c for f in self.fails.values() for c in f], minlength=4)
+        return {
+            "begins": int(self.n_fails.sum()) + self.n_fails.size + descents,
+            "commits": self.n_fails.size + descents,
+            "aborts": int(self.n_fails.sum()),
+            "conflicts_rw": int(codes[RW]),
+            "conflicts_ww": int(codes[WW]),
+            "conflicts_validation": int(codes[VAL]),
+        }
+
+    # ------------------------------------------------------------------ #
+    def _lanes(self, reqs: np.ndarray) -> list[Lane]:
+        tpl, lay = self.tpl, self.lay
+        return [Lane._make(row) for row in zip(
+            lay.warp[reqs].tolist(), self.lane_pos[lay.lane[reqs]].tolist(),
+            tpl.leaves[reqs].tolist(), self.start[reqs].tolist(),
+            self.first_len[reqs].tolist(), tpl.desc_len[reqs].tolist(),
+            tpl.sdesc_len[reqs].tolist(), tpl.pre[reqs].tolist(), tpl.v0[reqs].tolist(),
+            tpl.p[reqs].tolist(), tpl.bump[reqs].tolist(), tpl.release[reqs].tolist(),
+            tpl.abort_release[reqs].tolist(),
+        )]
+
+    def _commit(self, reqs, end) -> None:
+        """Requests ``reqs`` committed, ending their transactions before
+        slot ``end``."""
+        self.n_ops[reqs] = end - self.start[reqs] + self.final[reqs]
+
+    def _play_fails(self, play: CountWordPlay) -> None:
+        for q, f in play.fails.items():
+            if f:
+                self.fails[q] = f
+            self.n_fails[q] = len(f)
+
+    def _begin(self, rgs: np.ndarray, it: int, reqs: np.ndarray) -> bool:
+        """Start iteration ``it`` of the RGs ``rgs`` (requests ``reqs``):
+        walk from the buffered leaf where the RG's decision says so."""
+        lay, tpl = self.lay, self.tpl
+        self.start[reqs] = self.release[lay.lane[reqs]]
+        if lay.iplan is None or it == 0:
+            return True
+        iplan = lay.iplan
+        go = np.ones(rgs.size, dtype=bool)
+        if self.enable_rf:
+            go = tpl.keys[iplan.rg_end[rgs] - 1] <= self.rg_rf[rgs - 1]
+        walkers = reqs[go[np.searchsorted(rgs, lay.rg[reqs])]]
+        if walkers.size:
+            buffered = tpl.leaves[iplan.rg_end[lay.rg[walkers] - 1] - 1]
+            walked, steps = tpl.add_walks(walkers, buffered)
+            if not np.array_equal(walked, tpl.leaves[walkers]):
+                return False
+            self.horizontal[walkers] = True
+            self.first_len[walkers] = tpl.walk_len[walkers]
+            self.first_steps[walkers] = steps
+        return True
+
+    def _finish(self, rgs: np.ndarray, it: int, reqs: np.ndarray) -> np.ndarray:
+        """End iteration ``it`` of the RGs ``rgs`` of iteration warps
+        (requests ``reqs``, every one committed): the RG-last lanes'
+        ``update_rf`` and RF loads, then the barrier. Returns each of their
+        warps' return slot (-1 while it has iterations left)."""
+        lay, tpl, tree = self.lay, self.tpl, self.tree
+        iplan = lay.iplan
+        data = tree.arena.data
+        for rg, q in zip(rgs.tolist(), (iplan.rg_end[rgs] - 1).tolist()):
+            w = int(lay.rg_warp[rg])
+            steps = int(self.first_steps[q] + self.n_fails[q] * tpl.desc_steps[q])
+            if self.horizontal[q] and steps > tree.height:
+                buffered = int(tpl.leaves[iplan.rg_end[rg - 1] - 1])
+                self.rf_calls.append((buffered, steps))
+                self.rf_writers.setdefault(buffered, set()).add(w)
+                rf = tree.updated_rf(buffered)
+                if rf is not None:
+                    self.rf_seen[buffered] = rf
+            leaf = int(tpl.leaves[q])
+            self.rf_readers.setdefault(leaf, set()).add(w)
+            self.rg_rf[rg] = self.rf_seen.get(leaf, int(data[tree.views.addrs(leaf).rf]))
+        # the barrier: T is the latest arrival, L the last lane arriving then
+        warps = lay.rg_warp[rgs]
+        moving = np.isin(self.lane_warp, warps)
+        arrive = self.release.copy()
+        arrive[lay.lane[reqs]] = self.start[reqs] + self.n_ops[reqs]
+        bounds = lay.warp_lanes[:-1]
+        t = np.maximum.reduceat(arrive, bounds)
+        at_t = np.where(arrive == t[self.lane_warp], self.lane_pos, -1)
+        last = np.maximum.reduceat(at_t, bounds)
+        self.release = np.where(
+            moving, t[self.lane_warp] + (self.lane_pos < last[self.lane_warp]), self.release
+        )
+        return np.where(lay.iters[warps] == it + 1, t[warps] + (last[warps] > 0), -1)
+
+    # ------------------------------------------------------------------ #
+    def _by_iteration(self) -> bool:
+        """Every warp's iteration ``it`` at once, warps assumed apart; notes
+        each request's window on its ``count`` word."""
+        self._reset()
+        lay, tpl = self.lay, self.tpl
+        n = int(tpl.keys.size)
+        self.touch_first = np.zeros(n, dtype=np.int64)
+        self.touch_last = np.zeros(n, dtype=np.int64)
+        for it in range(max(int(lay.iters.max()), 1)):
+            reqs = np.flatnonzero(lay.it == it)
+            rgs = None
+            if lay.iplan is not None:
+                rgs = lay.iplan.warp_offsets[:-1][lay.iters > it] + it
+            if not self._begin(rgs, it, reqs):
+                return False
+            att = self.start[reqs] + self.first_len[reqs] + 1
+            self._commit(reqs, att + tpl.p[reqs] + 4)
+            self.touch_first[reqs] = att + tpl.pre[reqs]
+            self.touch_last[reqs] = att + tpl.release[reqs]
+            # lanes sharing a leaf in one RG (one warp) are adjacent in key order
+            warp, leaf = lay.warp[reqs], tpl.leaves[reqs]
+            shared = (warp[1:] == warp[:-1]) & (leaf[1:] == leaf[:-1])
+            if shared.any():
+                lanes = self._lanes(reqs)
+                edges = np.flatnonzero(np.diff(np.concatenate(([0], shared, [0])).astype(np.int8)))
+                for g0, g1 in zip(edges[0::2].tolist(), edges[1::2].tolist()):
+                    play = CountWordPlay(self.threshold, self._commit_touching)
+                    for q, ln in zip(reqs[g0:g1 + 1].tolist(), lanes[g0:g1 + 1]):
+                        play.add(q, ln)
+                    play.run()
+                    self._play_fails(play)
+            if lay.iplan is not None:
+                self._finish(rgs, it, reqs)
+        return True
+
+    def _commit_touching(self, q: int, end: int) -> None:
+        self._commit(q, end)
+        tpl = self.tpl
+        self.touch_last[q] = end - tpl.p[q] - 4 + tpl.release[q]
+
+    def _in_round_order(self) -> bool:
+        """The whole launch as one event loop: each warp's iterations start
+        when its barrier opens, and every lane whose leaf another lane of
+        its RG, or another warp, writes is played in the launch's round
+        order."""
+        self._reset()
+        lay, tpl = self.lay, self.tpl
+        n_warps = lay.n_warps
+        order = RoundOrder(self.rng, n_warps)
+        leaves = tpl.leaves
+        # leaves written by more than one warp
+        pairs = np.unique(np.stack([leaves, lay.warp]), axis=1)
+        leaf_ids, counts = np.unique(pairs[0], return_counts=True)
+        met = leaf_ids[counts > 1]
+        iplan = lay.iplan
+        pending = {}  # warp -> requests of its running iteration still open
+        current = {}  # warp -> (rg or None, it, requests)
+
+        def begin(w: int, it: int) -> None:
+            if iplan is None:
+                reqs = np.flatnonzero(lay.warp == w)
+                rgs = None
+            else:
+                rg = int(iplan.warp_offsets[w]) + it
+                reqs = np.arange(iplan.rg_start[rg], iplan.rg_end[rg])
+                rgs = np.array([rg])
+            if not self._begin(rgs, it, reqs):
+                raise _Fallback
+            att = self.start[reqs] + self.first_len[reqs] + 1
+            self._commit(reqs, att + tpl.p[reqs] + 4)
+            leaf = leaves[reqs]
+            shared = np.zeros(reqs.size, dtype=bool)
+            same = leaf[1:] == leaf[:-1]
+            shared[1:] |= same
+            shared[:-1] |= same
+            shared |= np.isin(leaf, met)
+            played = reqs[shared]
+            pending[w] = set(played.tolist())
+            current[w] = (rgs, it, reqs)
+            for q, ln in zip(played.tolist(), self._lanes(played)):
+                play.add(q, ln)
+            if not pending[w]:
+                close(w)
+
+        def commit(q: int, end: int) -> None:
+            self._commit(q, end)
+            w = int(lay.warp[q])
+            pending[w].discard(q)
+            if not pending[w]:
+                close(w)
+
+        def close(w: int) -> None:
+            rgs, it, reqs = current[w]
+            if iplan is None:
+                # one request per lane, no barrier: the warp returns after
+                # its longest lane
+                order.close(w, int(self.n_ops[reqs].max()))
+                return
+            returns = self._finish(rgs, it, reqs)
+            if returns[0] >= 0:
+                order.close(w, int(returns[0]))
+            else:
+                play.call(int(self.release[lay.warp_lanes[w]:lay.warp_lanes[w + 1]].min()),
+                          w, lambda: begin(w, it + 1))
+
+        play = CountWordPlay(self.threshold, commit, order)
+        for w in range(n_warps):
+            play.call(0, w, lambda w=w: begin(w, 0))
+        try:
+            play.run()
+        except _Fallback:
+            return False
+        self._play_fails(play)
+        return True

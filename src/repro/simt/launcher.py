@@ -18,17 +18,19 @@ Timing: each SM accumulates the issue and memory cycles of its own warps'
 steps; the kernel's device time is the maximum over SMs (the straggler SM),
 matching how a real grid retires.
 
-Store-free launches are lowered: a caller that finds
-:attr:`KernelLaunch.lowers` true (fast path on, no probe) may register the
-whole launch with :meth:`KernelLaunch.add_lowered` instead of building lane
-programs. It passes one lowering callable that returns every lane's op
-stream, read straight from the arena, as one
-:class:`~repro.simt.lowered.OpTrace`;
+Launches whose op streams can be built up front are lowered: a caller
+that finds :attr:`KernelLaunch.lowers` true (fast path on, no probe) may
+register the whole launch with :meth:`KernelLaunch.add_lowered` instead of
+building lane programs. It passes one lowering callable that returns every
+lane's op stream as one :class:`~repro.simt.lowered.OpTrace`;
 :meth:`KernelLaunch.run` calls it and replays the round loop over the
 streams in numpy (:func:`~repro.simt.lowered.run_lowered`), bit-for-bit the
 reference ``Warp._step_slow`` path, scheduling-rng stream included. Eirene
-lowers its unprotected query kernel this way: iteration or ``d_query``
-warps and one-lane range warps, in any mix. Every other launch runs its
+lowers its unprotected query kernel this way (iteration or ``d_query``
+warps and one-lane range warps, in any mix, read straight from the arena)
+and its split-free update kernel (stores and atomics included, with the
+STM guards on each leaf's ``count`` word resolved by the caller; the
+callable also makes the launch's writes). Every other launch runs its
 programs through :meth:`~repro.simt.warp.Warp.step`.
 """
 
@@ -97,8 +99,8 @@ class KernelLaunch:
         return self.probe is None and execution_config().vectorize_slots
 
     def add_lowered(self, n_warps: int, lower: Callable[[], tuple[OpTrace, object]]) -> None:
-        """Make this launch ``n_warps`` store-free warps run from a trace:
-        :meth:`run` calls ``lower()``, which returns their op streams as one
+        """Make this launch ``n_warps`` warps run from a trace: :meth:`run`
+        calls ``lower()``, which returns their op streams as one
         :class:`OpTrace` and their results, replays the trace and keeps the
         results in :attr:`lowered_result`. The caller builds no programs:
         it checks :attr:`lowers` first."""

@@ -1,14 +1,21 @@
-"""Lowered execution of store-free launches.
+"""Lowered execution of launches whose op streams are known up front.
 
-A launch whose lanes never store or run an atomic, and share no state but
-their own warp's barriers, needs no interpreter: each lane's op stream
-depends only on the arena at launch time, so a numpy trace builder can
-produce every stream up front (see
-:func:`~repro.btree.traversal.batch_range_scan` and
-:func:`~repro.btree.traversal.batch_point_query`) and :func:`run_lowered`
-replays :meth:`KernelLaunch.run`'s round loop over those streams. Warps may
-have any width; a warp may run its lanes through iterations separated by a
-barrier, as Eirene's §5 iteration warps do.
+A launch needs no interpreter when every lane's op stream can be produced
+before the launch runs. Two kinds of Eirene launches qualify:
+
+* **store-free** ones, whose lanes never store or run an atomic and share
+  no state but their own warp's barriers: each stream depends only on the
+  arena at launch time (see :func:`~repro.btree.traversal.batch_range_scan`
+  and :func:`~repro.btree.traversal.batch_point_query`);
+* **split-free update kernels**, whose lanes do store and run atomics but
+  can collide only on a leaf's STM-guarded ``count`` word: the caller
+  resolves those guards itself and hands over the finished streams, with
+  the failed compare-and-swaps flagged (see
+  :meth:`~repro.core.eirene.EireneTree._lower_updates`).
+
+:func:`run_lowered` replays :meth:`KernelLaunch.run`'s round loop over
+those streams. Warps may have any width; a warp may run its lanes through
+iterations separated by a barrier, as Eirene's §5 iteration warps do.
 
 The replay is exact: counters, ``finish_cycle``, ``service_steps``,
 ``cycles`` and the scheduling-rng stream are bit-for-bit those of the
@@ -29,10 +36,13 @@ reference ``Warp._step_slow``.
   round's order minus the warps that returned. A warp runs its slot ``r``
   in round ``r``.
 * **Charges.** A slot issues one instruction per op kind present (the
-  popcount of the Load 1 / Branch 16 / Mark 32 mask; ``divergent_slots``
-  counts the extra ones), and its loads cost one transaction per distinct
-  ``addr // words_per_segment``. It costs ``issue*cpi + trans*cpm +
-  0*cpa`` — the launcher's own expression.
+  popcount of the Load 1 / Store 2 / Atomic 4 / Branch 16 / Mark 32 mask;
+  ``divergent_slots`` counts the extra ones). Its loads cost one
+  transaction per distinct ``addr // words_per_segment``, its stores
+  likewise, counted apart from the loads, and each atomic one more; each
+  failed compare-and-swap is one atomic conflict. It costs ``issue*cpi +
+  trans*cpm + conflicts*cpa`` — the launcher's own expression, so a
+  store-free trace costs what it did before stores were lowered.
 * **Cycles.** Executed slots are ordered round-major, in permutation order
   within a round; each SM's cycles accumulate over its slots with a
   sequential ``np.cumsum`` (never a pairwise sum), a Mark's
@@ -52,20 +62,24 @@ from .counters import KernelCounters
 OP_LOAD = 0
 OP_BRANCH = 1
 OP_MARK = 2
+OP_STORE = 3
+OP_ATOMIC = 4
 
 
 @dataclass(frozen=True)
 class OpTrace:
-    """Every lane's op stream of a store-free launch, as flat CSR.
+    """Every lane's op stream of a lowered launch, as flat CSR.
 
-    Lane ``j`` executes ``kinds[offsets[j]:offsets[j + 1]]``; a Load reads
-    word ``addrs`` at its position (the entry of any other op is 0).
-    ``mark_ids`` holds the request id of each ``OP_MARK`` in ``kinds``, in
-    flat order (each request is marked once, as in every kernel). Warp
-    ``w`` holds lanes ``warps[w]:warps[w + 1]`` and runs ``iters[w]``
-    barrier iterations, 0 for a warp without barriers. A barrier warp's
-    lane runs one request per iteration, ending at its Mark; a lane with
-    fewer Marks than iterations has no request in the trailing ones.
+    Lane ``j`` executes ``kinds[offsets[j]:offsets[j + 1]]``; a Load, Store
+    or Atomic touches word ``addrs`` at its position (the entry of any
+    other op is 0), and ``cas_fail`` flags each atomic that is a failed
+    compare-and-swap (``None``: no op fails). ``mark_ids`` holds the
+    request id of each ``OP_MARK`` in ``kinds``, in flat order (each
+    request is marked once, as in every kernel). Warp ``w`` holds lanes
+    ``warps[w]:warps[w + 1]`` and runs ``iters[w]`` barrier iterations, 0
+    for a warp without barriers. A barrier warp's lane runs one request
+    per iteration, ending at its Mark; a lane with fewer Marks than
+    iterations has no request in the trailing ones.
     """
 
     offsets: np.ndarray
@@ -74,6 +88,7 @@ class OpTrace:
     mark_ids: np.ndarray
     warps: np.ndarray
     iters: np.ndarray
+    cas_fail: np.ndarray | None = None
 
     @classmethod
     def one_lane_warps(cls, offsets: np.ndarray, kinds: np.ndarray,
@@ -96,6 +111,7 @@ class OpTrace:
             mark_ids=np.asarray(request_ids, dtype=np.int64),
             warps=self.warps,
             iters=self.iters,
+            cas_fail=None if self.cas_fail is None else np.insert(self.cas_fail, at, False),
         )
 
     @classmethod
@@ -106,6 +122,12 @@ class OpTrace:
             return traces[0]
         op_base = np.cumsum([0] + [t.kinds.size for t in traces[:-1]])
         lane_base = np.cumsum([0] + [t.offsets.size - 1 for t in traces[:-1]])
+        cas_fail = None
+        if any(t.cas_fail is not None for t in traces):
+            cas_fail = np.concatenate([
+                np.zeros(t.kinds.size, dtype=bool) if t.cas_fail is None else t.cas_fail
+                for t in traces
+            ])
         return cls(
             offsets=np.concatenate(
                 [[0]] + [t.offsets[1:] + b for t, b in zip(traces, op_base)]
@@ -117,14 +139,17 @@ class OpTrace:
                 [[0]] + [t.warps[1:] + b for t, b in zip(traces, lane_base)]
             ),
             iters=np.concatenate([t.iters for t in traces]),
+            cas_fail=cas_fail,
         )
 
 
-def _barrier_schedule(trace: OpTrace, op_lane: np.ndarray, rounds: np.ndarray) -> np.ndarray:
-    """The barrier rule for the lanes of barrier warps: each op's slot minus
-    its index within its lane (0 outside barrier warps). Sets those warps'
-    ``rounds`` (their return slot)."""
-    offsets, kinds, warps = trace.offsets, trace.kinds, trace.warps
+def _barrier_schedule(trace: OpTrace, marks: np.ndarray, m_lane: np.ndarray,
+                      rounds: np.ndarray) -> np.ndarray:
+    """The barrier rule for the lanes of barrier warps: per Mark (at
+    ``marks``, in lane ``m_lane``), the slot its request's first op issues
+    in minus that op's index within its lane (0 outside barrier warps).
+    Sets those warps' ``rounds`` (their return slot)."""
+    offsets, warps = trace.offsets, trace.warps
     bwarps = np.flatnonzero(trace.iters)
     width = np.diff(warps)[bwarps]
     n_iters = trace.iters[bwarps]
@@ -137,11 +162,8 @@ def _barrier_schedule(trace: OpTrace, op_lane: np.ndarray, rounds: np.ndarray) -
     exists = np.zeros((bwarps.size, n_lanes), dtype=bool)
     exists[row, col] = True
 
-    # a request ends at its lane's Mark: per Mark, its lane, iteration and
-    # first op (as an index within the lane)
-    is_mark = kinds == OP_MARK
-    marks = np.flatnonzero(is_mark)
-    m_lane = op_lane[marks]
+    # a request ends at its lane's Mark: per Mark, its iteration and first
+    # op (as an index within the lane)
     m_k = marks - offsets[m_lane]
     first = np.ones(marks.size, dtype=bool)
     first[1:] = m_lane[1:] != m_lane[:-1]
@@ -167,12 +189,34 @@ def _barrier_schedule(trace: OpTrace, op_lane: np.ndarray, rounds: np.ndarray) -
         rounds[bwarps[done]] = (last_t + (last_l > 0))[done]
 
     # a barrier lane's op issues in its request's release slot plus its
-    # index within the request; its request is the first Mark at or after it
-    shift = np.zeros(marks.size + 1, dtype=np.int32)
-    shift[:-1][barrier] = released.reshape(-1)[m_cell[barrier]] - m_start[barrier]
-    request = np.cumsum(is_mark, dtype=np.int32)
-    request -= is_mark
-    return np.where(cell_of[op_lane] >= 0, shift[request], 0).astype(np.int32, copy=False)
+    # index within the request
+    shift = np.zeros(marks.size, dtype=np.int64)
+    shift[barrier] = released.reshape(-1)[m_cell[barrier]] - m_start[barrier]
+    return shift
+
+
+def _segments_per_slot(sid: np.ndarray, seg: np.ndarray, n_sids: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Per slot: how many of the ops at slots ``sid`` (touching segments
+    ``seg``) it holds, and the distinct segments they touch."""
+    count = np.bincount(sid, minlength=n_sids)
+    trans = np.minimum(count, 1)
+    shared = (count > 1)[sid]
+    if shared.any():
+        span = int(seg.max()) + 1
+        # (slot, segment) packed into one sortable word, 32 bits when it fits
+        wide = n_sids * span > np.iinfo(np.int32).max
+        pairs = sid[shared].astype(np.int64 if wide else np.int32)
+        pairs *= span
+        pairs += seg[shared]
+        del shared
+        pairs.sort()
+        new = np.ones(pairs.size, dtype=bool)
+        np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
+        pairs = pairs[new]
+        pairs //= span
+        trans = np.where(count > 1, np.bincount(pairs, minlength=n_sids), trans)
+    return count, trans
 
 
 def run_lowered(
@@ -189,12 +233,23 @@ def run_lowered(
     ``w % n_sms``) and fill ``counters``."""
     offsets = trace.offsets
     kinds = trace.kinds
+    addrs = trace.addrs
     n_warps = trace.warps.size - 1
     lane_ops = np.diff(offsets)
     load = kinds == OP_LOAD
     n_load = int(np.count_nonzero(load))
     n_branch = int(np.count_nonzero(kinds == OP_BRANCH))
     mark_pos = np.flatnonzero(kinds == OP_MARK)
+    mark_lane = np.searchsorted(offsets, mark_pos, side="right") - 1
+    store = atomic = None
+    n_store = n_atomic = 0
+    if n_load + n_branch + mark_pos.size < kinds.size:  # not store-free
+        store = kinds == OP_STORE
+        atomic = kinds == OP_ATOMIC
+        n_store = int(np.count_nonzero(store))
+        n_atomic = int(np.count_nonzero(atomic))
+    fail = trace.cas_fail
+    n_fail = 0 if fail is None else int(np.count_nonzero(fail))
     if n_warps == lane_ops.size:
         # one lane per warp (a lone lane never waits at a barrier): every
         # slot is one op, so a slot's id is its op's index
@@ -203,42 +258,59 @@ def run_lowered(
         mark_sid = mark_pos
         c_issue = 1 * cpi + 0 * cpm + 0 * cpa
         c_mem = 1 * cpi + 1 * cpm + 0 * cpa
-        cost = np.array([c_mem, c_issue, c_issue])[kinds]
+        # per kind code: Load, Branch, Mark, Store, Atomic
+        cost = np.array([c_mem, c_issue, c_issue, c_mem, c_mem])[kinds]
+        if n_fail:
+            cost[fail] = 1 * cpi + 1 * cpm + 1 * cpa
         n_issued = int(kinds.size)
-        n_trans = n_load
+        n_trans = n_load + n_store + n_atomic
     else:
         lane_warp = np.repeat(np.arange(n_warps), np.diff(trace.warps))
-        op_lane = np.repeat(np.arange(lane_ops.size, dtype=np.int32), lane_ops)
         # a barrier-free warp returns in the slot after its longest lane's ops
         rounds = np.maximum.reduceat(lane_ops, trace.warps[:-1])
+        shift = np.zeros(mark_pos.size, dtype=np.int64)
+        if trace.iters.any():
+            shift = _barrier_schedule(trace, mark_pos, mark_lane, rounds)
         # every (warp, slot) pair gets an id, warp-major; a lane's op ``k``
-        # runs in slot ``k`` plus its barrier shift
-        shift = _barrier_schedule(trace, op_lane, rounds) if trace.iters.any() else 0
+        # runs in slot ``k`` plus its request's barrier shift. Runs of ops
+        # cut at each lane's start and after each Mark share one offset
         slot_base = np.cumsum(rounds) - rounds
-        sid = (slot_base[lane_warp] - offsets[:-1]).astype(np.int32)[op_lane]
-        del op_lane
+        starts = np.union1d(offsets[:-1][lane_ops > 0], mark_pos + 1)
+        starts = starts[starts < kinds.size]
+        run_len = np.diff(np.append(starts, kinds.size))
+        run_lane = np.searchsorted(offsets, starts, side="right") - 1
+        offset = slot_base[lane_warp[run_lane]] - offsets[run_lane]
+        last = starts + run_len - 1
+        marked = kinds[last] == OP_MARK
+        offset[marked] += shift[np.searchsorted(mark_pos, last[marked])]
+        sid = np.repeat(offset.astype(np.int32), run_len)
         sid += np.arange(kinds.size, dtype=np.int32)
-        sid += shift
-        del shift
         n_sids = int(rounds.sum())
         mark_sid = sid[mark_pos]
-        # per slot: issued op kinds and the distinct segments its loads touch
-        load_sid = sid[load]
-        loads = np.bincount(load_sid, minlength=n_sids)
+        # per slot: issued op kinds and the distinct segments its loads and
+        # (apart from them) its stores touch, plus one per atomic
+        seg = addrs[load]
+        seg //= words_per_segment
+        loads, trans = _segments_per_slot(sid[load], seg, n_sids)
+        del seg
         issue = (loads > 0).astype(np.int64)
         issue += np.bincount(sid[kinds == OP_BRANCH], minlength=n_sids) > 0
         issue += np.bincount(mark_sid, minlength=n_sids) > 0
-        trans = np.minimum(loads, 1)
-        shared = loads[load_sid] > 1
-        if shared.any():
-            seg = trace.addrs[load][shared] // words_per_segment
-            span = int(seg.max()) + 1
-            pairs = np.sort(load_sid[shared].astype(np.int64) * span + seg)
-            new = np.ones(pairs.size, dtype=bool)
-            new[1:] = pairs[1:] != pairs[:-1]
-            distinct = np.bincount(pairs[new] // span, minlength=n_sids)
-            trans = np.where(loads > 1, distinct, trans)
-        cost = issue * cpi + trans * cpm + 0 * cpa
+        conflicts = 0
+        if n_store:
+            seg = addrs[store]
+            seg //= words_per_segment
+            stores, store_trans = _segments_per_slot(sid[store], seg, n_sids)
+            del seg
+            issue += stores > 0
+            trans += store_trans
+        if n_atomic:
+            atomics = np.bincount(sid[atomic], minlength=n_sids)
+            issue += atomics > 0
+            trans += atomics
+            if n_fail:
+                conflicts = np.bincount(sid[fail], minlength=n_sids)
+        cost = issue * cpi + trans * cpm + conflicts * cpa
         n_issued = int(issue.sum())
         n_trans = int(trans.sum())
         counters.divergent_slots += n_issued - int(np.count_nonzero(issue))
@@ -291,7 +363,6 @@ def run_lowered(
     sm_start = np.concatenate(([0], sm_end[:-1]))[sm[by_sm[at]]]
     ids = trace.mark_ids
     counters.finish_cycle[ids] = np.where(at > sm_start, cycles[at - 1], 0.0)
-    mark_lane = np.searchsorted(offsets, mark_pos, side="right") - 1
     steps_now = mark_pos - offsets[mark_lane] + 1
     base = np.zeros_like(steps_now)
     same = mark_lane[1:] == mark_lane[:-1]
@@ -299,7 +370,11 @@ def run_lowered(
     counters.service_steps[ids] = steps_now - base
 
     counters.load_inst += n_load
-    counters.mem_inst += n_load
+    counters.store_inst += n_store
+    counters.mem_inst += n_load + n_store
+    counters.atomic_inst += n_atomic
+    counters.atomic_transactions += n_atomic
+    counters.atomic_conflicts += n_fail
     counters.transactions += n_trans
     counters.control_inst += n_branch
     counters.issued_slots += n_issued

@@ -29,10 +29,11 @@ Two interpreter paths implement the identical semantics (see DESIGN.md §9):
   iteration list.
 
 Launches that need neither path are not interpreted at all: when a
-store-free launch makes up its whole grid (Eirene's unprotected query
-kernel), the launcher runs none of its generators and replays the launch
-over op streams built in numpy (:mod:`repro.simt.lowered`), with the same
-bit-for-bit contract.
+launch's op streams can all be built in numpy up front (Eirene's
+unprotected query kernel, and its split-free update kernel, whose only
+shared words are STM-guarded leaf ``count`` words), the launcher runs none
+of its generators and replays the launch over those streams
+(:mod:`repro.simt.lowered`), with the same bit-for-bit contract.
 
 The path is chosen once, when the warp is built: an analysis probe (race
 sanitizer, hotspot profiler) or ``vectorize_slots=False`` (see

@@ -422,10 +422,12 @@ def test_eirene_range_batches_equivalent():
 @pytest.fixture
 def launch_spy(monkeypatch):
     """Records every launch's scheduling rng and counters, and counts the
-    launches that ran lowered."""
+    launches that ran lowered (``updates``: those that store)."""
     import repro.simt.launcher as launcher
 
-    seen = {"rngs": [], "counters": [], "lowered": 0}
+    from repro.simt.lowered import OP_STORE
+
+    seen = {"rngs": [], "counters": [], "lowered": 0, "updates": 0}
     run, run_lowered = launcher.KernelLaunch.run, launcher.run_lowered
 
     def spy_run(self):
@@ -433,9 +435,10 @@ def launch_spy(monkeypatch):
         seen["counters"].append(run(self))
         return seen["counters"][-1]
 
-    def spy_lowered(*args):
+    def spy_lowered(trace, *args):
         seen["lowered"] += 1
-        return run_lowered(*args)
+        seen["updates"] += bool(np.any(trace.kinds == OP_STORE))
+        return run_lowered(trace, *args)
 
     monkeypatch.setattr(launcher.KernelLaunch, "run", spy_run)
     monkeypatch.setattr(launcher, "run_lowered", spy_lowered)
@@ -445,7 +448,8 @@ def launch_spy(monkeypatch):
 def _run_range_batches(execution, seen, system="eirene", fanout=32, distribution="zipfian",
                        batches=None, probe=None, mix=None, device=None, **system_kwargs):
     """Seeded YCSB-E (or ``mix``) batches, or ``batches``, on the SIMT
-    engine. Returns the outcomes, the final arena words, each launch's
+    engine, run by ``system`` (a name, or a callable building the system
+    from the key pool). Returns the outcomes, the final arena words, each launch's
     counters, the rng states after each batch, and how many launches ran
     lowered."""
     from repro import YcsbWorkload, build_key_pool, make_system
@@ -453,14 +457,18 @@ def _run_range_batches(execution, seen, system="eirene", fanout=32, distribution
     from repro.workloads import YCSB_E
 
     previous = set_execution_config(execution)
-    seen.update(rngs=[], counters=[], lowered=0)
+    seen.update(rngs=[], counters=[], lowered=0, updates=0)
     try:
         rng = np.random.default_rng(fanout)
         keys, values = build_key_pool(2**10, rng)
-        sys_ = make_system(system, keys, values, TreeConfig(fanout=fanout), device=device,
-                           seed=3, **system_kwargs)
+        if callable(system):
+            sys_ = system(keys, values)
+        else:
+            sys_ = make_system(system, keys, values, TreeConfig(fanout=fanout), device=device,
+                               seed=3, **system_kwargs)
         if probe is not None:
             sys_.devctx.attach_probe(probe)
+        seen["system"] = sys_
         wl = YcsbWorkload(pool=keys, mix=mix or YCSB_E, distribution=distribution)
         if batches is None:
             batches = [wl.generate(2**9, rng) for _ in range(2)]
@@ -903,6 +911,415 @@ def test_probes_keep_the_interpreter_for_range_launches(launch_spy, monkeypatch,
     assert deep_eq(lowered[0], probed[0])
     assert np.array_equal(lowered[1], probed[1])
     assert lowered[3] == probed[3]
+
+
+# --------------------------------------------------------------------- #
+# lowered split-free update kernels
+# --------------------------------------------------------------------- #
+def assert_updates_match_reference(seen, expect_lowered=True, **kwargs):
+    """:func:`assert_lowered_matches_reference`, plus the STM statistics and
+    transaction ids, and whether an update launch ran lowered (``None``:
+    either way)."""
+    ref = _run_range_batches(SEQUENTIAL, seen, **kwargs)
+    ref_stm = seen["system"].stm
+    low = _run_range_batches(ExecutionConfig(), seen, **kwargs)
+    low_stm = seen["system"].stm
+    if expect_lowered:
+        assert seen["updates"] >= 1, "no update launch ran lowered"
+    elif expect_lowered is not None:
+        assert seen["updates"] == 0, "an update launch ran lowered"
+    assert deep_eq(ref[0], low[0]), "outcomes diverged"
+    assert np.array_equal(ref[1], low[1]), "arena words diverged"
+    assert deep_eq(ref[2], low[2]), "per-launch counters diverged"
+    assert ref[3] == low[3], "scheduling-rng stream diverged"
+    assert ref_stm.stats == low_stm.stats and ref_stm._next_tid == low_stm._next_tid
+    return low
+
+
+#: fanout x distribution x rgs_per_iteration_warp x RF with locality on, and
+#: fanout x distribution without, each over the three retry thresholds in
+#: turn (0: every descent is STM-protected)
+UPDATE_MATRIX = [
+    (fanout, distribution, rgs, rf, True, (0, 1, 3)[i % 3])
+    for i, (fanout, distribution, rgs, rf) in enumerate(
+        (f, d, g, r) for f in (4, 8, 32) for d in ("uniform", "zipfian")
+        for g in (1, 2, 4) for r in (True, False)
+    )
+] + [
+    (fanout, distribution, 4, True, False, threshold)
+    for fanout in (4, 8, 32)
+    for distribution in ("uniform", "zipfian")
+    for threshold in (0, 1, 3)
+]
+
+
+@pytest.mark.parametrize("fanout, distribution, rgs, rf, locality, threshold", UPDATE_MATRIX)
+def test_lowered_update_kernel_equivalent(launch_spy, fanout, distribution, rgs, rf,
+                                          locality, threshold):
+    """YCSB-A on two SMs: each update kernel is split-free, so it lowers.
+    With one RG per warp or without locality, every warp starts in round 0
+    and neighbouring warps write their boundary leaf together: those lanes
+    are played in the launch's own round order."""
+    from repro.config import EireneConfig
+    from repro.workloads import YCSB_A
+
+    config = EireneConfig(rgs_per_iteration_warp=rgs, enable_rf_decision=rf,
+                          enable_locality=locality, stm_retry_threshold=threshold)
+    assert_updates_match_reference(
+        launch_spy, fanout=fanout,
+        distribution=distribution, device=TWO_SMS, mix=YCSB_A, config=config,
+    )
+
+
+def _update_batch(kinds, keys, values=None) -> "RequestBatch":
+    from repro.workloads.requests import RequestBatch
+
+    n = len(keys)
+    values = np.arange(1, n + 1) * 7 if values is None else values
+    return RequestBatch(kinds=np.asarray(kinds), keys=np.asarray(keys),
+                        values=np.asarray(values), range_ends=np.zeros(n))
+
+
+def test_lowered_update_storm_reaches_the_stm_descent(launch_spy):
+    """Every key of a few fanout-32 leaves updated in one RG: lanes of one
+    leaf collide at its count word again and again, some retry three times
+    and descend STM-protected; overwriting INSERTs ride along."""
+    from repro._types import OpKind
+    from repro.config import EireneConfig
+
+    device = DeviceConfig(num_sms=1)
+    present, _ = _small_system(32, device).tree.items()
+    keys = present[100:132]
+    kinds = np.where(np.arange(32) % 5 == 0, OpKind.INSERT, OpKind.UPDATE)
+    low = assert_updates_match_reference(
+        launch_spy, fanout=32, device=device, batches=[_update_batch(kinds, keys)],
+        config=EireneConfig(stm_retry_threshold=3),
+    )
+    stm = low[0][0].extras["stm"]
+    # each STM descent begins and commits a transaction of its own
+    assert stm.commits > 32 and stm.begins == stm.commits + stm.aborts
+    assert stm.conflicts_rw and stm.conflicts_ww
+
+
+def _unaligned_eirene(keys, values):
+    """Eirene on a fanout-8 tree whose node blocks start 3 words past a
+    segment boundary. Every layout the library builds is segment-aligned,
+    which puts each leaf's count word at a multiple of 8: in the 8-slot
+    table of a two-word ``tx.writes`` it then always comes first. Here the
+    value word comes first in about half the transactions."""
+    from repro.btree import BPlusTree
+    from repro.btree.layout import NodeLayout
+    from repro.config import TreeConfig
+    from repro.core.eirene import EireneTree
+    from repro.device import DeviceContext
+    from repro.stm import StmRegion
+
+    config = TreeConfig(fanout=8)
+    layout = NodeLayout(fanout=8, base=3)
+    max_nodes = BPlusTree.plan_max_nodes(keys.size, config, 0.7)
+    node_words = layout.arena_words(max_nodes)
+    arena = MemoryArena(3 + 3 * node_words + 64)
+    arena.alloc(3 + node_words)
+    tree = BPlusTree(arena, layout, config, max_nodes)
+    order = np.argsort(keys)
+    tree._bulk_load(keys[order], values[order], 6, 6)
+    devctx = DeviceContext(arena=arena, device=DeviceConfig(num_sms=1), seed=3)
+    return EireneTree(tree, StmRegion(arena, layout.base, node_words), arena.alloc(1), devctx)
+
+
+def _drive(gen, data, before):
+    """Run a device program against ``data``; ``before(op)`` runs ahead of
+    each op. Returns the ops as (lowered kind code, address) pairs."""
+    from repro.simt.lowered import OP_ATOMIC, OP_BRANCH, OP_LOAD, OP_STORE
+
+    ops, send = [], None
+    while True:
+        try:
+            op = gen.send(send)
+        except StopIteration:
+            return ops
+        before(op)
+        send = None
+        if isinstance(op, Load):
+            send = int(data[op.addr])
+            ops.append((OP_LOAD, op.addr))
+        elif isinstance(op, Store):
+            data[op.addr] = op.value
+            ops.append((OP_STORE, op.addr))
+        elif isinstance(op, AtomicCAS):
+            send = int(data[op.addr])
+            if send == op.expected:
+                data[op.addr] = op.desired
+            ops.append((OP_ATOMIC, op.addr))
+        elif isinstance(op, AtomicAdd):
+            send = int(data[op.addr])
+            data[op.addr] = send + op.delta
+            ops.append((OP_ATOMIC, op.addr))
+        else:
+            ops.append((OP_BRANCH, 0))
+
+
+@pytest.mark.parametrize("guard", ["commit", "read-write", "write-write", "validation"])
+def test_update_templates_match_the_program(guard):
+    """``d_update`` op by op, addresses included, against the templates:
+    its first attempt fails at one guard on the count word (another owner
+    at the owner load or at the compare-and-swap, or a version bump before
+    the commit), then it commits — with ``tx.writes`` iterating either
+    word first. The offsets the guard resolution schedules by name the
+    ops they should."""
+    from repro import build_key_pool
+    from repro._types import OpKind
+    from repro.core.kernels import d_update
+    from repro.core.update_trace import UpdateTemplates
+    from repro.simt.lowered import OP_ATOMIC, OP_LOAD, OP_STORE
+    from repro.stm import FREE
+
+    sys_ = _unaligned_eirene(*build_key_pool(2**10, np.random.default_rng(8)))
+    tree, stm = sys_.tree, sys_.stm
+    region = stm.region
+    keys = tree.items()[0][::61]
+    tpl = UpdateTemplates(tree, region, keys)
+    assert tpl.valid.all() and tpl.c_first.any() and not tpl.c_first.all()
+    tpl.add_records()
+
+    def piece(start, n):
+        kinds, addrs = tpl.gather(np.array([start]), np.array([n]))
+        return list(zip(kinds.tolist(), addrs.tolist()))
+
+    for i, key in enumerate(keys.tolist()):
+        c = int(tpl.count_addr[i])
+        own, ver = region.owner_addr(c), region.version_addr(c)
+        data = tree.arena.data.copy()
+        state = {"armed": True, "undo": None}
+
+        def before(op):
+            if state["undo"] is not None:
+                data[own] = state["undo"]
+                state["undo"] = None
+            if not state["armed"]:
+                return
+            if guard == "read-write" and isinstance(op, Load) and op.addr == own:
+                state["armed"], state["undo"] = False, FREE
+                data[own] = 777
+            elif guard == "write-write" and isinstance(op, AtomicCAS) and op.addr == own:
+                state["armed"], state["undo"] = False, FREE
+                data[own] = 777
+            elif guard == "validation" and isinstance(op, AtomicCAS) and op.addr == own:
+                state["armed"] = False
+                data[ver] += 1
+
+        ops = _drive(d_update(tree, stm, sys_.smo_lock_addr, 10, 0, OpKind.UPDATE, key, 5),
+                     data, before)
+        rec, pre, v0, p = (int(x[i]) for x in (tpl.record_start, tpl.pre, tpl.v0, tpl.p))
+        desc = piece(int(tpl.desc_start[i]), int(tpl.desc_len[i]))
+        committed = piece(rec, p + 5)  # Load version, the transaction, the publish
+        failed = {
+            "commit": [],
+            "read-write": piece(rec, pre + 3),
+            "write-write": piece(rec, pre + 8),
+            "validation": piece(rec, v0 + 5) + piece(rec + p + 5, 4),
+        }[guard]
+        expected = desc + failed + (desc if failed else []) + committed
+        assert ops == expected, f"key {key}: ops differ from the templates"
+        # the guard resolution's offsets (the transaction starts after
+        # Load version)
+        at = dict(enumerate(committed, start=-1))
+        assert at[pre] == (OP_LOAD, own) and at[pre + 2] == (OP_LOAD, ver)
+        assert at[pre + 5] == (OP_ATOMIC, own) and at[v0 + 2] == (OP_LOAD, ver)
+        assert at[int(tpl.bump[i])] == (OP_ATOMIC, ver)
+        assert at[int(tpl.release[i])] == (OP_STORE, own)
+        if guard == "validation":
+            assert dict(enumerate(failed, start=-1))[int(tpl.abort_release[i])] == (OP_STORE, own)
+
+
+def test_lowered_update_kernel_with_value_first_writes(launch_spy):
+    """A batch in which some transactions publish and release their value
+    word before the count word, and some after."""
+    from repro import build_key_pool
+    from repro._types import OpKind
+    from repro.core.update_trace import UpdateTemplates
+
+    sys_ = _unaligned_eirene(*build_key_pool(2**10, np.random.default_rng(8)))
+    present, _ = sys_.tree.items()
+    keys = present[::7][:64]
+    order = UpdateTemplates(sys_.tree, sys_.stm.region, keys).c_first
+    assert order.any() and not order.all()
+    assert_updates_match_reference(
+        launch_spy, system=_unaligned_eirene, fanout=8,
+        batches=[_update_batch(np.full(keys.size, OpKind.UPDATE), keys)],
+    )
+
+
+def test_retries_lengthen_the_rg_last_walk(launch_spy, monkeypatch):
+    """One warp of two 4-lane RGs. RG1 walks from RG0's last leaf X, its
+    last lane ``height`` leaves on — no longer than a descent — but shares
+    that leaf with lane 2, which takes the count word first (RG0's lane 1
+    arrives last at the barrier, so lanes 2 and 3 start RG1 in one slot):
+    the retry's descent pushes the last lane's steps past the height, so
+    ``update_rf(X)`` fires, on both paths."""
+    from repro._types import OpKind
+    from repro.btree import BPlusTree
+    from repro.config import EireneConfig
+
+    device = DeviceConfig(num_sms=1, warp_size=4)
+    config = EireneConfig(rgs_per_iteration_warp=2)
+    tree = _small_system(8, device, config=config).tree
+    present, _ = tree.items()
+    chain = tree.leaf_ids()
+    h = tree.height
+
+    def leaf_keys(leaf, slots):
+        row = tree.views.host(int(chain[leaf]))
+        return row.keys[:row.count][slots].tolist()
+
+    x = 10
+    keys = (leaf_keys(x - 3, [0]) + leaf_keys(x - 2, [4]) + leaf_keys(x - 1, [0])
+            + leaf_keys(x, [0]) + leaf_keys(x + 1, [0, 1]) + leaf_keys(x + h - 1, [0, 1]))
+    assert len(keys) == 8 and keys == sorted(keys)
+    calls = []
+    update_rf = BPlusTree.update_rf
+    monkeypatch.setattr(BPlusTree, "update_rf",
+                        lambda t, leaf, steps: calls.append((int(leaf), int(steps)))
+                        or update_rf(t, leaf, steps))
+    batch = _update_batch(np.full(8, OpKind.UPDATE), keys)
+    ref = _run_range_batches(SEQUENTIAL, launch_spy, fanout=8, device=device, config=config,
+                             batches=[batch])
+    ref_calls, calls[:] = list(calls), []
+    assert ref_calls == [(int(chain[x]), h + h)]
+    low = assert_updates_match_reference(launch_spy, fanout=8, device=device, config=config,
+                                         batches=[batch])
+    assert calls == ref_calls * 2  # the reference run again, then the lowered one
+    assert deep_eq(ref[0], low[0])
+
+
+def test_update_retries_reported_on_every_path(launch_spy):
+    """``extras["retries"]`` counts the update kernel's transaction
+    retries — one per abort — lowered, interpreted in iteration warps, and
+    interpreted one lane per request; a conflicting batch has some."""
+    from repro.config import EireneConfig
+    from repro.workloads import YCSB_A
+
+    kwargs = dict(fanout=32, mix=YCSB_A, device=TWO_SMS)
+    for execution, locality in [(ExecutionConfig(), True), (SEQUENTIAL, True),
+                                (SEQUENTIAL, False)]:
+        outs = _run_range_batches(execution, launch_spy,
+                                  config=EireneConfig(enable_locality=locality), **kwargs)[0]
+        assert launch_spy["updates"] == (2 if execution is not SEQUENTIAL else 0)
+        for out in outs:
+            assert out.extras["retries"] == out.extras["stm"].aborts
+        assert sum(out.extras["retries"] for out in outs) > 0
+
+
+@pytest.mark.parametrize("where", ["first-iteration", "past-a-barrier"])
+def test_warps_meeting_at_a_leaf_lower(launch_spy, where):
+    """Two warps write one leaf in overlapping rounds, so the order the
+    scheduling rng draws each round decides which lane gets the count word.
+    ``first-iteration``: one RG per warp, both from round 0, RG0's last
+    lanes and RG1's first in one leaf. ``past-a-barrier``: two warps of two
+    RGs; RG1 (warp 0, after its barrier) ends in the first key of the leaf
+    where RG2 (warp 1) starts with a long pile-up of conflicts."""
+    from repro._types import OpKind
+    from repro.config import EireneConfig
+
+    config = EireneConfig(rgs_per_iteration_warp=1 if where == "first-iteration" else 2)
+    device = DeviceConfig(num_sms=2)
+    tree = _small_system(8, device, config=config).tree
+    present, _ = tree.items()
+
+    def leaf(i):
+        return tree.find_leaf(present[i])[0]
+
+    if where == "first-iteration":
+        at = next(o for o in range(40, 48) if leaf(o + 31) == leaf(o + 32))
+        keys = present[at:at + 64]
+    else:
+        at = next(o for o in range(700, 716) if leaf(o - 1) != leaf(o) == leaf(o + 4))
+        keys = np.concatenate([present[0:320:10], present[330:640:10], present[at:at + 33],
+                               present[at + 40::8][:32]])
+    low = assert_updates_match_reference(
+        launch_spy, fanout=8, device=device, config=config,
+        batches=[_update_batch(np.full(keys.size, OpKind.UPDATE), keys)],
+    )
+    assert low[0][0].extras["stm"].aborts
+
+
+def test_cross_warp_rf_hazard_keeps_the_update_interpreter(launch_spy):
+    """Four 4-lane RGs in two warps of two RGs. RG1 (warp 0) ends in leaf Y,
+    where RG2 (warp 1) lies; RG3 walks from Y to the leaf ``height + 1``
+    hops on and rewrites Y's RF, which RG1's last lane loads: the
+    interleaving decides what that load sees, so with the RF decision on
+    the launch is interpreted."""
+    from repro._types import OpKind
+    from repro.config import EireneConfig
+
+    device = DeviceConfig(num_sms=1, warp_size=4)
+    config = EireneConfig(rgs_per_iteration_warp=2)
+    tree = _small_system(8, device, config=config).tree
+    present, _ = tree.items()
+    chain = tree.leaf_ids()
+    y = int(chain[20])
+    y_keys = tree.views.host(y).keys[: tree.views.host(y).count]
+    assert y_keys.size >= 5
+    first = int(np.searchsorted(present, y_keys[0]))
+    rf = int(tree.views.host(y).rf)
+    assert rf == tree.views.host(int(chain[20 + tree.height + 1])).keys[0]
+    end = int(np.searchsorted(present, rf))
+    keys = np.concatenate([present[first - 40:first - 33], present[first:first + 5],
+                           present[end - 3:end + 1]])
+    batch = _update_batch(np.full(keys.size, OpKind.UPDATE), keys)
+    assert_updates_match_reference(launch_spy, expect_lowered=False, fanout=8, device=device,
+                                   config=config, batches=[batch])
+    # without the RF decision the loaded RF is never read: no hazard
+    config = EireneConfig(rgs_per_iteration_warp=2, enable_rf_decision=False)
+    assert_updates_match_reference(launch_spy, fanout=8, device=device, config=config,
+                                   batches=[batch])
+
+
+@pytest.mark.parametrize("case", ["delete", "absent", "injector", "probe", "slow-path-env"])
+def test_update_kernel_fallbacks_match(launch_spy, monkeypatch, case):
+    """Launches that must keep the interpreter: a delete or an absent key
+    (the leaf may shift or split), the abort injector, a probe,
+    ``REPRO_SLOW_PATH=1``."""
+    from repro._types import OpKind
+
+    device = DeviceConfig(num_sms=1)
+    present, _ = _small_system(8, device).tree.items()
+    keys = present[40:104]
+    kinds = np.full(keys.size, OpKind.UPDATE)
+    kwargs = dict(fanout=8, device=device)
+    if case == "delete":
+        kinds[5] = OpKind.DELETE
+    elif case == "absent":
+        kinds[5] = OpKind.INSERT
+        keys = keys.copy()
+        keys[5] = keys[4] + 1
+        assert keys[5] < keys[6]
+    elif case == "injector":
+        from repro.core.eirene import EireneTree
+
+        build = EireneTree.__init__
+
+        def with_injector(self, *args, **kw):
+            build(self, *args, **kw)
+            self.stm.abort_injector = lambda: False
+
+        monkeypatch.setattr(EireneTree, "__init__", with_injector)
+    batch = _update_batch(kinds, keys)
+    if case in ("probe", "slow-path-env"):
+        lowered = _run_range_batches(ExecutionConfig(), launch_spy, batches=[batch], **kwargs)
+        assert launch_spy["updates"] == 1
+        if case == "slow-path-env":
+            monkeypatch.setenv("REPRO_SLOW_PATH", "1")
+            set_execution_config(None)
+        probe = LaunchCountingProbe()
+        probed = _run_range_batches(execution_config(), launch_spy, probe=probe,
+                                    batches=[batch], **kwargs)
+        assert probed[4] == 0 and probe.launches, "a probed launch ran lowered"
+        assert deep_eq(lowered[0], probed[0]) and np.array_equal(lowered[1], probed[1])
+        assert deep_eq(lowered[2], probed[2]) and lowered[3] == probed[3]
+        return
+    assert_updates_match_reference(launch_spy, expect_lowered=False, batches=[batch],
+                                   **kwargs)
 
 
 # --------------------------------------------------------------------- #
