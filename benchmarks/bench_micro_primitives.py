@@ -1,7 +1,7 @@
 """Micro-benchmarks of the substrate primitives (wall-clock, pytest-benchmark).
 
-These time the *simulator's own* hot paths — radix sort, scans, the
-combining pass, batch traversal — so regressions in the reproduction
+These time the *simulator's own* hot paths — radix sort, the combining
+pass, batch traversal — so regressions in the reproduction
 infrastructure are visible independently of the simulated device model.
 """
 
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.combining import combine_point_requests
-from repro.gpuprims import exclusive_scan, radix_argsort
+from repro.gpuprims import radix_argsort
 from repro.btree import BPlusTree, batch_find_leaf
 from repro.config import TreeConfig
 from repro.workloads import YcsbWorkload, build_key_pool
@@ -37,11 +37,6 @@ def test_radix_argsort(benchmark, keys):
     assert np.all(np.diff(keys[perm]) >= 0)
 
 
-def test_exclusive_scan(benchmark, keys):
-    out = benchmark(exclusive_scan, keys)
-    assert out[0] == 0
-
-
 def test_combining_pass(benchmark, tree_and_batch):
     _, batch = tree_and_batch
     plan = benchmark(combine_point_requests, batch)
@@ -50,5 +45,5 @@ def test_combining_pass(benchmark, tree_and_batch):
 
 def test_batch_find_leaf(benchmark, tree_and_batch):
     tree, batch = tree_and_batch
-    leaves, _ = benchmark(batch_find_leaf, tree, batch.keys)
+    leaves = benchmark(batch_find_leaf, tree, batch.keys)
     assert leaves.size == batch.n

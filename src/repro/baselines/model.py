@@ -252,7 +252,7 @@ def batch_collisions(
     point_idx = np.flatnonzero(batch.kinds != OpKind.RANGE)
     leaves = np.zeros(batch.n, dtype=np.int64)
     if point_idx.size:
-        leaves[point_idx], _ = batch_find_leaf(tree, batch.keys[point_idx])
+        leaves[point_idx] = batch_find_leaf(tree, batch.keys[point_idx])
     q_idx = np.flatnonzero(batch.kinds == OpKind.QUERY)
     w_idx = np.flatnonzero(is_update_kind_array(batch.kinds))
     w_leaves = leaves[w_idx]

@@ -12,15 +12,12 @@ from .layout import (
     NodeLayout,
 )
 from .traversal import (
-    TraversalEvents,
     batch_find_leaf,
-    batch_horizontal_find_leaf,
     batch_leaf_lookup,
     batch_leaf_slots,
     batch_point_query,
     batch_range_scan,
     batch_range_spans,
-    leaf_max_keys,
     leaf_rf_values,
 )
 from .tree import BPlusTree, SplitEvent
@@ -37,14 +34,11 @@ __all__ = [
     "OFF_RF",
     "OFF_VERSION",
     "SplitEvent",
-    "TraversalEvents",
     "batch_find_leaf",
-    "batch_horizontal_find_leaf",
     "batch_leaf_lookup",
     "batch_leaf_slots",
     "batch_point_query",
     "batch_range_scan",
     "batch_range_spans",
-    "leaf_max_keys",
     "leaf_rf_values",
 ]

@@ -535,28 +535,3 @@ def d_leaf_upsert_locked(
     yield Alu()
     return old
 
-
-def d_leaf_delete_locked(
-    tree: BPlusTree, latches: LatchTable, leaf: int, key: int
-):
-    """Merge-free delete under the leaf latch; returns the old value."""
-    a = tree.views.addrs(leaf)
-    cnt = yield Load(a.count)
-    yield BRANCH
-    found = False
-    for slot in range(cnt):
-        k = yield Load(a.keys[slot])
-        yield BRANCH
-        if k == key:
-            found = True
-            break
-        if k > key:
-            break
-    yield BRANCH
-    if not found:
-        return NULL_VALUE
-    old = tree.delete(key)
-    data = tree.arena.data
-    for i in range(cnt):
-        yield Store(a.keys[i], int(data[a.keys[i]]))
-    return old

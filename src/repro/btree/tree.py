@@ -560,6 +560,15 @@ class BPlusTree:
             nodes = rows[width <= counts[:, None]]
         return nodes
 
+    def leaf_chain(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`leaf_ids` and each node's position in it: a
+        ``max_nodes``-sized index holding a leaf's chain position and -1 for
+        every other node."""
+        chain = self.leaf_ids()
+        pos = np.full(self.max_nodes, -1, dtype=np.int64)
+        pos[chain] = np.arange(chain.size)
+        return chain, pos
+
     def items(self) -> tuple[np.ndarray, np.ndarray]:
         """All (key, value) pairs in key order (host plane)."""
         views = self.views

@@ -110,11 +110,6 @@ class TreeConfig:
         if self.arena_headroom < 1.0:
             raise ConfigError("arena_headroom must be >= 1.0")
 
-    @property
-    def min_keys(self) -> int:
-        """Minimum keys per non-root node (standard half-full invariant)."""
-        return self.fanout // 2
-
 
 @dataclass(frozen=True)
 class EireneConfig:
@@ -169,9 +164,9 @@ class ExecutionConfig:
 
     #: use the optimized :meth:`~repro.simt.Warp.step` path (batched
     #: counter flushes, barrier-wait lane parking) and lower Eirene's
-    #: unprotected query-kernel launches. Read when a warp or launch is
-    #: built; attaching an analysis probe always selects the reference
-    #: interpreter instead.
+    #: unprotected query-kernel launches and split-free update-kernel
+    #: launches. Read when a warp or launch is built; attaching an analysis
+    #: probe always selects the reference interpreter instead.
     vectorize_slots: bool = True
 
 

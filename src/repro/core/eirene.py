@@ -165,7 +165,7 @@ class VectorPlainTraversalPass(Pass):
 
     def run(self, ctx: PipelineContext) -> None:
         def find(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            leaves, _ = batch_find_leaf(ctx.tree, keys)
+            leaves = batch_find_leaf(ctx.tree, keys)
             return leaves, np.full(keys.size, ctx.tree.height, dtype=np.int64)
 
         _find_issued_leaves(ctx, find)
@@ -192,7 +192,7 @@ class VectorQueryKernelPass(Pass):
             ctx.totals.add(
                 im.leaf_lookup_plain, count=int(q_keys.size), coalesce=COALESCE_SORTED
             )
-            q_old, _ = batch_leaf_lookup(ctx.tree, ctx.art["q_leaves"], q_keys)
+            q_old = batch_leaf_lookup(ctx.tree, ctx.art["q_leaves"], q_keys)
             ctx.art["old_vals"][q_runs] = q_old
             ctx.art["q_steps_avg"] = float(q_steps.mean())
         ctx.phase.query_kernel = phase_seconds(ctx.totals, ctx.device)
@@ -310,7 +310,7 @@ class VectorUnifiedKernelPass(Pass):
             totals.conflicts += float(q_retry.sum())
             retries[plan.issued_orig[q_runs]] += q_retry
             # old values are read before the host applies the batch's updates
-            q_old, _ = batch_leaf_lookup(tree, q_leaves, plan.issued_keys[q_runs])
+            q_old = batch_leaf_lookup(tree, q_leaves, plan.issued_keys[q_runs])
             ctx.art["old_vals"][q_runs] = q_old
             ctx.art["q_steps_avg"] = float(q_steps.mean())
 
@@ -774,7 +774,7 @@ class EireneTree(System):
         if inserts.size and tree.leaf_slot(tree.find_leaf(int(inserts[0]))[0],
                                            int(inserts[0])) < 0:
             return None
-        if not batch_leaf_slots(tree, batch_find_leaf(tree, keys)[0], keys)[1].all():
+        if not batch_leaf_slots(tree, batch_find_leaf(tree, keys), keys)[1].all():
             return None
         tpl = UpdateTemplates(tree, stm.region, keys)
         if not tpl.valid.all():

@@ -99,10 +99,6 @@ class LocalitySteps:
     #: the ``update_rf`` calls made (0 with ``update_rf=False``)
     rf_updates: int = 0
 
-    @property
-    def vertical_fraction(self) -> float:
-        return 1.0 - float(self.horizontal.mean()) if self.steps.size else 0.0
-
 
 def vector_locality_steps(
     tree: BPlusTree,
@@ -137,7 +133,7 @@ def vector_locality_steps(
     n = int(keys.size)
     if np.any(keys[1:] <= keys[:-1]):
         raise ValueError("issued keys must be strictly increasing")
-    leaves, _ = batch_find_leaf(tree, keys)
+    leaves = batch_find_leaf(tree, keys)
     height = tree.height
     if n == 0:
         empty = np.zeros(0, dtype=np.int64)
@@ -145,10 +141,8 @@ def vector_locality_steps(
             steps=empty, horizontal=np.zeros(0, dtype=bool), leaves=leaves,
             rg_lockstep_steps=empty,
         )
-    chain = tree.leaf_ids()
-    index_of = np.full(tree.max_nodes, -1, dtype=np.int64)
-    index_of[chain] = np.arange(chain.size)
-    leaf_idx = index_of[leaves]
+    chain, chain_pos = tree.leaf_chain()
+    leaf_idx = chain_pos[leaves]
 
     last = plan.rg_end - 1  # key-sorted: an RG's last lane holds its max
     go = np.ones(plan.n_rgs, dtype=bool)

@@ -22,7 +22,7 @@ import numpy as np
 from .._types import KIND_DTYPE, NULL_VALUE, OpKind
 from ..baselines.base import BatchOutcome, System
 from ..errors import WorkloadError
-from ..workloads.requests import RequestBatch
+from ..workloads.requests import RequestBatch, check_key_range
 
 #: §7 CPU-side buffering threshold (requests per batch) — scaled from the
 #: paper's 1M default
@@ -116,6 +116,9 @@ class EireneService:
 
     # ------------------------------------------------------------------ #
     def _enqueue(self, kind: OpKind, key: int, value: int, end: int) -> Ticket:
+        # rejected before buffering: a bad key must not fail the whole batch
+        # at flush time
+        check_key_range([key])
         ticket = Ticket(kind=kind, key=key)
         p = self._pending
         p.kinds.append(int(kind))

@@ -1,18 +1,12 @@
-"""Stream compaction and run detection (CUB ``DeviceSelect`` / ``DeviceRunLengthEncode``).
+"""Run detection (CUB ``DeviceRunLengthEncode``).
 
-The combining scan (§4.1.1) needs two primitives beyond sort:
-
-* detect runs of equal keys in the sorted stream (``run_heads`` /
-  ``run_lengths``), and
-* compact the issued requests into dense kernel inputs
-  (``compact_indices``), since only one request per key is launched.
+The combining scan (§4.1.1) detects runs of equal keys in the sorted
+stream (``run_heads`` / ``run_lengths``): one request per run is issued.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .scan import ScanWork, exclusive_scan, inclusive_scan
 
 
 def run_heads(sorted_keys: np.ndarray) -> np.ndarray:
@@ -26,7 +20,7 @@ def run_heads(sorted_keys: np.ndarray) -> np.ndarray:
     return heads
 
 
-def run_lengths(heads: np.ndarray, work: ScanWork | None = None) -> tuple[np.ndarray, np.ndarray]:
+def run_lengths(heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(start index, length) of each run, from a run-head mask."""
     heads = np.asarray(heads, dtype=bool)
     starts = np.flatnonzero(heads)
@@ -35,30 +29,4 @@ def run_lengths(heads: np.ndarray, work: ScanWork | None = None) -> tuple[np.nda
     ends = np.empty_like(starts)
     ends[:-1] = starts[1:]
     ends[-1] = heads.size
-    if work is not None:
-        work.merge(ScanWork(n=int(heads.size), levels=1, element_ops=int(heads.size)))
     return starts, ends - starts
-
-
-def compact_indices(flags: np.ndarray, work: ScanWork | None = None) -> np.ndarray:
-    """Indices of the set flags, via scan + scatter (GPU stream compaction)."""
-    flags = np.asarray(flags, dtype=bool)
-    offsets = exclusive_scan(flags.astype(np.int64), work)
-    total = int(offsets[-1] + flags[-1]) if flags.size else 0
-    out = np.empty(total, dtype=np.int64)
-    idx = np.arange(flags.size, dtype=np.int64)
-    out[offsets[flags]] = idx[flags]
-    return out
-
-
-def expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Map each element position to its run id (inverse of run_lengths).
-
-    Equivalent to ``np.repeat(arange(len(starts)), lengths)``, expressed as
-    head-flag construction plus an inclusive scan — the GPU formulation.
-    """
-    total = int(lengths.sum())
-    heads = np.zeros(total, dtype=np.int64)
-    if starts.size:
-        heads[starts] = 1
-    return inclusive_scan(heads) - 1

@@ -81,10 +81,3 @@ def radix_argsort(keys: np.ndarray, work: RadixWork | None = None) -> np.ndarray
         work.merge(RadixWork(n=n, passes=npasses, element_moves=npasses * n))
     return perm
 
-
-def radix_sort_pairs(
-    keys: np.ndarray, values: np.ndarray, work: RadixWork | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sort (key, value) pairs by key, stable. Returns sorted copies."""
-    perm = radix_argsort(keys, work)
-    return keys[perm], values[perm]

@@ -84,10 +84,6 @@ class SystemRun:
         m = a.mean()
         return float(max((a.max() - m) / m, (m - a.min()) / m))
 
-    @property
-    def per_request_variance(self) -> float:
-        return self.outcome.response_stats().variance_fraction
-
 
 def run_system(
     system: str,

@@ -1,7 +1,7 @@
 """Metrics: throughput, QoS (response-time variance), instruction profiles,
 and per-pass pipeline traces."""
 
-from .profile import InstructionProfile, ProfileTable
+from .profile import InstructionProfile
 from .qos import ResponseTimeStats, ShardQoS, response_time_stats
 from .throughput import ThroughputResult, combine
 from .trace import PassRecord, PipelineTrace, merge_traces
@@ -10,7 +10,6 @@ __all__ = [
     "InstructionProfile",
     "PassRecord",
     "PipelineTrace",
-    "ProfileTable",
     "ResponseTimeStats",
     "ShardQoS",
     "ThroughputResult",

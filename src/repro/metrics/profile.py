@@ -1,13 +1,12 @@
 """Instruction-profile reports (the simulator's Nsight Compute stand-in).
 
-Collects per-request memory / control-flow instruction averages and conflict
-counts per system, and renders the normalized comparisons of Figs. 1, 9
-and 12.
+Per-request memory / control-flow instruction averages and conflict counts
+of one system, the inputs of Figs. 1, 9 and 12.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -38,45 +37,3 @@ class InstructionProfile:
             "traversal_steps": ratio(self.traversal_steps, base.traversal_steps),
         }
 
-
-@dataclass
-class ProfileTable:
-    """A set of profiles rendered as the paper's bar-chart tables."""
-
-    profiles: list[InstructionProfile] = field(default_factory=list)
-
-    def add(self, profile: InstructionProfile) -> None:
-        self.profiles.append(profile)
-
-    def get(self, system: str) -> InstructionProfile:
-        for p in self.profiles:
-            if p.system == system:
-                return p
-        raise KeyError(system)
-
-    def render(self, normalize_to: str | None = None) -> str:
-        """Plain-text table: one row per system.
-
-        With ``normalize_to``, memory/control columns are ratios to that
-        system (Fig. 9's presentation); otherwise absolute per-request
-        counts (Fig. 1's presentation).
-        """
-        lines = []
-        if normalize_to is None:
-            lines.append(f"{'system':<28}{'memory_inst':>14}{'control_inst':>14}{'conflicts':>12}")
-            for p in self.profiles:
-                lines.append(
-                    f"{p.system:<28}{p.mem_inst:>14.2f}{p.control_inst:>14.2f}{p.conflicts:>12.4f}"
-                )
-        else:
-            base = self.get(normalize_to)
-            lines.append(
-                f"{'system':<28}{'memory_inst':>14}{'control_inst':>14}"
-                f"  (normalized to {normalize_to})"
-            )
-            for p in self.profiles:
-                r = p.normalized_to(base)
-                lines.append(
-                    f"{p.system:<28}{r['memory_inst']:>14.3f}{r['control_inst']:>14.3f}"
-                )
-        return "\n".join(lines)

@@ -79,7 +79,3 @@ class CostModel:
         total work, the device executes it ``num_sms``-wide.
         """
         return cycles / (self.device.num_sms * self.device.clock_hz)
-
-    def sm_seconds(self, cycles: float) -> float:
-        """Seconds for cycles already expressed per-SM (SIMT engine)."""
-        return self.device.cycles_to_seconds(cycles)

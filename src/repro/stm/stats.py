@@ -31,10 +31,6 @@ class StmStats:
             + self.conflicts_version
         )
 
-    @property
-    def abort_rate(self) -> float:
-        return self.aborts / self.begins if self.begins else 0.0
-
     def reset(self) -> None:
         self.begins = 0
         self.commits = 0

@@ -14,12 +14,24 @@ from itertools import chain
 
 import numpy as np
 
-from .._types import KIND_DTYPE, NULL_VALUE, OpKind
+from .._types import KIND_DTYPE, MAX_KEY, NULL_VALUE, OpKind
 from ..errors import WorkloadError
 
 #: OpKind values are contiguous, so a min/max check validates a batch's
 #: kinds (plain ints: numpy compares them much faster than enum members)
 _KIND_MIN, _KIND_MAX, _RANGE = int(min(OpKind)), int(max(OpKind)), int(OpKind.RANGE)
+
+
+def check_key_range(keys) -> None:
+    """Reject any key outside ``[0, MAX_KEY]`` with :class:`WorkloadError`.
+
+    The radix sort needs non-negative keys, and ``EMPTY_KEY`` (above
+    ``MAX_KEY``) marks a leaf's unused slots, so no request may name it.
+    """
+    keys = np.asarray(keys)
+    if keys.size and (keys.min() < 0 or keys.max() > MAX_KEY):
+        bad = np.flatnonzero((keys < 0) | (keys > MAX_KEY))
+        raise WorkloadError(f"keys {keys[bad]} outside [0, {MAX_KEY}] at requests {bad}")
 
 
 @dataclass
@@ -41,6 +53,7 @@ class RequestBatch:
         if kinds.size and (kinds.min() < _KIND_MIN or kinds.max() > _KIND_MAX):
             raise WorkloadError(f"unknown request kinds in {np.unique(kinds)}")
         self.kinds = np.ascontiguousarray(kinds, dtype=KIND_DTYPE)
+        check_key_range(self.keys)
         inverted = np.flatnonzero((self.kinds == _RANGE) & (self.range_ends < self.keys))
         if inverted.size:
             raise WorkloadError(f"empty range (range_end < key) at requests {inverted}")

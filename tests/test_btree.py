@@ -13,13 +13,11 @@ from repro.btree import (
     BPlusTree,
     NodeLayout,
     batch_find_leaf,
-    batch_horizontal_find_leaf,
     batch_leaf_lookup,
     batch_leaf_slots,
     batch_point_query,
     batch_range_scan,
     batch_range_spans,
-    leaf_max_keys,
     leaf_rf_values,
 )
 from repro.btree.layout import HEADER_WORDS, OFF_KEYS
@@ -281,45 +279,18 @@ class TestBatchTraversal:
     def test_batch_find_leaf_matches_scalar(self):
         tree, keys, _ = build(n=600)
         probe = keys[::7]
-        leaves, ev = batch_find_leaf(tree, probe)
+        leaves = batch_find_leaf(tree, probe)
         for k, leaf in zip(probe, leaves, strict=True):
             assert tree.find_leaf(int(k))[0] == int(leaf)
-        assert ev.vertical_steps == probe.size * tree.height
 
     def test_batch_leaf_lookup_matches_search(self):
         tree, keys, _ = build(n=600)
         rng = np.random.default_rng(9)
         probe = rng.integers(0, 6000, size=300)
-        leaves, _ = batch_find_leaf(tree, probe)
-        vals, _ = batch_leaf_lookup(tree, leaves, probe)
+        leaves = batch_find_leaf(tree, probe)
+        vals = batch_leaf_lookup(tree, leaves, probe)
         ref = np.array([tree.search(int(k)) for k in probe])
         assert np.array_equal(vals, ref)
-
-    def test_horizontal_walk_finds_same_leaves(self):
-        tree, keys, _ = build(n=600)
-        targets = np.sort(keys[::5])
-        start = np.full(targets.size, tree.leaf_ids()[0], dtype=np.int64)
-        leaves, steps, _ = batch_horizontal_find_leaf(tree, start, targets)
-        ref, _ = batch_find_leaf(tree, targets)
-        assert np.array_equal(leaves, ref)
-        assert np.all(steps >= 1)
-
-    def test_horizontal_walk_falls_back_when_key_precedes_start(self):
-        tree, keys, _ = build(n=600)
-        last_leaf = tree.leaf_ids()[-1]
-        targets = keys[:4]
-        start = np.full(4, last_leaf, dtype=np.int64)
-        leaves, steps, _ = batch_horizontal_find_leaf(tree, start, targets)
-        ref, _ = batch_find_leaf(tree, targets)
-        assert np.array_equal(leaves, ref)
-        assert np.all(steps == tree.height)
-
-    def test_leaf_max_keys(self):
-        tree, keys, _ = build(n=100, fanout=8)
-        leaves = np.array(tree.leaf_ids())
-        maxes = leaf_max_keys(tree, leaves)
-        assert int(maxes[-1]) == int(keys.max())
-        assert np.all(np.diff(maxes) > 0)
 
     @pytest.mark.parametrize("fanout", [4, 8, 32])
     @pytest.mark.parametrize("probe_order", ["sorted", "unsorted", "duplicates"])
@@ -332,19 +303,13 @@ class TestBatchTraversal:
         elif probe_order == "duplicates":
             probe = np.repeat(probe[:100], rng.integers(1, 5, size=100))
             rng.shuffle(probe)
-        leaves, ev = batch_find_leaf(tree, probe)
+        leaves = batch_find_leaf(tree, probe)
         assert [tree.find_leaf(int(k))[0] for k in probe] == leaves.tolist()
-        n, h = probe.size, tree.height
-        assert (ev.requests, ev.node_visits, ev.vertical_steps) == (n, n * h, n * h)
-        assert ev.key_words_read == n * tree.layout.fanout * (h - 1)
-        assert (ev.horizontal_steps, ev.leaf_lookups) == (0, 0)
-        assert np.array_equal(ev.steps_per_request, np.full(n, h))
 
     def test_empty_batch(self):
         tree, _, _ = build(n=50)
-        leaves, ev = batch_find_leaf(tree, np.zeros(0, dtype=np.int64))
+        leaves = batch_find_leaf(tree, np.zeros(0, dtype=np.int64))
         assert leaves.size == 0
-        assert ev.requests == 0
 
 
 class TestValidateDetectsCorruption:
@@ -419,6 +384,16 @@ class TestLeafIds:
         assert leaves.dtype == np.int64
         assert leaves.tolist() == chain_walk(tree)
         assert np.any(np.diff(leaves) < 0)  # node ids really are out of key order
+
+    @pytest.mark.parametrize("fanout", [4, 8, 32])
+    def test_leaf_chain_indexes_leaves_only(self, fanout):
+        tree = grown_tree(fanout, seed=fanout)
+        chain, pos = tree.leaf_chain()
+        assert chain.tolist() == chain_walk(tree)
+        assert pos.shape == (tree.max_nodes,)
+        assert pos[chain].tolist() == list(range(chain.size))
+        others = np.setdiff1d(np.arange(tree.max_nodes), chain)
+        assert np.all(pos[others] == -1)
 
     @pytest.mark.parametrize("fanout", [4, 8, 32])
     def test_range_spans_count_chain_hops(self, fanout):
@@ -546,7 +521,7 @@ class TestBatchPointQuery:
             [0, present[-1] + 1, EMPTY_KEY - 1],
         ])
         n = keys.size
-        leaves, _ = batch_find_leaf(tree, keys)
+        leaves = batch_find_leaf(tree, keys)
         pos = np.searchsorted(chain, leaves, sorter=np.argsort(chain))
         pos = np.argsort(chain)[pos]  # chain position of each key's leaf
         # a walk starts at the key's leaf or up to 3 leaves before it
@@ -651,7 +626,7 @@ class TestLeafSlots:
         ref_slots, ref_hit = row_compare_slots(tree, leaves, keys)
         assert np.array_equal(slots, ref_slots)
         assert np.array_equal(hit, ref_hit)
-        vals, _ = batch_leaf_lookup(tree, leaves, keys)
+        vals = batch_leaf_lookup(tree, leaves, keys)
         assert np.array_equal(vals[hit], tree.arena.data[
             tree.views.payload_addrs(np.asarray(leaves)[hit], slots[hit])])
         return hit
@@ -661,7 +636,7 @@ class TestLeafSlots:
         tree, keys, _ = build(n=600, fanout=fanout)
         rng = np.random.default_rng(fanout)
         probe = rng.integers(0, 6100, size=400)  # present and absent, any order
-        leaves, _ = batch_find_leaf(tree, probe)
+        leaves = batch_find_leaf(tree, probe)
         hit = self.assert_matches_row_compare(tree, leaves, probe)
         assert np.array_equal(hit, np.isin(probe, keys))
 
@@ -684,7 +659,7 @@ class TestLeafSlots:
             tree.delete(int(k))
         assert tree.views.host(chain[2]).count == 0
         probe = np.concatenate([keys, emptied, keys[::-1] + 1])
-        leaves, _ = batch_find_leaf(tree, probe)
+        leaves = batch_find_leaf(tree, probe)
         hit = self.assert_matches_row_compare(tree, leaves, probe)
         assert np.array_equal(hit, np.isin(probe, tree.items()[0]))
 
@@ -701,7 +676,7 @@ class TestApplyUpdates:
         rng = np.random.default_rng(seed)
         tree, _, _ = build(n=120, fanout=fanout, seed=seed, headroom=40.0)
         kinds, keys, values = mixed_batch(tree, rng, n_fresh)
-        leaves, _ = batch_find_leaf(tree, keys)
+        leaves = batch_find_leaf(tree, keys)
         ref = copy.deepcopy(tree)
         height = tree.height
 
@@ -732,10 +707,10 @@ class TestApplyUpdates:
         rng = np.random.default_rng(7)
         tree, keys, _ = build(n=200, fanout=4, headroom=8.0)
         targets = np.sort(rng.choice(keys, size=120, replace=False))
-        leaves, _ = batch_find_leaf(tree, targets)
+        leaves = batch_find_leaf(tree, targets)
         for k in rng.choice(np.setdiff1d(np.arange(2000), keys), size=150, replace=False):
             tree.upsert(int(k), 1)
-        assert np.any(batch_find_leaf(tree, targets)[0] != leaves)
+        assert np.any(batch_find_leaf(tree, targets) != leaves)
         kinds = np.where(rng.random(targets.size) < 0.2, OpKind.DELETE, OpKind.UPDATE)
         kinds = kinds.astype(np.int8)
         values = rng.integers(0, 10**9, size=targets.size)
@@ -774,7 +749,7 @@ class TestApplyUpdates:
         tree, keys, _ = build(n=100)
         before = tree.arena.data.copy()
         probe = keys[:3]
-        leaves, _ = batch_find_leaf(tree, probe)
+        leaves = batch_find_leaf(tree, probe)
         leaves[1] = {"inner": tree.root, "negative": -1, "unallocated": tree.node_count}[
             bad_leaf
         ]
@@ -785,7 +760,7 @@ class TestApplyUpdates:
 
     def test_length_mismatch_rejected(self):
         tree, keys, _ = build(n=100)
-        leaves, _ = batch_find_leaf(tree, keys[:3])
+        leaves = batch_find_leaf(tree, keys[:3])
         with pytest.raises(TreeError):
             tree.apply_updates(np.ones(2, dtype=np.int8), keys[:3], keys[:3], leaves)
 

@@ -59,7 +59,6 @@ class TestTreeConfig:
     def test_defaults(self):
         cfg = TreeConfig()
         assert cfg.fanout == 16
-        assert cfg.min_keys == 8
 
     def test_fanout_lower_bound(self):
         with pytest.raises(ConfigError):

@@ -1,4 +1,4 @@
-"""Unit + property tests for the GPU primitives (scan, radix sort, compaction)."""
+"""Unit + property tests for the GPU primitives (radix sort, run detection)."""
 
 import numpy as np
 import pytest
@@ -7,75 +7,13 @@ from hypothesis import strategies as st
 
 from repro.gpuprims import (
     RadixWork,
-    ScanWork,
-    compact_indices,
-    exclusive_scan,
-    expand_runs,
-    inclusive_scan,
     radix_argsort,
-    radix_sort_pairs,
     run_heads,
     run_lengths,
-    segment_ids,
-    segmented_exclusive_scan,
     significant_passes,
 )
 
 int_arrays = st.lists(st.integers(min_value=0, max_value=2**40), min_size=0, max_size=300)
-
-
-class TestScan:
-    def test_exclusive_scan_basic(self):
-        out = exclusive_scan(np.array([3, 1, 7, 0, 4]))
-        assert np.array_equal(out, [0, 3, 4, 11, 11])
-
-    def test_inclusive_scan_basic(self):
-        out = inclusive_scan(np.array([3, 1, 7, 0, 4]))
-        assert np.array_equal(out, [3, 4, 11, 11, 15])
-
-    def test_empty(self):
-        assert exclusive_scan(np.zeros(0, dtype=np.int64)).size == 0
-
-    def test_single_element(self):
-        assert np.array_equal(exclusive_scan(np.array([5])), [0])
-
-    def test_non_power_of_two_lengths(self):
-        for n in (3, 5, 17, 100, 1023):
-            x = np.arange(n)
-            assert np.array_equal(exclusive_scan(x), np.concatenate([[0], np.cumsum(x)[:-1]]))
-
-    @given(int_arrays)
-    @settings(max_examples=60, deadline=None)
-    def test_exclusive_scan_matches_cumsum(self, xs):
-        x = np.array(xs, dtype=np.int64)
-        got = exclusive_scan(x)
-        ref = np.concatenate([[0], np.cumsum(x)[:-1]]) if x.size else x
-        assert np.array_equal(got, ref)
-
-    def test_work_accounting(self):
-        w = ScanWork()
-        exclusive_scan(np.arange(64), w)
-        assert w.n == 64
-        assert w.levels == 12  # 6 up-sweep + 6 down-sweep
-        assert w.element_ops > 0
-
-    def test_segmented_scan(self):
-        vals = np.array([1, 1, 1, 1, 1, 1])
-        heads = np.array([True, False, False, True, False, False])
-        out = segmented_exclusive_scan(vals, heads)
-        assert np.array_equal(out, [0, 1, 2, 0, 1, 2])
-
-    def test_segmented_scan_requires_leading_head(self):
-        with pytest.raises(ValueError):
-            segmented_exclusive_scan(np.array([1, 2]), np.array([False, True]))
-
-    def test_segmented_scan_length_mismatch(self):
-        with pytest.raises(ValueError):
-            segmented_exclusive_scan(np.array([1]), np.array([True, False]))
-
-    def test_segment_ids(self):
-        heads = np.array([True, False, True, True, False])
-        assert np.array_equal(segment_ids(heads), [0, 0, 1, 2, 2])
 
 
 class TestRadixSort:
@@ -134,13 +72,6 @@ class TestRadixSort:
         assert w.passes == significant_passes(np.arange(100) * 1000)
         assert w.element_moves == w.passes * 100
 
-    def test_sort_pairs(self):
-        keys = np.array([3, 1, 2], dtype=np.int64)
-        vals = np.array([30, 10, 20], dtype=np.int64)
-        sk, sv = radix_sort_pairs(keys, vals)
-        assert np.array_equal(sk, [1, 2, 3])
-        assert np.array_equal(sv, [10, 20, 30])
-
 
 class TestCompaction:
     def test_run_heads(self):
@@ -156,23 +87,6 @@ class TestCompaction:
     def test_run_lengths_empty(self):
         starts, lengths = run_lengths(np.zeros(0, dtype=bool))
         assert starts.size == 0 and lengths.size == 0
-
-    def test_compact_indices(self):
-        flags = np.array([True, False, True, True, False])
-        assert np.array_equal(compact_indices(flags), [0, 2, 3])
-
-    def test_compact_indices_none_set(self):
-        assert compact_indices(np.zeros(5, dtype=bool)).size == 0
-
-    def test_compact_indices_all_set(self):
-        assert np.array_equal(compact_indices(np.ones(4, dtype=bool)), np.arange(4))
-
-    def test_expand_runs_inverts_run_lengths(self):
-        keys = np.array([7, 7, 8, 9, 9, 9, 9])
-        heads = run_heads(keys)
-        starts, lengths = run_lengths(heads)
-        rid = expand_runs(starts, lengths)
-        assert np.array_equal(rid, [0, 0, 1, 2, 2, 2, 2])
 
     @given(st.lists(st.integers(0, 8), min_size=1, max_size=200))
     @settings(max_examples=40, deadline=None)

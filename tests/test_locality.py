@@ -59,7 +59,7 @@ class TestVectorLocalitySteps:
         tree, issued = dense_setup
         plan = build_iteration_plan(issued.size, 32, 4)
         ls = vector_locality_steps(tree, plan, issued)
-        ref, _ = batch_find_leaf(tree, issued)
+        ref = batch_find_leaf(tree, issued)
         assert np.array_equal(ls.leaves, ref)
 
     def test_first_rg_of_each_warp_is_vertical(self, dense_setup):
@@ -117,7 +117,7 @@ def loop_locality_steps(tree, plan, keys, enable_rf=True, update_rf=True):
     reads its buffered leaf's RF as it stands after every earlier RG's
     update."""
     n = int(keys.size)
-    leaves, _ = batch_find_leaf(tree, keys)
+    leaves = batch_find_leaf(tree, keys)
     chain = tree.leaf_ids()
     index_of = np.full(tree.max_nodes, -1, dtype=np.int64)
     index_of[np.asarray(chain, dtype=np.int64)] = np.arange(len(chain))

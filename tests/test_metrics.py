@@ -5,7 +5,6 @@ import pytest
 
 from repro.metrics import (
     InstructionProfile,
-    ProfileTable,
     ResponseTimeStats,
     ThroughputResult,
     combine,
@@ -68,32 +67,14 @@ class TestThroughput:
         assert "Mreq/s" in ThroughputResult(10**6, 1.0).describe()
 
 
-class TestProfileTable:
-    def _table(self):
-        t = ProfileTable()
-        t.add(InstructionProfile("base", 100, mem_inst=10.0, control_inst=20.0, conflicts=1.0))
-        t.add(InstructionProfile("fancy", 100, mem_inst=1.0, control_inst=2.0, conflicts=0.05))
-        return t
-
+class TestInstructionProfile:
     def test_normalized_to(self):
-        t = self._table()
-        norm = t.get("fancy").normalized_to(t.get("base"))
+        base = InstructionProfile("base", 100, mem_inst=10.0, control_inst=20.0, conflicts=1.0)
+        fancy = InstructionProfile("fancy", 100, mem_inst=1.0, control_inst=2.0, conflicts=0.05)
+        norm = fancy.normalized_to(base)
         assert norm["memory_inst"] == pytest.approx(0.1)
         assert norm["control_inst"] == pytest.approx(0.1)
         assert norm["conflicts"] == pytest.approx(0.05)
-
-    def test_render_absolute(self):
-        out = self._table().render()
-        assert "memory_inst" in out
-        assert "base" in out and "fancy" in out
-
-    def test_render_normalized(self):
-        out = self._table().render(normalize_to="base")
-        assert "normalized to base" in out
-
-    def test_get_unknown_raises(self):
-        with pytest.raises(KeyError):
-            self._table().get("nope")
 
     def test_total_inst(self):
         p = InstructionProfile("x", 10, mem_inst=1.0, control_inst=2.0, alu_inst=3.0)

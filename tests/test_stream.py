@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import NULL_VALUE, build_key_pool, make_system, TreeConfig
+from repro import EMPTY_KEY, NULL_VALUE, build_key_pool, make_system, TreeConfig
 from repro.core.stream import DEFAULT_BATCH_THRESHOLD, EireneService
 from repro.errors import WorkloadError
 
@@ -107,6 +107,18 @@ class TestSemantics:
         svc, _, _ = service
         with pytest.raises(WorkloadError):
             svc.submit_range(10, 5)
+
+    @pytest.mark.parametrize("key", [-1, EMPTY_KEY], ids=["minus-1", "empty-key"])
+    def test_out_of_range_key_rejected_before_buffering(self, service, key):
+        svc, keys, values = service
+        earlier = [svc.submit_query(int(keys[i])) for i in range(3)]
+        for submit in (svc.submit_query, svc.submit_delete,
+                       lambda k: svc.submit_update(k, 1), lambda k: svc.submit_range(k, k)):
+            with pytest.raises(WorkloadError):
+                submit(key)
+            assert svc.pending == 3
+        assert svc.flush() is not None
+        assert [t.value() for t in earlier] == values[:3].tolist()
 
 
 class TestAccounting:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro._types import NULL_VALUE, OpKind
+from repro._types import EMPTY_KEY, MAX_KEY, NULL_VALUE, OpKind
 from repro.errors import WorkloadError
 from repro.workloads import (
     PAPER_DEFAULT,
@@ -58,8 +58,10 @@ class TestRequestBatch:
             ([9, 0], [1, 2], [0, 0]),  # unknown kind
             ([0, -1], [1, 2], [0, 0]),  # negative kind
             ([0, OpKind.RANGE], [1, 8], [0, 5]),  # inverted range
+            ([0, 0], [1, -1], [0, 0]),  # negative key
+            ([0, OpKind.UPDATE], [1, EMPTY_KEY], [0, 0]),  # the empty-slot marker
         ],
-        ids=["kind-9", "kind-minus-1", "inverted-range"],
+        ids=["kind-9", "kind-minus-1", "inverted-range", "key-minus-1", "key-empty"],
     )
     def test_invalid_batches_rejected(self, kinds, keys, ends):
         with pytest.raises(WorkloadError):
@@ -69,6 +71,10 @@ class TestRequestBatch:
                 values=np.zeros(2, dtype=np.int64),
                 range_ends=np.array(ends),
             )
+
+    def test_max_key_accepted(self):
+        batch = RequestBatch.from_ops([(OpKind.QUERY, 0), (OpKind.UPDATE, MAX_KEY, 1)])
+        assert batch.keys.tolist() == [0, MAX_KEY]
 
     def test_from_ops_rejects_malformed(self):
         with pytest.raises(WorkloadError):
