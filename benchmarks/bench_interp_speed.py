@@ -33,7 +33,7 @@ def test_interp_speed(benchmark, results_dir):
         engine="simt", tree_size=2**12, batch_size=2**10, n_batches=2
     )
     fig = benchmark.pedantic(
-        lambda: interp_speed(cfg, repeats=3), rounds=1, iterations=1
+        lambda: interp_speed(cfg, repeats=5), rounds=1, iterations=1
     )
     fig.figure = "BENCH_interp"
     text = fig.render()

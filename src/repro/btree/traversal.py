@@ -242,16 +242,18 @@ def _walk(tree: BPlusTree, keys: np.ndarray, starts: np.ndarray, streams: np.nda
 
 
 def batch_range_scan(
-    tree: BPlusTree, lo: np.ndarray, hi: np.ndarray
+    tree: BPlusTree, lo: np.ndarray, hi: np.ndarray, request_ids: np.ndarray
 ) -> tuple[OpTrace, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Every ``[lo[j], hi[j]]`` scan of
-    :func:`~repro.core.kernels.d_range_raw` at once, in numpy.
+    :func:`~repro.core.kernels.d_range_raw` at once, in numpy, for the
+    range requests ``request_ids``.
 
     Returns the scans' op streams (lane ``j`` is range ``j``, each its own
-    warp; no Marks) and their results as one CSR triple ``(counts, keys,
-    values)``, equal to :func:`~repro.workloads.requests.flatten_scans` of
-    the programs' results. Each stream is ``d_range_raw``'s, op by op, with
-    every Load's address:
+    warp, ending at ``Mark(request_ids[j])``) and their results as one CSR
+    triple ``(counts, keys, values)``, equal to
+    :func:`~repro.workloads.requests.flatten_scans` of the programs'
+    results. Each stream is ``d_range_raw``'s, op by op, with every Load's
+    address, then the Mark:
 
     * the descent of :func:`_descend` toward ``lo``;
     * leaf-chain walk, per leaf: ``Load count``, ``Branch``; one (``Load``,
@@ -267,22 +269,20 @@ def batch_range_scan(
     """
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
+    request_ids = np.asarray(request_ids, dtype=np.int64)
     n = int(lo.size)
+    lanes = np.arange(n)
     if n == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        trace = OpTrace.one_lane_warps(
-            np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int8), empty
-        )
-        return trace, (empty, empty, empty)
+        return OpTrace(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int8), lanes,
+                       request_ids, np.zeros(1, dtype=np.int64), lanes), (lanes, lanes, lanes)
     lay = tree.layout
     data = tree.arena.data
     size = data.size
     tokens = _Tokens(n)
     found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (lane, key, value)
-    node, _ = _descend(tree, lo, np.arange(n), tokens)
+    node, _ = _descend(tree, lo, lanes, tokens)
 
     # leaf-chain walk: one leaf per step for every lane still walking
-    lanes = np.arange(n)
     while lanes.size:
         base = _node_bases(tree, node[lanes], OFF_COUNT)
         count = _load(data, base + OFF_COUNT)
@@ -314,7 +314,10 @@ def batch_range_scan(
         lanes = lanes[go]
         node[lanes] = nxt[go]
 
-    trace = OpTrace.one_lane_warps(*tokens.ops(lay.payload_off - OFF_KEYS))
+    tokens.emit(np.arange(n), _MARK, 0)
+    offsets, kinds, addrs = tokens.ops(lay.payload_off - OFF_KEYS)
+    trace = OpTrace(offsets, kinds, addrs, request_ids, np.arange(n + 1),
+                    np.zeros(n, dtype=np.int64))
     hit_lane, hit_keys, hit_values = (np.concatenate(a) for a in zip(*found))
     order = np.argsort(hit_lane, kind="stable")
     counts = np.bincount(hit_lane, minlength=n)

@@ -38,8 +38,6 @@ class DeviceConfig:
     cycles_per_mem_transaction: float = 8.0
     #: extra cycles charged per atomic operation that lost its CAS/contended.
     cycles_per_atomic_conflict: float = 32.0
-    #: maximum resident warps per SM (occupancy bound for the scheduler).
-    max_warps_per_sm: int = 64
     #: global-memory bandwidth (A100 40GB: 1555 GB/s); bounds the vector
     #: engine's memory-side time as transactions / (bandwidth / segment).
     mem_bandwidth_gbps: float = 1555.0

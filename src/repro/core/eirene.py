@@ -24,6 +24,13 @@ Pipeline per buffered batch (Algorithm 1), expressed as concrete
    dependence chain and the issued requests' retrieved old values; range
    results are patched by their artificial queries.
 
+On the SIMT engine each kernel launch is planned once
+(:meth:`EireneTree._launch_runs`): one :class:`LaneLayout` places its
+requests in lanes, iterations and warps, and both the interpreted warps
+and a lowered launch's trace are built from it. A lowered launch is handed
+to the launcher as a finished trace, its writes already made, and runs
+right away.
+
 Because exactly one request per key is issued and every result follows the
 timestamp-order dependence, the outcome is linearizable (§6) — the test
 suite checks every batch against the sequential reference.
@@ -31,7 +38,6 @@ suite checks every batch against the sequential reference.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +46,6 @@ from .._types import NO_NODE, NULL_VALUE, OpKind
 from ..btree import (
     batch_find_leaf,
     batch_leaf_lookup,
-    batch_leaf_slots,
     batch_point_query,
     batch_range_scan,
 )
@@ -70,7 +75,12 @@ from .kernels import (
     make_iteration_lane_program,
     make_warp_shared,
 )
-from .locality import IterationPlan, build_iteration_plan, vector_locality_steps
+from .locality import (
+    IterationPlan,
+    build_iteration_plan,
+    cross_warp_rf_hazard,
+    vector_locality_steps,
+)
 from .pipeline import FinalizePass, Pass, PassPipeline, PipelineContext
 from .range_combining import apply_range_patches, plan_range_patches
 from .update_schedule import UpdateSchedule
@@ -440,14 +450,15 @@ class SimtResultCalPass(Pass):
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class LaneLayout:
-    """Where the issued requests of a launch run, as
-    :meth:`EireneTree._add_iteration_warps` (locality on) or
-    ``KernelLaunch.add_programs`` (locality off) packs them.
+    """Where the issued requests of a launch run, decided once per launch by
+    :meth:`EireneTree._lane_layout`: the lowered query and update kernels
+    and the interpreted iteration warps are all built from it.
 
     Request ``p`` runs in iteration ``it[p]`` of launch lane ``lane[p]``,
     which belongs to warp ``warp[p]``. Warp ``w`` holds lanes
     ``warp_lanes[w]:warp_lanes[w + 1]`` and runs ``iters[w]`` barrier
-    iterations (0 without locality). ``order`` lists the requests lane by
+    iterations (0 without locality: one request per lane, the warps of
+    ``KernelLaunch.add_programs``). ``order`` lists the requests lane by
     lane, each lane's in iteration order: the order of their op streams.
     With locality, ``iplan`` is the iteration plan, ``rg[p]`` request
     ``p``'s RG and ``rg_warp`` each RG's warp.
@@ -471,12 +482,11 @@ class LaneLayout:
 @dataclass(frozen=True)
 class LoweredRuns:
     """The issued requests of a lowered launch, in ``runs`` order: their old
-    values, traversal steps and transaction retries, the warps they fill,
-    and ``build``, which returns those warps' trace (an update launch also
-    makes its arena, RF and STM writes there, inside the launch)."""
+    values, traversal steps and transaction retries, and the finished trace
+    of the warps they fill (an update launch has made its arena, RF and STM
+    writes already: the launch runs right after)."""
 
-    n_warps: int
-    build: Callable[[], OpTrace]
+    trace: OpTrace
     values: np.ndarray
     steps: np.ndarray
     retries: np.ndarray
@@ -560,7 +570,7 @@ class EireneTree(System):
         returns the number of ranges and the total leaves they span."""
         range_idx = np.flatnonzero(batch.kinds == OpKind.RANGE)
         _, (counts, keys, values) = batch_range_scan(
-            self.tree, batch.keys[range_idx], batch.range_ends[range_idx]
+            self.tree, batch.keys[range_idx], batch.range_ends[range_idx], range_idx
         )
         results.set_range_results(range_idx, counts, keys, values)
         span_total = int((counts // max(self.imodel.fanout // 2, 1) + 1).sum())
@@ -583,11 +593,12 @@ class EireneTree(System):
         UPDATE_KERNEL differ only in these arguments.
 
         ``locality`` packs the runs into iteration warps, else one lane per
-        request. A ``protected`` launch runs beside writers: update-class
-        requests take the leaf-region STM, queries a protected leaf read,
-        and the STM's conflicts are accounted. ``ranges`` adds one raw-scan
-        warp per range request, after the runs' warps, and installs the
-        scans into ``ctx.results`` after the run.
+        request; either way one :class:`LaneLayout` places them. A
+        ``protected`` launch runs beside writers: update-class requests
+        take the leaf-region STM, queries a protected leaf read, and the
+        STM's conflicts are accounted. ``ranges`` adds one raw-scan warp per
+        range request, after the runs' warps, and installs the scans into
+        ``ctx.results`` after the run.
 
         A launch is lowered whole when the launch allows it
         (:attr:`~repro.simt.KernelLaunch.lowers`) and its requests' streams
@@ -595,7 +606,8 @@ class EireneTree(System):
         :meth:`_lower_queries` finds its point queries' streams fixed at
         launch time, a protected one without ranges when
         :meth:`_lower_updates` finds it split-free. No lane program is
-        built then, and the launch replays one trace of its warps.
+        built then: the launch gets one finished trace of its warps and
+        runs right away.
         """
         plan: CombinePlan = ctx.art["plan"]
         old_vals = ctx.art["old_vals"]
@@ -603,45 +615,39 @@ class EireneTree(System):
         retries = np.zeros(ctx.n, dtype=np.int64)
         stm_before = self.stm.stats.snapshot()
         launch = ctx.launch()
-        range_idx = range_ordinals(ctx.batch)[0] if ranges else np.zeros(0, dtype=np.int64)
-        scans: list = []
+        batch = ctx.batch
+        range_idx = range_ordinals(batch)[0] if ranges else np.zeros(0, dtype=np.int64)
+        scans: list = [None] * range_idx.size
+        found = None
+        lay = self._lane_layout(int(runs.size), locality)
         lowered = None
         if launch.lowers and not protected:
-            lowered = self._lower_queries(plan, runs, locality)
+            lowered = self._lower_queries(plan, runs, lay)
         elif launch.lowers and not ranges:
-            lowered = self._lower_updates(plan, runs, locality, launch.rng)
+            lowered = self._lower_updates(plan, runs, lay, launch.rng)
         if lowered is not None:
             old_vals[runs] = lowered.values
             steps_record.extend(lowered.steps.tolist())
             retries[plan.issued_orig[runs]] = lowered.retries
-
-            def lower():
-                trace = lowered.build()
-                if not range_idx.size:
-                    return trace, None
-                scan, found = batch_range_scan(
-                    self.tree, ctx.batch.keys[range_idx], ctx.batch.range_ends[range_idx]
-                )
-                return OpTrace.concat([trace, scan.with_marks(range_idx)]), found
-
-            launch.add_lowered(lowered.n_warps + range_idx.size, lower)
+            trace = lowered.trace
+            if range_idx.size:
+                scan, found = batch_range_scan(self.tree, batch.keys[range_idx],
+                                               batch.range_ends[range_idx], range_idx)
+                trace = trace.append(scan)
+            launch.add_lowered(trace)
         else:
-            if runs.size:
-                if locality:
-                    self._add_iteration_warps(launch, plan, runs, old_vals, steps_record,
-                                              retries, protected)
-                else:
-                    launch.add_programs([
-                        self._lane_program(plan, int(r), old_vals, retries, steps_record,
-                                           protected)
-                        for r in runs
-                    ])
-            scans = [None] * range_idx.size
+            if lay.iplan is not None:
+                self._add_iteration_warps(launch, plan, runs, lay, old_vals, steps_record,
+                                          retries, protected)
+            else:
+                launch.add_programs([
+                    self._lane_program(plan, r, old_vals, retries, steps_record, protected)
+                    for r in runs.tolist()
+                ])
             for slot, i in enumerate(range_idx.tolist()):
-                launch.add_warp([self._range_program(ctx.batch, i, scans, slot)])
+                launch.add_warp([self._range_program(batch, i, scans, slot)])
         ctx.run_launch(launch, bucket)
         if ranges:
-            found = launch.lowered_result
             ctx.results.set_range_results(
                 range_idx, *(flatten_scans(scans) if found is None else found)
             )
@@ -654,7 +660,7 @@ class EireneTree(System):
     def _lane_layout(self, n: int, locality: bool) -> LaneLayout:
         """The :class:`LaneLayout` of ``n`` issued (key-sorted) requests."""
         ws = self.device.warp_size
-        if not locality:
+        if not locality or n == 0:
             warp_lanes = np.append(np.arange(0, n, ws), n)
             request = np.arange(n)
             return LaneLayout(
@@ -678,71 +684,56 @@ class EireneTree(System):
         )
 
     def _lower_queries(
-        self, plan: CombinePlan, runs: np.ndarray, locality: bool
+        self, plan: CombinePlan, runs: np.ndarray, lay: LaneLayout
     ) -> LoweredRuns | None:
-        """The unprotected point queries of ``runs`` as one lowered trace,
-        laid out by :meth:`_lane_layout`, with their values and traversal
-        steps; ``None`` when the interpreter must run them.
+        """The unprotected point queries of ``runs``, laid out by ``lay``,
+        as one lowered trace, with their values and traversal steps;
+        ``None`` when the interpreter must run them.
 
         Iteration warps take their RGs' walk decisions from
         :func:`vector_locality_steps`, which reads every RF as it stood at
-        launch time. That is exact unless an RG rewrites the RF of a leaf
-        that another warp's RG-last lane loads for a later decision: the
-        two warps' interleaving then decides what the load sees, so such a
-        launch is interpreted. So is one whose traced leaves or steps differ
-        from the locality pass's (a malformed tree). Otherwise this makes
-        the kernel's ``update_rf`` calls and returns the trace.
+        launch time. That is exact unless
+        :func:`~repro.core.locality.cross_warp_rf_hazard` finds an RF that
+        one warp rewrites and another loads for a decision: such a launch
+        is interpreted. So is one whose traced leaves or steps differ from
+        the locality pass's (a malformed tree). Otherwise this makes the
+        kernel's ``update_rf`` calls and returns the trace.
         """
         tree = self.tree
         n = int(runs.size)
         keys = plan.issued_keys[runs]
-        req_ids = plan.issued_orig[runs]
-        lay = self._lane_layout(n, locality and n > 0)
-        no_retries = np.zeros(n, dtype=np.int64)
-        if lay.iplan is None:
-            (offsets, kinds, addrs), (values, _, steps) = batch_point_query(
-                tree, keys, np.full(n, NO_NODE), np.zeros(n, dtype=bool), lay.order
-            )
-            trace = OpTrace(offsets, kinds, addrs, req_ids, lay.warp_lanes, lay.iters)
-            return LoweredRuns(lay.n_warps, lambda: trace, values, steps, no_retries)
-
-        cfg = self.config
         iplan = lay.iplan
-        ls = vector_locality_steps(tree, iplan, keys, cfg.enable_rf_decision, update_rf=False)
-        rg_last = ls.leaves[iplan.rg_end - 1]
-        if cfg.enable_rf_decision and ls.rf_leaves.size:
-            # RG-last leaves whose RF a later RG of the same warp decides by
-            reads = np.ones(iplan.n_rgs, dtype=bool)
-            reads[iplan.warp_offsets[1:] - 1] = False
-            watched = np.flatnonzero(reads & np.isin(rg_last, ls.rf_leaves))
-            watched = watched[np.argsort(rg_last[watched], kind="stable")]
-            leaf, warp = rg_last[watched], lay.rg_warp[watched]
-            if np.any((leaf[1:] == leaf[:-1]) & (warp[1:] != warp[:-1])):
+        start = np.full(n, NO_NODE)
+        rf_load = np.zeros(n, dtype=bool)
+        if iplan is not None:
+            rf = self.config.enable_rf_decision
+            ls = vector_locality_steps(tree, iplan, keys, rf, update_rf=False)
+            rg_leaf = ls.leaves[iplan.rg_end - 1]
+            if rf and cross_warp_rf_hazard(iplan, rg_leaf, ls.rf_leaves):
                 return None
-
+            buffered = np.concatenate(([NO_NODE], rg_leaf[:-1]))[lay.rg]
+            start = np.where(ls.horizontal, buffered, NO_NODE)
+            rf_load[iplan.rg_end - 1] = True
         streams = np.empty(n, dtype=np.int64)
         streams[lay.order] = np.arange(n)
-        buffered = np.concatenate(([NO_NODE], rg_last[:-1]))[lay.rg]
-        start = np.where(ls.horizontal, buffered, NO_NODE)
-        rf_load = np.zeros(n, dtype=bool)
-        rf_load[iplan.rg_end - 1] = True
         (offsets, kinds, addrs), (values, leaves, steps) = batch_point_query(
             tree, keys, start, rf_load, streams
         )
-        if not (np.array_equal(leaves, ls.leaves) and np.array_equal(steps, ls.steps)):
-            return None
-        for leaf, walked in zip(ls.rf_leaves.tolist(), ls.rf_steps.tolist()):
-            tree.update_rf(leaf, walked)
+        if iplan is not None:
+            if not (np.array_equal(leaves, ls.leaves) and np.array_equal(steps, ls.steps)):
+                return None
+            for leaf, walked in zip(ls.rf_leaves.tolist(), ls.rf_steps.tolist()):
+                tree.update_rf(leaf, walked)
         lane_streams = np.concatenate(([0], np.cumsum(np.bincount(lay.lane))))
-        trace = OpTrace(offsets[lane_streams], kinds, addrs, req_ids[lay.order],
+        trace = OpTrace(offsets[lane_streams], kinds, addrs, plan.issued_orig[runs][lay.order],
                         lay.warp_lanes, lay.iters)
-        return LoweredRuns(lay.n_warps, lambda: trace, values, steps, no_retries)
+        return LoweredRuns(trace, values, steps, np.zeros(n, dtype=np.int64))
 
     def _lower_updates(
-        self, plan: CombinePlan, runs: np.ndarray, locality: bool, rng
+        self, plan: CombinePlan, runs: np.ndarray, lay: LaneLayout, rng
     ) -> LoweredRuns | None:
-        """The update kernel over ``runs`` as one lowered trace, laid out by
-        :meth:`_lane_layout`, or ``None`` when the interpreter must run it.
+        """The update kernel over ``runs``, laid out by ``lay``, as one
+        lowered trace, or ``None`` when the interpreter must run it.
 
         A launch lowers when it cannot split: every request is an
         ``UPDATE`` or ``INSERT`` of a key present at launch start (no
@@ -751,12 +742,12 @@ class EireneTree(System):
         :mod:`repro.core.update_trace`). :class:`UpdateSchedule` plays
         those words' events in the reference's order, on a copy of the
         launch's scheduling ``rng`` where warps meet; the launch is
-        interpreted when it cannot (an RF one warp rewrites and another
-        loads, ``MAX_RETRIES``) or when the abort injector is set. All of
-        this is decided before any program is built and before any write:
-        the returned ``build`` makes the launch's writes — the new values,
-        the STM versions of the written words, the ``update_rf`` calls and
-        the STM statistics — and builds the trace.
+        interpreted when it cannot (a cross-warp RF hazard,
+        ``MAX_RETRIES``) or when the abort injector is set. All of this is
+        decided before any program is built and before any write. A
+        lowered launch then makes its writes here, since it runs right
+        after: the new values, the STM versions of the written words, the
+        ``update_rf`` calls and the STM statistics.
         """
         stm = self.stm
         n = int(runs.size)
@@ -769,38 +760,32 @@ class EireneTree(System):
         cfg = self.config
         keys = plan.issued_keys[runs]
         # an absent key's leaf shifts or splits; an insert usually brings
-        # one, so its first insert is looked up alone before all keys are
+        # one, so its first insert is looked up alone before the templates
+        # check every key
         inserts = keys[kinds == OpKind.INSERT]
         if inserts.size and tree.leaf_slot(tree.find_leaf(int(inserts[0]))[0],
                                            int(inserts[0])) < 0:
             return None
-        if not batch_leaf_slots(tree, batch_find_leaf(tree, keys), keys)[1].all():
-            return None
         tpl = UpdateTemplates(tree, stm.region, keys)
         if not tpl.valid.all():
             return None
-        lay = self._lane_layout(n, locality)
         sched = UpdateSchedule(tree, tpl, lay, cfg.stm_retry_threshold, cfg.enable_rf_decision,
                                rng)
         if not sched.play():
             return None
-        values = plan.issued_values[runs]
+        data = tree.arena.data
+        region = stm.region
+        data[tpl.value_addr] = plan.issued_values[runs]
+        data[region.version_base + tpl.value_addr - region.data_base] += 1
+        np.add.at(data, region.version_base + tpl.count_addr - region.data_base, 1)
+        for leaf, walked in sched.rf_calls:
+            tree.update_rf(leaf, walked)
         stm_stats = sched.stm_stats()
-
-        def build() -> OpTrace:
-            data = tree.arena.data
-            region = stm.region
-            data[tpl.value_addr] = values
-            data[region.version_base + tpl.value_addr - region.data_base] += 1
-            np.add.at(data, region.version_base + tpl.count_addr - region.data_base, 1)
-            for leaf, walked in sched.rf_calls:
-                tree.update_rf(leaf, walked)
-            for name, count in stm_stats.items():
-                setattr(stm.stats, name, getattr(stm.stats, name) + count)
-            stm._next_tid += stm_stats["begins"]
-            return tpl.trace(lay, plan.issued_orig[runs], sched)
-
-        return LoweredRuns(lay.n_warps, build, tpl.old_values, sched.steps, sched.n_fails)
+        for name, count in stm_stats.items():
+            setattr(stm.stats, name, getattr(stm.stats, name) + count)
+        stm._next_tid += stm_stats["begins"]
+        trace = tpl.trace(lay, plan.issued_orig[runs], sched)
+        return LoweredRuns(trace, tpl.old_values, sched.steps, sched.n_fails)
 
     def _lane_program(self, plan: CombinePlan, run: int, old_vals, retries, steps_record,
                       protected: bool):
@@ -846,9 +831,10 @@ class EireneTree(System):
         return program()
 
     def _add_iteration_warps(self, launch, plan: CombinePlan, runs: np.ndarray,
-                             old_vals, steps_record, retries, protected: bool) -> None:
-        """Pack the issued requests of ``runs`` (key-sorted) into iteration
-        warps of ``rgs_per_iteration_warp`` request groups each."""
+                             lay: LaneLayout, old_vals, steps_record, retries,
+                             protected: bool) -> None:
+        """Build the iteration warps of ``lay`` (locality on) over the
+        issued requests of ``runs`` (key-sorted)."""
         cfg = self.config
         update_ctx = (
             (self.stm, self.smo_lock_addr, cfg.stm_retry_threshold) if protected else None
@@ -859,39 +845,28 @@ class EireneTree(System):
             steps_record.append(steps)
             retries[slot.req_id] = n_retries
 
-        ws = self.device.warp_size
-        iplan = build_iteration_plan(
-            int(runs.size), ws, cfg.rgs_per_iteration_warp, self.device.num_sms
-        )
-        for w in range(iplan.n_warps):
-            rgs = iplan.rgs_of_warp(w)
-            n_iters = len(rgs)
+        iplan = lay.iplan
+        rg_last = iplan.rg_end - 1
+        last_lane = (lay.lane[rg_last] - lay.warp_lanes[lay.rg_warp]).tolist()
+        rg_max_key = plan.issued_keys[runs[rg_last]].tolist()
+        slots = [LaneSlot(*row) for row in zip(
+            plan.issued_orig[runs].tolist(), plan.issued_kinds[runs].tolist(),
+            plan.issued_keys[runs].tolist(), plan.issued_values[runs].tolist(), runs.tolist(),
+        )]
+        # each lane's request per iteration (-1: idle in a ragged RG)
+        at = np.full((lay.warp_lanes[-1], int(lay.iters.max())), -1)
+        at[lay.lane, lay.it] = np.arange(runs.size)
+        for w in range(lay.n_warps):
+            rgs = slice(iplan.warp_offsets[w], iplan.warp_offsets[w + 1])
+            n_iters = int(lay.iters[w])
             shared = make_warp_shared(n_iters)
-            lane_count = max(int(iplan.rg_end[r] - iplan.rg_start[r]) for r in rgs)
-            last_lane = [int(iplan.rg_end[r] - iplan.rg_start[r]) - 1 for r in rgs]
-            rg_max_key = [int(plan.issued_keys[runs[int(iplan.rg_end[r]) - 1]]) for r in rgs]
-            programs = []
-            for lane in range(lane_count):
-                slots: list[LaneSlot | None] = []
-                for r in rgs:
-                    pos = int(iplan.rg_start[r]) + lane
-                    if pos < int(iplan.rg_end[r]):
-                        run = int(runs[pos])
-                        slots.append(
-                            LaneSlot(
-                                req_id=int(plan.issued_orig[run]),
-                                kind=int(plan.issued_kinds[run]),
-                                key=int(plan.issued_keys[run]),
-                                value=int(plan.issued_values[run]),
-                                tag=run,
-                            )
-                        )
-                    else:
-                        slots.append(None)
-                programs.append(
-                    make_iteration_lane_program(
-                        self.tree, shared, lane, lane_count, slots, last_lane,
-                        rg_max_key, cfg.enable_rf_decision, on_result, update_ctx,
-                    )
+            lo, hi = int(lay.warp_lanes[w]), int(lay.warp_lanes[w + 1])
+            launch.add_warp([
+                make_iteration_lane_program(
+                    self.tree, shared, lane - lo, hi - lo,
+                    [slots[p] if p >= 0 else None for p in at[lane, :n_iters].tolist()],
+                    last_lane[rgs], rg_max_key[rgs], cfg.enable_rf_decision, on_result,
+                    update_ctx,
                 )
-            launch.add_warp(programs)
+                for lane in range(lo, hi)
+            ])

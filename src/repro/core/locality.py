@@ -81,6 +81,26 @@ def build_iteration_plan(
     )
 
 
+def cross_warp_rf_hazard(plan: IterationPlan, rg_leaf: np.ndarray, rewritten) -> bool:
+    """Whether a launch laid out by ``plan`` must be interpreted because of
+    its RF words: RG ``r`` ends in leaf ``rg_leaf[r]``, and the launch
+    rewrites the RF of the leaves ``rewritten`` (``update_rf``).
+
+    An RG's last lane loads its leaf's RF, and the warp's next RG decides
+    by it; the load of a warp's last RG decides nothing. A rewritten RF
+    that RGs of two warps load for a decision is a hazard: which warp runs
+    first decides what the other's load sees. Within one warp the order is
+    fixed, and the warp whose RG rewrites an RF also loads it for that RG's
+    decision, so one reading warp is never a hazard.
+    """
+    reads = np.ones(plan.n_rgs, dtype=bool)
+    reads[plan.warp_offsets[1:] - 1] = False
+    watched = np.flatnonzero(reads & np.isin(rg_leaf, rewritten))
+    warp = np.searchsorted(plan.warp_offsets, watched, side="right") - 1
+    pairs = np.unique(np.stack([rg_leaf[watched], warp]), axis=1)
+    return bool(np.any(pairs[0, 1:] == pairs[0, :-1]))
+
+
 @dataclass
 class LocalitySteps:
     """Per-request traversal steps under the locality optimization."""

@@ -12,26 +12,30 @@ since the load), then the publish's version bump and release, or, after a
 failed validation, the abort's release. A failed attempt is followed by a
 traversal and a fresh attempt.
 
-:class:`UpdateSchedule` plays a launch laid out by
-:meth:`~repro.core.eirene.EireneTree._lane_layout`:
+:class:`UpdateSchedule` plays a launch laid out by the launch's one
+:class:`~repro.core.eirene.LaneLayout`, the layout its trace and, on the
+interpreter, its iteration warps use:
 
 * **By iteration.** Iterations run in order, every warp at once: an RG's
   walk decision reads the RF its predecessor's last lane loaded, and a
   retry lengthens that lane's steps, which may fire ``update_rf`` first.
-  Lanes start an iteration by the barrier rule of
-  :mod:`repro.simt.lowered`. A lane alone on its leaf in its RG (its warp,
-  without locality) commits on its first attempt; lanes sharing a leaf in
-  one RG are played against each other, in lane order.
+  Lanes start an iteration by the barrier rule,
+  :func:`repro.simt.lowered.barrier`. A lane alone on its leaf in its RG
+  (its warp, without locality) commits on its first attempt; lanes sharing
+  a leaf in one RG are played against each other, in lane order.
 * **In round order.** That assumes warps never meet. Where two warps
   write one leaf in overlapping rounds, the launch is played again as one
   event loop over all warps, iteration starts included, ordering each
   round's events by the warp order the launch's scheduling rng will draw
   (:class:`RoundOrder`, on a copy of the rng).
 
-RF words are the one other thing warps could share: a launch in which one
-warp rewrites the RF of a leaf whose RF another warp's RG-last lane loads
-(with the RF decision on) is left to the interpreter, as is one in which a
-lane would exceed ``MAX_RETRIES`` (the interpreter raises).
+RF words are the one other thing warps could share: with the RF decision
+on, a launch in which two warps load a rewritten RF for a later RG's
+decision (:func:`~repro.core.locality.cross_warp_rf_hazard`, the rule the
+query kernel uses too) is left to the interpreter, as is one in which a
+lane would exceed ``MAX_RETRIES`` (the interpreter raises). A warp's last
+RG loads its leaf's RF as well, but no decision reads that load, so it
+makes no hazard.
 """
 
 from __future__ import annotations
@@ -42,7 +46,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..simt.lowered import barrier
 from .kernels import MAX_RETRIES
+from .locality import cross_warp_rf_hazard
 from .update_trace import RW, VAL, WW, UpdateTemplates
 
 
@@ -248,7 +254,6 @@ class UpdateSchedule:
             self.rg_last[lay.iplan.rg_end - 1] = True
         self.final = np.where(self.rg_last, 2, 1)  # Load rf and Mark, or the Mark
         self.lane_warp = np.repeat(np.arange(lay.n_warps), np.diff(lay.warp_lanes))
-        self.lane_pos = np.arange(self.lane_warp.size) - lay.warp_lanes[self.lane_warp]
 
     def _reset(self) -> None:
         tpl = self.tpl
@@ -263,8 +268,6 @@ class UpdateSchedule:
         self.release = np.zeros(self.lane_warp.size, dtype=np.int64)
         self.rf_seen: dict[int, int] = {}  # RF words as the warps see them
         self.rf_calls: list[tuple[int, int]] = []
-        self.rf_writers: dict[int, set[int]] = {}
-        self.rf_readers: dict[int, set[int]] = {}
         if self.lay.iplan is not None:
             self.rg_rf = np.zeros(self.lay.iplan.n_rgs, dtype=np.int64)
 
@@ -279,11 +282,11 @@ class UpdateSchedule:
                     return False
         except _Livelock:
             return False
-        if self.enable_rf:
-            for leaf, writers in self.rf_writers.items():
-                readers = self.rf_readers.get(leaf)
-                if readers and len(writers | readers) > 1:
-                    return False
+        iplan = self.lay.iplan
+        if self.enable_rf and self.rf_calls and cross_warp_rf_hazard(
+            iplan, self.tpl.leaves[iplan.rg_end - 1], [leaf for leaf, _ in self.rf_calls]
+        ):
+            return False
         self.steps = self.first_steps + self.n_fails * self.tpl.desc_steps
         # attempt r descends STM-protected from r = threshold on, unless it
         # is a first walk
@@ -310,7 +313,7 @@ class UpdateSchedule:
     def _lanes(self, reqs: np.ndarray) -> list[Lane]:
         tpl, lay = self.tpl, self.lay
         return [Lane._make(row) for row in zip(
-            lay.warp[reqs].tolist(), self.lane_pos[lay.lane[reqs]].tolist(),
+            lay.warp[reqs].tolist(), (lay.lane[reqs] - lay.warp_lanes[lay.warp[reqs]]).tolist(),
             tpl.leaves[reqs].tolist(), self.start[reqs].tolist(),
             self.first_len[reqs].tolist(), tpl.desc_len[reqs].tolist(),
             tpl.sdesc_len[reqs].tolist(), tpl.pre[reqs].tolist(), tpl.v0[reqs].tolist(),
@@ -360,31 +363,21 @@ class UpdateSchedule:
         iplan = lay.iplan
         data = tree.arena.data
         for rg, q in zip(rgs.tolist(), (iplan.rg_end[rgs] - 1).tolist()):
-            w = int(lay.rg_warp[rg])
             steps = int(self.first_steps[q] + self.n_fails[q] * tpl.desc_steps[q])
             if self.horizontal[q] and steps > tree.height:
                 buffered = int(tpl.leaves[iplan.rg_end[rg - 1] - 1])
                 self.rf_calls.append((buffered, steps))
-                self.rf_writers.setdefault(buffered, set()).add(w)
                 rf = tree.updated_rf(buffered)
                 if rf is not None:
                     self.rf_seen[buffered] = rf
             leaf = int(tpl.leaves[q])
-            self.rf_readers.setdefault(leaf, set()).add(w)
             self.rg_rf[rg] = self.rf_seen.get(leaf, int(data[tree.views.addrs(leaf).rf]))
-        # the barrier: T is the latest arrival, L the last lane arriving then
         warps = lay.rg_warp[rgs]
-        moving = np.isin(self.lane_warp, warps)
         arrive = self.release.copy()
         arrive[lay.lane[reqs]] = self.start[reqs] + self.n_ops[reqs]
-        bounds = lay.warp_lanes[:-1]
-        t = np.maximum.reduceat(arrive, bounds)
-        at_t = np.where(arrive == t[self.lane_warp], self.lane_pos, -1)
-        last = np.maximum.reduceat(at_t, bounds)
-        self.release = np.where(
-            moving, t[self.lane_warp] + (self.lane_pos < last[self.lane_warp]), self.release
-        )
-        return np.where(lay.iters[warps] == it + 1, t[warps] + (last[warps] > 0), -1)
+        release, returns = barrier(arrive, lay.warp_lanes)
+        self.release = np.where(np.isin(self.lane_warp, warps), release, self.release)
+        return np.where(lay.iters[warps] == it + 1, returns[warps], -1)
 
     # ------------------------------------------------------------------ #
     def _by_iteration(self) -> bool:

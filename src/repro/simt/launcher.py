@@ -20,23 +20,24 @@ matching how a real grid retires.
 
 Launches whose op streams can be built up front are lowered: a caller
 that finds :attr:`KernelLaunch.lowers` true (fast path on, no probe) may
-register the whole launch with :meth:`KernelLaunch.add_lowered` instead of
-building lane programs. It passes one lowering callable that returns every
-lane's op stream as one :class:`~repro.simt.lowered.OpTrace`;
-:meth:`KernelLaunch.run` calls it and replays the round loop over the
-streams in numpy (:func:`~repro.simt.lowered.run_lowered`), bit-for-bit the
-reference ``Warp._step_slow`` path, scheduling-rng stream included. Eirene
-lowers its unprotected query kernel this way (iteration or ``d_query``
-warps and one-lane range warps, in any mix, read straight from the arena)
-and its split-free update kernel (stores and atomics included, with the
-STM guards on each leaf's ``count`` word resolved by the caller; the
-callable also makes the launch's writes). Every other launch runs its
-programs through :meth:`~repro.simt.warp.Warp.step`.
+hand the whole launch over with :meth:`KernelLaunch.add_lowered` instead of
+building lane programs: every lane's op stream as one finished
+:class:`~repro.simt.lowered.OpTrace`. :meth:`KernelLaunch.run` replays the
+round loop over those streams in numpy
+(:func:`~repro.simt.lowered.run_lowered`), bit-for-bit the reference
+``Warp._step_slow`` path, scheduling-rng stream included. Eirene lowers
+its unprotected query kernel this way (iteration or ``d_query`` warps and
+one-lane range warps, in any mix, read straight from the arena) and its
+split-free update kernel (stores and atomics included, with the STM guards
+on each leaf's ``count`` word resolved by the caller). A trace may be
+built, and the launch's writes made, before :meth:`KernelLaunch.run`,
+because the caller runs the launch right after adding the trace. Every
+other launch runs its programs through :meth:`~repro.simt.warp.Warp.step`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator
+from collections.abc import Generator
 
 from ..config import DeviceConfig, execution_config
 from ..errors import SimulationError
@@ -66,19 +67,15 @@ class KernelLaunch:
         self.probe = probe
         self._warps: list[Warp] = []
         self._launched = False
-        #: the lowering callable of :meth:`add_lowered`, the number of warps
-        #: it covers, and what it returned beside the trace
-        self._lower: Callable[[], tuple[OpTrace, object]] | None = None
-        self._n_lowered = 0
-        self.lowered_result: object = None
+        #: the trace of :meth:`add_lowered`
+        self._trace: OpTrace | None = None
 
     # ------------------------------------------------------------------ #
     def add_warp(self, programs: list[Generator]) -> Warp:
-        """Create a warp from explicit lane programs (iteration warps build
-        their shared buffer around the returned object)."""
+        """Create a warp from explicit lane programs."""
         if self._launched:
             raise SimulationError("cannot add warps after launch")
-        if self._lower is not None:
+        if self._trace is not None:
             raise SimulationError("a lowered launch takes no program warps")
         warp = Warp(programs, self.arena, self.device.warp_size, probe=self.probe)
         warp.warp_id = len(self._warps)
@@ -98,24 +95,21 @@ class KernelLaunch:
         which every warp would take :meth:`Warp._step_fast`."""
         return self.probe is None and execution_config().vectorize_slots
 
-    def add_lowered(self, n_warps: int, lower: Callable[[], tuple[OpTrace, object]]) -> None:
-        """Make this launch ``n_warps`` warps run from a trace: :meth:`run`
-        calls ``lower()``, which returns their op streams as one
-        :class:`OpTrace` and their results, replays the trace and keeps the
-        results in :attr:`lowered_result`. The caller builds no programs:
-        it checks :attr:`lowers` first."""
+    def add_lowered(self, trace: OpTrace) -> None:
+        """Make this launch replay ``trace``, its warps' finished op streams,
+        instead of running programs. The caller builds no programs: it
+        checks :attr:`lowers` first."""
         if self._launched:
             raise SimulationError("cannot add warps after launch")
         if not self.lowers:
             raise SimulationError("this launch runs its programs (probe or slow path)")
-        if self._warps or self._lower is not None:
+        if self._warps or self._trace is not None:
             raise SimulationError("a lowered launch is the whole launch")
-        self._lower = lower
-        self._n_lowered = n_warps
+        self._trace = trace
 
     @property
     def n_warps(self) -> int:
-        return len(self._warps) + self._n_lowered
+        return len(self._warps) + (0 if self._trace is None else self._trace.warps.size - 1)
 
     # ------------------------------------------------------------------ #
     def run(self) -> KernelCounters:
@@ -133,11 +127,8 @@ class KernelLaunch:
         cpi = dev.cycles_per_inst
         cpm = dev.cycles_per_mem_transaction
         cpa = dev.cycles_per_atomic_conflict
-        if self._lower is not None:
-            trace, self.lowered_result = self._lower()
-            if trace.warps.size - 1 != self._n_lowered:
-                raise SimulationError("the lowered trace does not match its warp count")
-            run_lowered(trace, counters, n_sms, self.rng, cpi, cpm, cpa,
+        if self._trace is not None:
+            run_lowered(self._trace, counters, n_sms, self.rng, cpi, cpm, cpa,
                         self.arena.words_per_segment)
             return counters
 

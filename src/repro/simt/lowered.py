@@ -13,6 +13,10 @@ before the launch runs. Two kinds of Eirene launches qualify:
   the failed compare-and-swaps flagged (see
   :meth:`~repro.core.eirene.EireneTree._lower_updates`).
 
+The caller builds the whole :class:`OpTrace` before the launch runs: the
+lanes of a query kernel's point queries, then its range lanes
+(:meth:`OpTrace.append`), or an update kernel's lanes.
+
 :func:`run_lowered` replays :meth:`KernelLaunch.run`'s round loop over
 those streams. Warps may have any width; a warp may run its lanes through
 iterations separated by a barrier, as Eirene's §5 iteration warps do.
@@ -31,6 +35,10 @@ reference ``Warp._step_slow``.
   ``< L`` in slot ``T + 1`` (the reference resumes lanes in lane order, so
   the lanes before ``L`` already waited out slot ``T``). After the final
   barrier the warp returns in slot ``T`` if ``L == 0``, else ``T + 1``.
+  :func:`barrier` is this rule, the one place it is decided: the replay
+  applies it here, and the update kernel's guard resolution
+  (:class:`~repro.core.update_schedule.UpdateSchedule`) to start each
+  iteration's lanes.
 * **Rounds.** Each round draws one ``rng.permutation(len(active))`` while
   more than one warp is active; the next round's active list is this
   round's order minus the warps that returned. A warp runs its slot ``r``
@@ -90,57 +98,37 @@ class OpTrace:
     iters: np.ndarray
     cas_fail: np.ndarray | None = None
 
-    @classmethod
-    def one_lane_warps(cls, offsets: np.ndarray, kinds: np.ndarray,
-                       addrs: np.ndarray) -> "OpTrace":
-        """A Mark-free trace in which every lane is its own barrier-free
-        warp."""
-        n = offsets.size - 1
-        return cls(offsets, kinds, addrs, np.zeros(0, dtype=np.int64),
-                   np.arange(n + 1), np.zeros(n, dtype=np.int64))
-
-    def with_marks(self, request_ids: np.ndarray) -> "OpTrace":
-        """This (Mark-free) trace with ``Mark(request_ids[j])`` appended to
-        lane ``j``."""
-        n = self.offsets.size - 1
-        at = self.offsets[1:]
+    def append(self, other: "OpTrace") -> "OpTrace":
+        """One launch's trace: the warps of this trace, then those of
+        ``other``; both store-free (no ``cas_fail``)."""
+        if self.cas_fail is not None or other.cas_fail is not None:
+            raise ValueError("only store-free traces are appended")
+        if other.warps.size == 1:
+            return self
+        if self.warps.size == 1:
+            return other
         return OpTrace(
-            offsets=self.offsets + np.arange(n + 1),
-            kinds=np.insert(self.kinds, at, np.int8(OP_MARK)),
-            addrs=np.insert(self.addrs, at, 0),
-            mark_ids=np.asarray(request_ids, dtype=np.int64),
-            warps=self.warps,
-            iters=self.iters,
-            cas_fail=None if self.cas_fail is None else np.insert(self.cas_fail, at, False),
+            offsets=np.concatenate((self.offsets, other.offsets[1:] + self.kinds.size)),
+            kinds=np.concatenate((self.kinds, other.kinds)),
+            addrs=np.concatenate((self.addrs, other.addrs)),
+            mark_ids=np.concatenate((self.mark_ids, other.mark_ids)),
+            warps=np.concatenate((self.warps, other.warps[1:] + self.offsets.size - 1)),
+            iters=np.concatenate((self.iters, other.iters)),
         )
 
-    @classmethod
-    def concat(cls, traces: list["OpTrace"]) -> "OpTrace":
-        """One launch's trace: the warps of ``traces`` in order."""
-        traces = [t for t in traces if t.warps.size > 1] or traces[:1]
-        if len(traces) == 1:
-            return traces[0]
-        op_base = np.cumsum([0] + [t.kinds.size for t in traces[:-1]])
-        lane_base = np.cumsum([0] + [t.offsets.size - 1 for t in traces[:-1]])
-        cas_fail = None
-        if any(t.cas_fail is not None for t in traces):
-            cas_fail = np.concatenate([
-                np.zeros(t.kinds.size, dtype=bool) if t.cas_fail is None else t.cas_fail
-                for t in traces
-            ])
-        return cls(
-            offsets=np.concatenate(
-                [[0]] + [t.offsets[1:] + b for t, b in zip(traces, op_base)]
-            ),
-            kinds=np.concatenate([t.kinds for t in traces]),
-            addrs=np.concatenate([t.addrs for t in traces]),
-            mark_ids=np.concatenate([t.mark_ids for t in traces]),
-            warps=np.concatenate(
-                [[0]] + [t.warps[1:] + b for t, b in zip(traces, lane_base)]
-            ),
-            iters=np.concatenate([t.iters for t in traces]),
-            cas_fail=cas_fail,
-        )
+
+def barrier(arrive: np.ndarray, warps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The barrier rule: lanes arrive at a barrier in slots ``arrive``, warp
+    ``w`` holding lanes ``warps[w]:warps[w + 1]``. With ``T`` a warp's
+    latest arrival and ``L`` its highest lane arriving at ``T``, returns
+    each lane's release slot (``T`` for lanes ``>= L``, else ``T + 1``) and
+    the slot each warp returns in if this barrier is its last (``T`` if
+    ``L == 0``, else ``T + 1``)."""
+    lane_warp = np.repeat(np.arange(warps.size - 1), np.diff(warps))
+    pos = np.arange(arrive.size) - warps[lane_warp]
+    t = np.maximum.reduceat(arrive, warps[:-1])
+    last = np.maximum.reduceat(np.where(arrive == t[lane_warp], pos, -1), warps[:-1])
+    return t[lane_warp] + (pos < last[lane_warp]), t + (last > 0)
 
 
 def _barrier_schedule(trace: OpTrace, marks: np.ndarray, m_lane: np.ndarray,
@@ -153,14 +141,12 @@ def _barrier_schedule(trace: OpTrace, marks: np.ndarray, m_lane: np.ndarray,
     bwarps = np.flatnonzero(trace.iters)
     width = np.diff(warps)[bwarps]
     n_iters = trace.iters[bwarps]
-    n_lanes, n_it = int(width.max()), int(n_iters.max())
-    # each barrier lane's cell in the dense (warp, lane) grid
-    row = np.repeat(np.arange(bwarps.size), width)
-    col = np.arange(row.size) - np.repeat(np.cumsum(width) - width, width)
-    cell_of = np.full(offsets.size - 1, -1, dtype=np.int64)
-    cell_of[np.repeat(warps[bwarps], width) + col] = row * n_lanes + col
-    exists = np.zeros((bwarps.size, n_lanes), dtype=bool)
-    exists[row, col] = True
+    n_it = int(n_iters.max())
+    # the barrier warps' lanes, renumbered from 0 (``-1``: another lane)
+    bounds = np.concatenate(([0], np.cumsum(width)))
+    row_of = np.full(offsets.size - 1, -1, dtype=np.int64)
+    row_of[np.repeat(warps[bwarps] - bounds[:-1], width) + np.arange(bounds[-1])] = \
+        np.arange(bounds[-1])
 
     # a request ends at its lane's Mark: per Mark, its iteration and first
     # op (as an index within the lane)
@@ -170,28 +156,26 @@ def _barrier_schedule(trace: OpTrace, marks: np.ndarray, m_lane: np.ndarray,
     lane_first_mark = np.maximum.accumulate(np.where(first, np.arange(marks.size), 0))
     m_it = np.arange(marks.size) - lane_first_mark
     m_start = np.where(first, 0, np.concatenate(([0], m_k[:-1] + 1)))
-    m_cell = cell_of[m_lane] * n_it + m_it
-    barrier = cell_of[m_lane] >= 0
-    n_ops = np.zeros(bwarps.size * n_lanes * n_it, dtype=np.int64)
-    n_ops[m_cell[barrier]] = (m_k - m_start + 1)[barrier]
-    n_ops = n_ops.reshape(bwarps.size, n_lanes, n_it)
+    m_cell = row_of[m_lane] * n_it + m_it
+    barrier_lane = row_of[m_lane] >= 0
+    n_ops = np.zeros(bounds[-1] * n_it, dtype=np.int64)
+    n_ops[m_cell[barrier_lane]] = (m_k - m_start + 1)[barrier_lane]
+    n_ops = n_ops.reshape(-1, n_it)
 
-    pos = np.arange(n_lanes)
-    rel = np.zeros((bwarps.size, n_lanes), dtype=np.int64)  # release slots
-    released = np.zeros((bwarps.size, n_lanes, n_it), dtype=np.int64)
+    lane_iters = np.repeat(n_iters, width)
+    rel = np.zeros(bounds[-1], dtype=np.int64)  # release slots
+    released = np.zeros((bounds[-1], n_it), dtype=np.int64)
     for it in range(n_it):
-        released[:, :, it] = rel
-        arrive = np.where(exists, rel + n_ops[:, :, it], -1)
-        last_t = arrive.max(axis=1)
-        last_l = n_lanes - 1 - np.argmax((arrive == last_t[:, None])[:, ::-1], axis=1)
-        rel = np.where((n_iters > it)[:, None], last_t[:, None] + (pos < last_l[:, None]), rel)
+        released[:, it] = rel
+        opened, returns = barrier(rel + n_ops[:, it], bounds)
+        rel = np.where(lane_iters > it, opened, rel)
         done = n_iters == it + 1
-        rounds[bwarps[done]] = (last_t + (last_l > 0))[done]
+        rounds[bwarps[done]] = returns[done]
 
     # a barrier lane's op issues in its request's release slot plus its
     # index within the request
     shift = np.zeros(marks.size, dtype=np.int64)
-    shift[barrier] = released.reshape(-1)[m_cell[barrier]] - m_start[barrier]
+    shift[barrier_lane] = released.reshape(-1)[m_cell[barrier_lane]] - m_start[barrier_lane]
     return shift
 
 

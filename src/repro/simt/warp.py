@@ -106,7 +106,7 @@ class Warp:
     """A cohort of lanes executing in lockstep."""
 
     __slots__ = (
-        "lanes", "arena", "words_per_segment", "active", "shared", "probe",
+        "lanes", "arena", "words_per_segment", "active", "probe",
         "warp_id", "_fast", "_awake", "_groups", "_hot",
     )
 
@@ -125,9 +125,6 @@ class Warp:
         self.arena = arena
         self.words_per_segment = arena.words_per_segment
         self.active = True
-        #: warp-shared scratch (models shared memory, e.g. the §5 iteration
-        #: warp buffer); populated by the kernel code that built this warp.
-        self.shared: dict = {}
         #: analysis probe (race detector / hotspot profiler) of the owning
         #: launch. ``None`` keeps the hot path identical to a probe-free build.
         self.probe = probe

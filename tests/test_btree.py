@@ -439,6 +439,12 @@ def point_query_program(tree: BPlusTree, key: int, start: int, load_rf: bool, re
     return value, leaf, steps
 
 
+def range_program(tree: BPlusTree, lo: int, hi: int, req_id: int):
+    """A range lane of Eirene's query kernel: the raw scan, then the Mark."""
+    yield from d_range_raw(tree, lo, hi)
+    yield Mark(req_id)
+
+
 class TestBatchRangeScan:
     @pytest.mark.parametrize("fanout", [4, 8, 32])
     def test_matches_host_range_scan_and_program_ops(self, fanout):
@@ -459,16 +465,17 @@ class TestBatchRangeScan:
         spans = batch_range_spans(tree, lo, hi)
         assert spans[4] >= 3
 
-        trace, (counts, keys, values) = batch_range_scan(tree, lo, hi)
+        ids = np.arange(lo.size) * 3 + 1
+        trace, (counts, keys, values) = batch_range_scan(tree, lo, hi, ids)
         want = flatten_scans([tree.range_scan(int(a), int(b)) for a, b in zip(lo, hi)])
         assert counts.tolist() == want[0].tolist()
         assert counts[:3].tolist() == [0, 0, 0]
         assert np.array_equal(keys, want[1]) and np.array_equal(values, want[2])
-        assert trace.kinds.dtype == np.int8 and trace.mark_ids.size == 0
+        assert trace.kinds.dtype == np.int8 and trace.mark_ids.tolist() == ids.tolist()
         assert trace.warps.tolist() == list(range(lo.size + 1)) and not trace.iters.any()
         for j, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
             at = slice(trace.offsets[j], trace.offsets[j + 1])
-            kinds, addrs, _ = program_ops(tree, d_range_raw(tree, a, b))
+            kinds, addrs, _ = program_ops(tree, range_program(tree, a, b, int(ids[j])))
             assert trace.kinds[at].tolist() == kinds
             assert trace.addrs[at].tolist() == addrs
 
@@ -490,7 +497,7 @@ class TestBatchRangeScan:
         with pytest.raises(SimulationError, match="out of bounds") as want:
             run_subroutine(d_range_raw(tree, 0, 10**6), tree.arena)
         with pytest.raises(SimulationError, match=re.escape(str(want.value))):
-            batch_range_scan(tree, [0, 0], [10**6, 10**6])
+            batch_range_scan(tree, [0, 0], [10**6, 10**6], [0, 1])
 
     def test_count_past_the_fanout_reads_on_to_the_arena_end(self):
         tree, _, _ = build(n=64)
@@ -499,12 +506,13 @@ class TestBatchRangeScan:
         with pytest.raises(SimulationError, match="out of bounds") as want:
             run_subroutine(d_range_raw(tree, EMPTY_KEY, EMPTY_KEY), tree.arena)
         with pytest.raises(SimulationError, match=re.escape(str(want.value))):
-            batch_range_scan(tree, [EMPTY_KEY], [EMPTY_KEY])
+            batch_range_scan(tree, [EMPTY_KEY], [EMPTY_KEY], [0])
 
     def test_empty_input(self):
         tree, _, _ = build(n=50)
-        trace, (counts, keys, values) = batch_range_scan(tree, [], [])
+        trace, (counts, keys, values) = batch_range_scan(tree, [], [], [])
         assert trace.offsets.tolist() == [0] and trace.kinds.size == 0
+        assert trace.warps.tolist() == [0] and trace.mark_ids.size == 0
         assert counts.size == keys.size == values.size == 0
 
 

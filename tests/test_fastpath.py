@@ -506,13 +506,15 @@ def run_lowerable_grid(seed: int, execution: ExecutionConfig, warps: list, trace
     set_execution_config(execution)
     arena = MemoryArena(DATA_WORDS)
     launch = KernelLaunch(device, arena, n_requests, rng=np.random.default_rng((333, seed)))
-    if launch.lowers:
-        launch.add_lowered(len(warps), lambda: (trace_fn(), "lowered"))
+    lowered = launch.lowers
+    if lowered:
+        launch.add_lowered(trace_fn())
     else:
         for programs in warps:
             launch.add_warp(programs)
     counters = launch.run()
-    return counters, launch.lowered_result, launch.rng.bit_generator.state
+    assert launch.n_warps == len(warps)
+    return counters, "lowered" if lowered else None, launch.rng.bit_generator.state
 
 
 def run_store_free_grid(seed: int, execution: ExecutionConfig, n_warps: int):
@@ -1243,29 +1245,58 @@ def test_warps_meeting_at_a_leaf_lower(launch_spy, where):
     assert low[0][0].extras["stm"].aborts
 
 
-def test_cross_warp_rf_hazard_keeps_the_update_interpreter(launch_spy):
+def _rf_hazard_keys(tree, y: int):
+    """The present keys, the index among them of chain leaf ``y``'s first
+    key, and that of ``y``'s RF: the first key of the leaf ``height + 1``
+    hops on, so an RG ending there walks far enough from ``y`` to rewrite
+    ``y``'s RF. ``y`` holds at least five keys."""
+    present, _ = tree.items()
+    chain = tree.leaf_ids()
+    row = tree.views.host(int(chain[y]))
+    assert row.count >= 5
+    rf = int(row.rf)
+    assert rf == tree.views.host(int(chain[y + tree.height + 1])).keys[0]
+    first = int(np.searchsorted(present, row.keys[0]))
+    end = int(np.searchsorted(present, rf))
+    return present, first, end
+
+
+def test_warp_final_rf_load_is_no_update_hazard(launch_spy):
     """Four 4-lane RGs in two warps of two RGs. RG1 (warp 0) ends in leaf Y,
     where RG2 (warp 1) lies; RG3 walks from Y to the leaf ``height + 1``
-    hops on and rewrites Y's RF, which RG1's last lane loads: the
-    interleaving decides what that load sees, so with the RF decision on
-    the launch is interpreted."""
+    hops on and rewrites Y's RF. RG1's last lane loads Y's RF too, but RG1
+    is its warp's last RG, so no decision reads that load: the launch
+    lowers, and equals the reference bit for bit."""
     from repro._types import OpKind
     from repro.config import EireneConfig
 
     device = DeviceConfig(num_sms=1, warp_size=4)
     config = EireneConfig(rgs_per_iteration_warp=2)
     tree = _small_system(8, device, config=config).tree
-    present, _ = tree.items()
-    chain = tree.leaf_ids()
-    y = int(chain[20])
-    y_keys = tree.views.host(y).keys[: tree.views.host(y).count]
-    assert y_keys.size >= 5
-    first = int(np.searchsorted(present, y_keys[0]))
-    rf = int(tree.views.host(y).rf)
-    assert rf == tree.views.host(int(chain[20 + tree.height + 1])).keys[0]
-    end = int(np.searchsorted(present, rf))
+    present, first, end = _rf_hazard_keys(tree, 20)
     keys = np.concatenate([present[first - 40:first - 33], present[first:first + 5],
                            present[end - 3:end + 1]])
+    batch = _update_batch(np.full(keys.size, OpKind.UPDATE), keys)
+    assert_updates_match_reference(launch_spy, fanout=8, device=device, config=config,
+                                   batches=[batch])
+
+
+def test_cross_warp_rf_hazard_keeps_the_update_interpreter(launch_spy):
+    """Four 2-lane RGs in two warps of two RGs: RG0 (warp 0) and RG2 (warp
+    1) both end in leaf Y, and neither is its warp's last RG, so RG1 and
+    RG3 decide by their loads of Y's RF. RG3 walks from Y to the leaf
+    ``height + 1`` hops on and rewrites that RF: the interleaving decides
+    what RG0's load sees, so with the RF decision on the launch is
+    interpreted, and still equals the reference."""
+    from repro._types import OpKind
+    from repro.config import EireneConfig
+
+    device = DeviceConfig(num_sms=1, warp_size=2)
+    config = EireneConfig(rgs_per_iteration_warp=2)
+    tree = _small_system(8, device, config=config).tree
+    present, first, end = _rf_hazard_keys(tree, 20)
+    # RG0: a key before Y and Y's first; RG1, RG2: Y's next four; RG3: the walk
+    keys = np.concatenate([present[first - 1:first + 5], present[end - 1:end + 1]])
     batch = _update_batch(np.full(keys.size, OpKind.UPDATE), keys)
     assert_updates_match_reference(launch_spy, expect_lowered=False, fanout=8, device=device,
                                    config=config, batches=[batch])

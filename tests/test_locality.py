@@ -10,6 +10,7 @@ from repro.btree import BPlusTree, batch_find_leaf, leaf_rf_values
 from repro.config import TreeConfig
 from repro.core.locality import (
     build_iteration_plan,
+    cross_warp_rf_hazard,
     vector_locality_steps,
 )
 
@@ -52,6 +53,33 @@ class TestIterationPlan:
             for w in range(plan.n_warps):
                 assert np.array_equal(plan.rgs_of_warp(w), np.flatnonzero(warp_of_rg == w))
             assert plan.n_warps == (int(warp_of_rg.max()) + 1 if plan.n_rgs else 0)
+
+
+class TestCrossWarpRfHazard:
+    """Six RGs in two warps of three (RGs 0-2 and 3-5); RG ``r`` ends in
+    leaf ``rg_leaf[r]`` and loads its RF, which RG ``r + 1`` of the same
+    warp decides by, unless ``r`` is its warp's last RG (2 or 5)."""
+
+    plan = build_iteration_plan(24, warp_size=4, rgs_per_warp=3)
+
+    def hazard(self, rg_leaf, rewritten):
+        assert self.plan.warp_offsets.tolist() == [0, 3, 6]
+        return cross_warp_rf_hazard(self.plan, np.array(rg_leaf), rewritten)
+
+    def test_no_rewritten_leaf(self):
+        assert not self.hazard([7, 7, 7, 7, 7, 7], [])
+
+    def test_one_reading_warp(self):
+        # RG1 ends in leaf 7 and RG2 walks from it, rewriting its RF
+        assert not self.hazard([5, 7, 9, 10, 11, 12], [7])
+
+    def test_two_reading_warps(self):
+        # RG4 (warp 1) ends in leaf 7 too: RG5 decides by its load
+        assert self.hazard([5, 7, 7, 7, 7, 12], [7])
+
+    def test_second_warp_loads_only_in_its_last_rg(self):
+        # RG5 is warp 1's last RG: its load of leaf 7's RF decides nothing
+        assert not self.hazard([5, 7, 9, 10, 11, 7], [7])
 
 
 class TestVectorLocalitySteps:

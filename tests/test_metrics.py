@@ -1,10 +1,9 @@
-"""Unit tests for metrics (QoS stats, throughput, instruction profiles)."""
+"""Unit tests for metrics (QoS stats, throughput)."""
 
 import numpy as np
 import pytest
 
 from repro.metrics import (
-    InstructionProfile,
     ResponseTimeStats,
     ThroughputResult,
     combine,
@@ -66,16 +65,3 @@ class TestThroughput:
     def test_describe(self):
         assert "Mreq/s" in ThroughputResult(10**6, 1.0).describe()
 
-
-class TestInstructionProfile:
-    def test_normalized_to(self):
-        base = InstructionProfile("base", 100, mem_inst=10.0, control_inst=20.0, conflicts=1.0)
-        fancy = InstructionProfile("fancy", 100, mem_inst=1.0, control_inst=2.0, conflicts=0.05)
-        norm = fancy.normalized_to(base)
-        assert norm["memory_inst"] == pytest.approx(0.1)
-        assert norm["control_inst"] == pytest.approx(0.1)
-        assert norm["conflicts"] == pytest.approx(0.05)
-
-    def test_total_inst(self):
-        p = InstructionProfile("x", 10, mem_inst=1.0, control_inst=2.0, alu_inst=3.0)
-        assert p.total_inst == 6.0
