@@ -105,9 +105,11 @@ class _Tokens:
     def emit(self, streams: np.ndarray, code, addrs) -> None:
         """One token per entry of ``streams``, whose first op reads
         ``addrs`` (0 for a Mark)."""
+        n = streams.size
         self.streams.append(streams.astype(self.dtype))
-        self.codes.append(np.broadcast_to(np.asarray(code, dtype=np.int8), streams.shape))
-        self.addrs.append(np.broadcast_to(addrs, streams.shape))
+        self.codes.append(np.full(n, code, dtype=np.int8) if np.isscalar(code)
+                          else code.astype(np.int8))
+        self.addrs.append(np.full(n, addrs, dtype=np.int64) if np.isscalar(addrs) else addrs)
 
     def ops(self, value_off: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The streams as CSR ``(offsets, kinds, addrs)``; a matched key's

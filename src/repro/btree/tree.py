@@ -28,7 +28,7 @@ from .._types import EMPTY_KEY, MAX_KEY, NO_NODE, NULL_VALUE, OpKind
 from ..config import TreeConfig
 from ..errors import TreeError, TreeFullError
 from ..memory import MemoryArena
-from .layout import NodeLayout
+from .layout import OFF_KEYS, NodeLayout
 from .traversal import batch_leaf_slots
 from .views import StructView
 
@@ -254,15 +254,22 @@ class BPlusTree:
         walk: the min key of the leaf ``height + 1`` hops ahead, or
         ``None`` (the RF stays) when the chain ends earlier or that leaf is
         empty. Reads only; callers that must decide before writing use it."""
+        node = self.rf_source(start_leaf)
+        if node == NO_NODE:
+            return None
+        h = self.views.host(node)
+        return int(h.keys[0]) if h.count > 0 else None
+
+    def rf_source(self, start_leaf: int) -> int:
+        """The leaf whose first key is ``start_leaf``'s RF: ``height + 1``
+        hops on along the chain (``NO_NODE`` when the chain ends earlier)."""
         views = self.views
         node = start_leaf
         for _ in range(self.height + 1):
-            nxt = views.host(node).next_leaf
-            if nxt == NO_NODE:
-                return None
-            node = nxt
-        h = views.host(node)
-        return int(h.keys[0]) if h.count > 0 else None
+            node = views.host(node).next_leaf
+            if node == NO_NODE:
+                break
+        return int(node)
 
     # ------------------------------------------------------------------ #
     # traversal helpers (host plane)
@@ -396,6 +403,36 @@ class BPlusTree:
             else:
                 old[i] = self.upsert(key, int(values[i]))
         return old
+
+    def insert_into_leaves(self, leaves: np.ndarray, keys: np.ndarray,
+                           values: np.ndarray) -> None:
+        """Insert absent ``keys`` (with ``values``) into their ``leaves``,
+        none of which may fill past ``fanout``: one merge of each leaf's
+        row with its new keys. The rows end as the per-key inserts leave
+        them, in any order, because no leaf splits."""
+        if not keys.size:
+            return
+        lay = self.layout
+        views = self.views
+        data = self.arena.data
+        leaf_ids, row_of, n_new = np.unique(leaves, return_inverse=True, return_counts=True)
+        count = views.host_field(leaf_ids, "count")
+        size = count + n_new
+        if np.any(size > lay.fanout):
+            raise TreeError("insert_into_leaves would overfill a leaf")
+        width = np.arange(lay.fanout)
+        held = width < count[:, None]
+        key_rows = views.key_rows(leaf_ids)
+        value_addrs = views.payload_addrs(leaf_ids, 0)[:, None] + width
+        row = np.concatenate((np.repeat(np.arange(leaf_ids.size), count), row_of))
+        key = np.concatenate((key_rows[held], keys))
+        value = np.concatenate((data[value_addrs][held], values))
+        order = np.lexsort((key, row))
+        slot = np.arange(row.size) - np.repeat(np.cumsum(size) - size, size)
+        row = row[order]
+        data[views.node_bases(leaf_ids)[row] + OFF_KEYS + slot] = key[order]
+        data[value_addrs[row, slot]] = value[order]
+        data[views.field_addrs(leaf_ids, "count")] = size
 
     def range_scan(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """All (key, value) pairs with ``lo <= key <= hi``, in key order."""

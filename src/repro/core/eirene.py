@@ -46,12 +46,14 @@ from .._types import NO_NODE, NULL_VALUE, OpKind
 from ..btree import (
     batch_find_leaf,
     batch_leaf_lookup,
+    batch_leaf_slots,
     batch_point_query,
     batch_range_scan,
 )
 from ..btree.tree import BPlusTree
 from ..config import EireneConfig, FULL_EIRENE
 from ..device import DeviceContext
+from ..factory import grow_node_block
 from ..simt import Mark
 from ..simt.lowered import OpTrace
 from ..stm import DeviceStm, StmRegion
@@ -119,6 +121,7 @@ class PartitionPass(Pass):
     def run(self, ctx: PipelineContext) -> None:
         plan: CombinePlan = ctx.art["plan"]
         q_runs, u_runs = ctx.system._partition(plan)
+        ctx.system._reserve_nodes(plan, u_runs)
         ctx.art["q_runs"] = q_runs
         ctx.art["u_runs"] = u_runs
 
@@ -458,7 +461,7 @@ class LaneLayout:
     which belongs to warp ``warp[p]``. Warp ``w`` holds lanes
     ``warp_lanes[w]:warp_lanes[w + 1]`` and runs ``iters[w]`` barrier
     iterations (0 without locality: one request per lane, the warps of
-    ``KernelLaunch.add_programs``). ``order`` lists the requests lane by
+    ``warp_size`` lanes each). ``order`` lists the requests lane by
     lane, each lane's in iteration order: the order of their op streams.
     With locality, ``iplan`` is the iteration plan, ``rg[p]`` request
     ``p``'s RG and ``rg_warp`` each RG's warp.
@@ -553,6 +556,25 @@ class EireneTree(System):
         upd = plan.run_has_update
         return np.flatnonzero(~upd), np.flatnonzero(upd)
 
+    def _reserve_nodes(self, plan: CombinePlan, u_runs: np.ndarray) -> None:
+        """Grow the node block before the batch's first launch when its
+        worst case could pass ``max_nodes``: each absent key it upserts
+        splits at most one node per level and the root (``height + 1`` new
+        nodes). The block grows by the tree's ``arena_headroom`` factor, or
+        to the worst case if that is more; a factor of 1 keeps it fixed.
+        An arena holding a sanitizer's shadow words keeps it fixed too."""
+        tree = self.tree
+        keys = plan.issued_keys[u_runs][plan.issued_kinds[u_runs] != OpKind.DELETE]
+        per_insert = tree.height + 1
+        if tree.node_count + keys.size * per_insert <= tree.max_nodes:
+            return
+        _, hit = batch_leaf_slots(tree, batch_find_leaf(tree, keys), keys)
+        need = tree.node_count + int(np.count_nonzero(~hit)) * per_insert
+        grown = int(tree.max_nodes * tree.config.arena_headroom)
+        if need > tree.max_nodes and grown > tree.max_nodes and not tree.arena.system_words:
+            self.smo_lock_addr = grow_node_block(tree, self.stm.region, self.smo_lock_addr,
+                                                 max(grown, need))
+
     def _host_phase_times(self, plan: CombinePlan) -> tuple[float, float, float]:
         """Sort / combine / result-cal device time from primitive work."""
         c = self.devctx.cost
@@ -614,6 +636,7 @@ class EireneTree(System):
         steps_record = ctx.art.setdefault("steps_record", [])
         retries = np.zeros(ctx.n, dtype=np.int64)
         stm_before = self.stm.stats.snapshot()
+        splits_before = len(self.tree.split_events)
         launch = ctx.launch()
         batch = ctx.batch
         range_idx = range_ordinals(batch)[0] if ranges else np.zeros(0, dtype=np.int64)
@@ -640,10 +663,12 @@ class EireneTree(System):
                 self._add_iteration_warps(launch, plan, runs, lay, old_vals, steps_record,
                                           retries, protected)
             else:
-                launch.add_programs([
+                programs = [
                     self._lane_program(plan, r, old_vals, retries, steps_record, protected)
                     for r in runs.tolist()
-                ])
+                ]
+                for lo, hi in zip(lay.warp_lanes[:-1].tolist(), lay.warp_lanes[1:].tolist()):
+                    launch.add_warp(programs[lo:hi])
             for slot, i in enumerate(range_idx.tolist()):
                 launch.add_warp([self._range_program(batch, i, scans, slot)])
         ctx.run_launch(launch, bucket)
@@ -656,6 +681,7 @@ class EireneTree(System):
             ctx.totals.conflicts += float(stm_delta.conflicts)
             ctx.extras["stm"] = stm_delta
             ctx.extras["retries"] = int(retries.sum())
+            ctx.extras["splits"] = len(self.tree.split_events) - splits_before
 
     def _lane_layout(self, n: int, locality: bool) -> LaneLayout:
         """The :class:`LaneLayout` of ``n`` issued (key-sorted) requests."""
@@ -735,56 +761,57 @@ class EireneTree(System):
         """The update kernel over ``runs``, laid out by ``lay``, as one
         lowered trace, or ``None`` when the interpreter must run it.
 
-        A launch lowers when it cannot split: every request is an
-        ``UPDATE`` or ``INSERT`` of a key present at launch start (no
-        ``DELETE``), so no leaf changes shape and a leaf transaction can
-        fail only at its leaf's ``count`` word (see
-        :mod:`repro.core.update_trace`). :class:`UpdateSchedule` plays
-        those words' events in the reference's order, on a copy of the
-        launch's scheduling ``rng`` where warps meet; the launch is
-        interpreted when it cannot (a cross-warp RF hazard,
-        ``MAX_RETRIES``) or when the abort injector is set. All of this is
-        decided before any program is built and before any write. A
-        lowered launch then makes its writes here, since it runs right
-        after: the new values, the STM versions of the written words, the
-        ``update_rf`` calls and the STM statistics.
+        A launch lowers when it cannot split: it holds no ``DELETE`` and no
+        leaf gets more absent-key inserts than it has free slots (``count +
+        inserts <= fanout``). Every absent key is inserted, so such a launch
+        never reaches ``d_smo_upsert``, and a leaf transaction can fail only
+        at its leaf's ``count`` word (see :mod:`repro.core.update_trace`).
+        A leaf that would fill past ``fanout`` is the fallback.
+        :class:`UpdateSchedule` plays those words' events in the
+        reference's order, deriving a record at each attempt on a leaf
+        whose row another writer changes, on a copy of the launch's
+        scheduling ``rng`` where warps meet; the launch is interpreted when
+        it cannot (a cross-warp RF hazard, an ``update_rf`` reading a first
+        key an insert changes, a transaction meeting another's publish
+        tail, ``MAX_RETRIES``) or when the abort injector is set. All of
+        this is decided before any program is built and before any write.
+        A lowered launch then makes its writes here, since it runs right
+        after: the overwritten values and the rows that take inserts, with
+        their counts, one version bump per committed transaction on each
+        word it wrote, the ``update_rf`` calls, the STM statistics and
+        transaction ids.
         """
         stm = self.stm
         n = int(runs.size)
         kinds = plan.issued_kinds[runs]
-        if n == 0 or stm.abort_injector is not None or not np.all(
-            (kinds == OpKind.UPDATE) | (kinds == OpKind.INSERT)
-        ):
+        if n == 0 or stm.abort_injector is not None or np.any(kinds == OpKind.DELETE):
             return None
         tree = self.tree
         cfg = self.config
-        keys = plan.issued_keys[runs]
-        # an absent key's leaf shifts or splits; an insert usually brings
-        # one, so its first insert is looked up alone before the templates
-        # check every key
-        inserts = keys[kinds == OpKind.INSERT]
-        if inserts.size and tree.leaf_slot(tree.find_leaf(int(inserts[0]))[0],
-                                           int(inserts[0])) < 0:
-            return None
-        tpl = UpdateTemplates(tree, stm.region, keys)
+        tpl = UpdateTemplates(tree, stm.region, plan.issued_keys[runs])
         if not tpl.valid.all():
+            return None
+        ins = ~tpl.hit
+        if np.any(tpl.count + np.bincount(tpl.leaves[ins], minlength=tree.max_nodes)[tpl.leaves]
+                  > tree.layout.fanout):
             return None
         sched = UpdateSchedule(tree, tpl, lay, cfg.stm_retry_threshold, cfg.enable_rf_decision,
                                rng)
         if not sched.play():
             return None
+        trace = tpl.trace(lay, plan.issued_orig[runs], sched)
         data = tree.arena.data
         region = stm.region
-        data[tpl.value_addr] = plan.issued_values[runs]
-        data[region.version_base + tpl.value_addr - region.data_base] += 1
-        np.add.at(data, region.version_base + tpl.count_addr - region.data_base, 1)
+        values = plan.issued_values[runs]
+        data[tpl.value_addr[tpl.hit]] = values[tpl.hit]
+        tree.insert_into_leaves(tpl.leaves[ins], tpl.keys[ins], values[ins])
+        np.add.at(data, region.version_base + tpl.committed_writes() - region.data_base, 1)
         for leaf, walked in sched.rf_calls:
             tree.update_rf(leaf, walked)
         stm_stats = sched.stm_stats()
         for name, count in stm_stats.items():
             setattr(stm.stats, name, getattr(stm.stats, name) + count)
         stm._next_tid += stm_stats["begins"]
-        trace = tpl.trace(lay, plan.issued_orig[runs], sched)
         return LoweredRuns(trace, tpl.old_values, sched.steps, sched.n_fails)
 
     def _lane_program(self, plan: CombinePlan, run: int, old_vals, retries, steps_record,

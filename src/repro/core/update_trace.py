@@ -1,40 +1,57 @@
 """Straight-line op templates of Eirene's split-free update program.
 
-In an update kernel where no request can split or shift a leaf (every
-request overwrites a key present at launch start), a lane of
-:func:`~repro.core.kernels.d_update` runs a short list of pieces, each
-fixed at launch time:
+In an update kernel where no request can split a leaf (no leaf receives
+more absent-key inserts than it has free slots, and no request deletes), a
+lane of :func:`~repro.core.kernels.d_update` runs a short list of pieces:
 
 * a **traversal**: the unprotected descent (``d_find_leaf``), the
   horizontal walk from a buffered leaf (``d_walk_leaves``) or the
-  STM-protected descent (``d_find_leaf_stm`` and its commit);
-* its request's **leaf record**: ``Load version``, the leaf-region
-  transaction of ``_d_attempt_leaf_op`` (``d_read(version)``,
-  ``d_leaf_covers``, ``d_read``/``d_write(count)``, ``d_read(keys[0..pos])``,
-  ``d_read``/``d_write(values[pos])``, the commit's validation loads),
-  the commit's publish, the abort's stores, the RG-last lane's ``Load rf``
-  and the ``Mark``.
+  STM-protected descent (``d_find_leaf_stm`` and its commit), each fixed at
+  launch time;
+* a **leaf record**: ``Load version``, the leaf-region transaction of
+  ``_d_attempt_leaf_op`` (``d_read(version)``, ``d_leaf_covers``,
+  ``d_read``/``d_write(count)`` and ``d_leaf_upsert_stm``'s body), the
+  commit's validation loads, the commit's publish, the abort's stores, the
+  RG-last lane's ``Load rf`` and the ``Mark``.
+
+A record is fixed by the leaf, the leaf's ``count`` and the request key's
+slot ``pos`` in the leaf's row when the transaction owns the ``count``
+word. An overwrite of a present key reads ``keys[0..pos]`` and writes
+``values[pos]``. An absent-key insert reads the keys up to ``pos``, takes
+the ``cnt >= fanout`` branch, and shifts ``keys``/``values[pos..cnt)`` one
+slot right, one ``d_read``/``d_read``/``d_write``/``d_write`` group per
+entry from the top down (a word's first ``d_read`` loads its version, a
+later one does not; a word's first ``d_write`` takes its compare-and-swap
+and its undo load). It then writes ``keys[pos]``, ``values[pos]`` and
+``count``. Every writer owns ``count`` before it touches another word of
+the leaf, so the guards stay at that word.
+
+``d_commit`` validates ``tx.read_versions`` in insertion order, then
+publishes ``tx.writes``, a ``set``, in that set's iteration order;
+``d_abort`` replays ``tx.undo_log`` in insertion order and releases in set
+order. :func:`write_order` builds the set as the transaction does and
+reads the order off it.
 
 :class:`UpdateTemplates` lays every piece out once, op by op with its
-address, in numpy; a lane's stream is a run of slices of that store. An
-attempt whose guard fails runs a prefix of the record (a failed owner load
-or compare-and-swap on the ``count`` word ends it) or, for a failed
+address, in numpy; a lane's stream is a run of slices of that store. The
+launch-time record of each request is laid out, plus any record
+:meth:`UpdateTemplates.derive` registered for a later row of a leaf that
+takes several writers. An attempt whose guard fails runs a prefix of its
+record (a failed owner load or compare-and-swap on the ``count`` word ends
+it, and that prefix is the same for every row) or, for a failed
 validation, the record up to the ``count`` word's validation load and then
 the abort stores. Which pieces a lane runs is decided by the caller
-(:meth:`~repro.core.eirene.EireneTree._lower_updates`), which resolves the
+(:class:`~repro.core.update_schedule.UpdateSchedule`), which resolves the
 guards.
-
-``d_commit`` and ``d_abort`` walk ``tx.writes``, a ``set`` of the ``count``
-and value words, so the publish and release order is that set's iteration
-order, not the insertion order: :func:`count_word_first` builds the set as
-the transaction does and reads the order off it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
-from .._types import NO_NODE
+from .._types import NO_NODE, NULL_VALUE
 from ..btree.layout import OFF_COUNT, OFF_FENCE, OFF_KEYS, OFF_NEXT, OFF_RF, OFF_VERSION
 from ..btree.traversal import _descend, _Tokens, _walk
 from ..btree.tree import BPlusTree
@@ -47,38 +64,75 @@ from ..stm import FREE, StmRegion
 #: compare-and-swap (write-write conflict) and its commit-time validation
 OK, RW, WW, VAL = 0, 1, 2, 3
 
+#: record tokens, each a fixed op pattern on one word ``w``: a plain load,
+#: a branch, ``d_read`` (first read: owner load, branch, version load,
+#: load; a re-read skips the version), ``d_write`` (first write: branch,
+#: compare-and-swap, branch, undo load, store; a re-write: branch, store),
+#: a validation (version load, branch), a publish (version bump, release),
+#: an undo store, a release and the Mark
+_LD, _BR, _RD, _RE, _WR, _WO, _VAL, _PUB, _UNDO, _REL, _MK = range(11)
+_D, _O, _V, _Z = range(4)  # the op's word: w, owner(w), version(w), none
+_PATTERNS = (
+    ((OP_LOAD, _D),),
+    ((OP_BRANCH, _Z),),
+    ((OP_LOAD, _O), (OP_BRANCH, _Z), (OP_LOAD, _V), (OP_LOAD, _D)),
+    ((OP_LOAD, _O), (OP_BRANCH, _Z), (OP_LOAD, _D)),
+    ((OP_BRANCH, _Z), (OP_ATOMIC, _O), (OP_BRANCH, _Z), (OP_LOAD, _D), (OP_STORE, _D)),
+    ((OP_BRANCH, _Z), (OP_STORE, _D)),
+    ((OP_LOAD, _V), (OP_BRANCH, _Z)),
+    ((OP_ATOMIC, _V), (OP_STORE, _O)),
+    ((OP_STORE, _D),),
+    ((OP_STORE, _O),),
+    ((OP_MARK, _Z),),
+)
+_PLEN = np.array([len(p) for p in _PATTERNS])
 
-def count_word_first(count_addr: int, value_addr: int) -> bool:
-    """Whether ``tx.writes`` iterates the ``count`` word first once a
-    transaction has written it and then the value word."""
+
+def write_order(written: list[int]) -> list[int]:
+    """``tx.writes`` in iteration order for a transaction that wrote
+    ``written``, in write order: the set built as the transaction builds
+    it."""
     writes: set[int] = set()
-    writes.add(count_addr)
-    writes.add(value_addr)
-    return next(iter(writes)) == count_addr
+    for w in written:
+        writes.add(w)
+    return list(writes)
+
+
+def record_offsets(pre, cnt, pos, hit):
+    """A record's offsets within its transaction (plain integers or arrays):
+    ``v0`` (the commit's validation loads; the ``count`` word's is 2 ops
+    later), ``p`` (the publish) and ``k`` (the words written). A committed
+    attempt runs ``p + 2k`` ops, a failed validation ``v0 + 4 + 2k``."""
+    ins = 1 - hit
+    nscan = pos + 1 - ins * (pos >= cnt)  # keys read before the slot is found
+    shifted = ins * (cnt - pos)
+    moves = shifted > 0
+    k = 2 + ins * (2 * shifted + 1)
+    n_read = hit * (pos + 4) + ins * (2 + nscan + 2 * shifted - moves)
+    body = 5 * nscan + 10 + ins * (4 + 18 * shifted - moves)
+    v0 = pre + 9 + body
+    return v0, v0 + 2 * n_read, k
 
 
 class UpdateTemplates:
     """Every piece of a split-free update launch's lane streams.
 
     Built for the launch's issued keys (strictly increasing), it traces
-    each key's unprotected descent and finds its leaf and slot; ``valid``
-    says whether the leaf holds the key inside its fence range with every
-    owner word of the leaf free, the conditions under which the leaf
+    each key's unprotected descent and finds its leaf, the leaf's ``count``
+    and the key's slot ``pos``, and whether the key is present (``hit``);
+    ``valid`` says whether the key lies inside the leaf's fence range with
+    every owner word of the leaf free, the conditions under which the leaf
     transaction can fail only at its ``count`` word. Per request it then
-    holds:
+    holds the offsets of its launch-time record:
 
     * ``pre``: the offset, within its transaction, of the owner load of
       the ``count`` word (its version load is 2 ops later, the
       compare-and-swap 5);
-    * ``v0``: the offset of the commit's validation loads (the ``count``
-      word's is 2 ops later);
-    * ``p``: the offset of the publish, which is 4 ops long (a committed
-      attempt runs ``p + 4`` ops, a failed validation ``v0 + 8``);
-    * ``c_first``: whether publish and release handle the ``count`` word
-      before the value word, and from it the offsets of the ``count``
-      word's version bump (``bump``) and release (``release``) in the
-      publish, and of its release after a failed validation
-      (``abort_release``).
+    * ``v0``, ``p``, ``n_writes``: see :func:`record_offsets`;
+    * the offsets of the ``count`` word's version bump (``bump``) and
+      release (``release``) in the publish, and of its release after a
+      failed validation (``abort_release``), from its place in
+      :func:`write_order` (``c_first``: it comes first).
 
     Lengths of the traversals are ``desc_len`` (and ``desc_steps``),
     ``sdesc_len`` and, once :meth:`add_walks` traced them, ``walk_len``.
@@ -94,6 +148,7 @@ class UpdateTemplates:
         data = tree.arena.data
         self._kinds: list[np.ndarray] = []
         self._addrs: list[np.ndarray] = []
+        self._rel: list[np.ndarray] = []  # ops whose address is leaf-relative
         self._size = 0
         #: the store keeps addresses in 32 bits when the arena allows
         self._addr_dtype = np.int32 if data.size <= np.iinfo(np.int32).max else np.int64
@@ -113,55 +168,94 @@ class UpdateTemplates:
         self.walk_start = np.full(n, -1, dtype=np.int64)
         self.walk_len = np.zeros(n, dtype=np.int64)
 
-        # the leaf: the key's slot, the fences and the leaf's owner words
+        # the leaf: its row, the key's slot, the fences and the owner words
         base = tree.views.node_bases(self.leaves)
         self.base = base
         rows = data[base[:, None] + OFF_KEYS + np.arange(lay.fanout)]
-        at_least = rows >= keys[:, None]
-        pos = at_least.argmax(axis=1)
-        count = data[base + OFF_COUNT]
+        self.count = count = data[base + OFF_COUNT]
+        # unused slots hold EMPTY_KEY, above every key
+        pos = np.count_nonzero(rows < keys[:, None], axis=1)
+        self.hit = (pos < count) & (rows[np.arange(n), np.minimum(pos, lay.fanout - 1)] == keys)
         nxt = data[base + OFF_NEXT]
         self.has_next = nxt != NO_NODE
         in_tree = (nxt >= 0) & (nxt < tree.max_nodes)
-        next_fence = data[tree.views.node_bases(np.where(in_tree, nxt, 0)) + OFF_FENCE]
+        self.next_base = tree.views.node_bases(np.where(in_tree, nxt, 0))
         owners = data[region.owner_base + (base[:, None] - region.data_base)
                       + np.arange(lay.node_words)]
         self.valid = (
-            at_least.any(axis=1)
-            & (rows[np.arange(n), pos] == keys)
-            & (pos < count)
-            & (data[base + OFF_FENCE] <= keys)
-            & (~self.has_next | (in_tree & (next_fence > keys)))
+            (data[base + OFF_FENCE] <= keys)
+            & (~self.has_next | (in_tree & (data[self.next_base + OFF_FENCE] > keys)))
             & np.all(owners == FREE, axis=1)
         )
         self.pos = pos
         self.count_addr = base + OFF_COUNT
         self.value_addr = base + lay.payload_off + pos
-        self.old_values = data[self.value_addr]
+        self.old_values = np.where(self.hit, data[np.where(self.hit, self.value_addr, 0)],
+                                   NULL_VALUE)
         self.pre = 9 + 2 * self.has_next
-        self.v0 = self.pre + 5 * pos + 24
-        self.p = self.v0 + 2 * (pos + 4)
-        self.c_first = np.array(
-            [count_word_first(c, v)
-             for c, v in zip(self.count_addr.tolist(), self.value_addr.tolist())],
-            dtype=bool,
-        )
-        second = np.where(self.c_first, 0, 1)
-        self.bump = self.p + 2 * second
+        self.v0, self.p, self.n_writes = record_offsets(
+            self.pre, count, pos, self.hit.astype(np.int64))
+        #: every record: the request it belongs to, its leaf's count and
+        #: the key's slot; the first ``n`` are the launch-time records
+        self._recs: list[tuple[int, int, int]] = []
+        self._rec_ids: dict[tuple[int, int, int], int] = {}
+        self._accesses: dict[int, list[tuple[int, int, int]]] = {}
+        # an overwrite's set: {count, value} (the literal adds them in that
+        # order)
+        self._orders = [list({c, v}) for c, v in zip(self.count_addr.tolist(),
+                                                      self.value_addr.tolist())]
+        for q in np.flatnonzero(~self.hit).tolist():
+            self._orders[q] = self._order(q, int(count[q]), int(pos[q]))
+        c_at = np.fromiter((o.index(c) for o, c in zip(self._orders, self.count_addr.tolist())),
+                           dtype=np.int64, count=n)
+        self.c_first = c_at == 0
+        self.bump = self.p + 2 * c_at
         self.release = self.bump + 1
-        self.abort_release = self.v0 + 6 + second
-        #: where each request's leaf record starts in the store (set by
-        #: :meth:`add_records`)
+        self.abort_release = self.v0 + 4 + self.n_writes + c_at
+        #: where each record starts in the store (set by :meth:`add_records`)
         self.record_start = np.zeros(n, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
-    def _add(self, kinds: np.ndarray, addrs: np.ndarray) -> int:
-        """Append ops to the store; returns where they start."""
+    def _add(self, kinds: np.ndarray, addrs: np.ndarray, rel: np.ndarray | None = None) -> int:
+        """Append ops to the store, their addresses relative to a leaf's
+        base where ``rel`` says so; returns where they start."""
         start = self._size
         self._kinds.append(kinds)
         self._addrs.append(addrs.astype(self._addr_dtype))
+        self._rel.append(np.zeros(kinds.size, dtype=np.int8) if rel is None
+                         else rel.astype(np.int8))
         self._size += int(kinds.size)
         return start
+
+    def _order(self, q: int, cnt: int, pos: int) -> list[int]:
+        """Request ``q``'s set order on a row of ``cnt`` keys with its slot
+        at ``pos``: it writes ``count``, then ``values[pos]`` (an
+        overwrite) or ``keys[j]``, ``values[j]`` for ``j`` from ``cnt``
+        down to ``pos`` (an insert)."""
+        base = int(self.base[q])
+        key0, value0 = base + OFF_KEYS, base + self.tree.layout.payload_off
+        if self.hit[q]:
+            return write_order([base + OFF_COUNT, value0 + pos])
+        return write_order([base + OFF_COUNT] + [w for j in range(cnt, pos - 1, -1)
+                                                 for w in (key0 + j, value0 + j)])
+
+    def derive(self, q: int, row: list[int]) -> tuple[int, int, int, int, int, int, int]:
+        """The record of request ``q`` on its leaf's sorted key row ``row``
+        (a later row of a leaf that takes several writers), registered for
+        :meth:`add_records`: its id and offsets ``(v0, p, k, bump,
+        release, abort_release)``."""
+        cnt = len(row)
+        pos = bisect_left(row, int(self.keys[q]))
+        key = (q, cnt, pos)
+        rec = self._rec_ids.get(key)
+        if rec is None:
+            rec = self._rec_ids[key] = len(self.keys) + len(self._recs)
+            self._recs.append(key)
+            self._orders.append(self._order(q, cnt, pos))
+        pre = int(self.pre[q])
+        v0, p, k = record_offsets(pre, cnt, pos, int(self.hit[q]))
+        c_at = self._orders[rec].index(int(self.count_addr[q]))
+        return rec, v0, p, k, p + 2 * c_at, p + 2 * c_at + 1, v0 + 4 + k + c_at
 
     def add_walks(self, idx: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Trace the horizontal walks of requests ``idx`` from their
@@ -215,107 +309,219 @@ class UpdateTemplates:
         out_addrs[at_val] = region.version_base + word - region.data_base
         self.sdesc_start[idx] = self._add(out_kinds, out_addrs) + lane_start
 
-    def add_records(self) -> None:
-        """Lay out every request's leaf record: ``Load version``, the
-        transaction up to its publish (``p`` ops), the publish (4), the
-        abort stores (4), ``Load rf`` and the ``Mark``."""
-        n = int(self.keys.size)
-        region = self.region
+    def _rec_params(self, recs: np.ndarray):
+        """Request, ``count``, slot, presence and offsets of records ``recs``."""
+        extra = np.array(self._recs, dtype=np.int64).reshape(-1, 3)
+        req = np.concatenate((np.arange(self.keys.size), extra[:, 0]))[recs]
+        cnt = np.concatenate((self.count, extra[:, 1]))[recs]
+        pos = np.concatenate((self.pos, extra[:, 2]))[recs]
+        hit = self.hit[req].astype(np.int64)
+        return req, cnt, pos, hit, record_offsets(self.pre[req], cnt, pos, hit)
 
-        def own(x):
-            return region.owner_base + x - region.data_base
+    def _tokens(self, recs: np.ndarray):
+        """The tokens of records ``recs``, back to back: per token its type
+        and word, and where each record's tokens start."""
+        req, cnt, pos, hit, (v0, p, k) = self._rec_params(recs)
+        hn = self.has_next[req].astype(np.int64)
+        order = np.fromiter((w for r in recs.tolist() for w in self._orders[r]),
+                            dtype=np.int64, count=int(k.sum()))
+        lay = self.tree.layout
+        base = self.base[req]
+        vw, c, rf = base + OFF_VERSION, base + OFF_COUNT, base + OFF_RF
+        key0, value0 = base + OFF_KEYS, base + lay.payload_off
+        ins = hit == 0
+        nscan = pos + 1 - ins * (pos >= cnt)
+        shifted = ins * (cnt - pos)
+        n_body = np.where(ins, 5 + 4 * shifted, 3)
+        n_read = (p - v0) // 2
+        head = 7 + 2 * hn
+        scan = head + 2
+        body = scan + 2 * nscan
+        val = body + n_body
+        pub = val + n_read
+        size = pub + 3 * k + 2  # tokens per record
+        start = np.cumsum(size) - size
+        n_tok = int(size.sum())
+        types = np.full(n_tok, _BR, dtype=np.int8)
+        words = np.zeros(n_tok, dtype=np.int64)
 
-        def ver(x):
-            return region.version_base + x - region.data_base
+        def put(at, t, w):
+            types[at] = t
+            words[at] = w
 
-        size = self.p + 11
-        rec = np.cumsum(size) - size
-        kinds = np.full(int(size.sum()), OP_BRANCH, dtype=np.int8)
+        def each(counts):
+            """Per record, ``counts[r]`` items: their records and indices."""
+            r = np.repeat(np.arange(recs.size), counts)
+            return r, np.arange(r.size) - (np.cumsum(counts) - counts)[r]
+
+        # Load version, d_read(version), d_leaf_covers, the covers branch
+        put(start, _LD, vw)
+        put(start + 1, _RD, vw)
+        put(start + 2, _LD, base + OFF_FENCE)
+        put(start + 4, _LD, base + OFF_NEXT)
+        nb = np.flatnonzero(hn)
+        put(start[nb] + 6, _LD, self.next_base[req[nb]] + OFF_FENCE)
+        # d_read(count), d_write(count), then the key scan
+        put(start + head, _RD, c)
+        put(start + head + 1, _WR, c)
+        r, j = each(nscan)
+        put(start[r] + scan[r] + 2 * j, _RD, key0[r] + j)
+        # an overwrite: d_read(value), d_write(value), the split branch
+        ow = np.flatnonzero(hit)
+        at = start[ow] + body[ow]
+        put(at, _RD, value0[ow] + pos[ow])
+        put(at + 1, _WR, value0[ow] + pos[ow])
+        # an insert: the fanout branch, the shift loop from the top entry
+        # down, the writes of keys[pos], values[pos] and count, the branch
+        r, t = each(shifted)
+        i = cnt[r] - 1 - t
+        at = start[r] + body[r] + 1 + 4 * t
+        put(at, np.where(i == pos[r], _RE, _RD), key0[r] + i)
+        put(at + 1, _RD, value0[r] + i)
+        put(at + 2, _WR, key0[r] + i + 1)
+        put(at + 3, _WR, value0[r] + i + 1)
+        iw = np.flatnonzero(ins)
+        at = start[iw] + body[iw] + 1 + 4 * shifted[iw]
+        put(at, _WR, key0[iw] + pos[iw])
+        put(at + 1, _WR, value0[iw] + pos[iw])
+        put(at + 2, _WO, c[iw])
+        # d_commit's validation in read order: version, count, the scanned
+        # keys, then the value (overwrite) or the shifted entries (insert)
+        r, t = each(n_read)
+        rest = t - 2 - nscan[r]
+        i = np.where(hit[r] == 1, pos[r], cnt[r] - 1 - rest // 2)
+        shifted_key = (hit[r] == 0) & (rest % 2 == 0) & (rest < 2 * (shifted[r] - 1))
+        w = np.select([t == 0, t == 1, rest < 0, shifted_key],
+                      [vw[r], c[r], key0[r] + t - 2, key0[r] + i], value0[r] + i)
+        put(start[r] + val[r] + t, _VAL, w)
+        # publish, undo (the words in write order) and release
+        r, t = each(k)
+        put(start[r] + pub[r] + t, _PUB, order)
+        j = cnt[r] - (t - 1) // 2
+        undo = np.select([t == 0, hit[r] == 1, (t - 1) % 2 == 0],
+                         [c[r], value0[r] + pos[r], key0[r] + j], value0[r] + j)
+        put(start[r] + pub[r] + k[r] + t, _UNDO, undo)
+        put(start[r] + pub[r] + 2 * k[r] + t, _REL, order)
+        put(start + size - 2, _LD, rf)
+        put(start + size - 1, _MK, 0)
+        return types, words, start, (v0, p, k), head
+
+    def _expand(self, types: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ops of a token sequence, placed pattern op by pattern op."""
+        lens = _PLEN[types]
+        first = np.cumsum(lens) - lens  # each token's first op
+        kinds = np.empty(int(lens.sum()), dtype=np.int8)
         addrs = np.zeros(kinds.size, dtype=np.int64)
+        region = self.region
+        shift = (0, region.owner_base - region.data_base, region.version_base - region.data_base)
+        for t, pattern in enumerate(_PATTERNS):
+            tok = np.flatnonzero(types == t)
+            if not tok.size:
+                continue
+            at, w = first[tok], words[tok]
+            for i, (kind, mode) in enumerate(pattern):
+                kinds[at + i] = kind
+                if mode != _Z:
+                    addrs[at + i] = w + shift[mode]
+        return kinds, addrs
 
-        def put(at, kind, addr):
-            kinds[at] = kind
-            addrs[at] = addr
+    def add_records(self) -> None:
+        """Lay out every record: ``Load version``, the transaction up to its
+        publish (``p`` ops), the publish (``2k``), the abort's undo stores
+        and releases (``2k``), ``Load rf`` and the ``Mark``. Sets
+        ``record_start`` and ``record_base`` and, per record, ``rec_v0``,
+        ``rec_p`` and ``rec_k``.
 
-        base = self.base
-        vw = base + OFF_VERSION
-        c = self.count_addr
-        v = self.value_addr
-        b = rec + 1  # the transaction's first op
-        put(rec, OP_LOAD, vw)
-        # d_read(version), d_leaf_covers
-        put(b, OP_LOAD, own(vw))
-        put(b + 2, OP_LOAD, ver(vw))
-        put(b + 3, OP_LOAD, vw)
-        put(b + 4, OP_LOAD, base + OFF_FENCE)
-        put(b + 6, OP_LOAD, base + OFF_NEXT)
-        hn = np.flatnonzero(self.has_next)
-        nxt = self.tree.arena.data[base[hn] + OFF_NEXT]
-        put(b[hn] + 8, OP_LOAD, self.tree.views.node_bases(nxt) + OFF_FENCE)
-        # d_read(count), d_write(count)
-        g = b + self.pre
-        put(g, OP_LOAD, own(c))
-        put(g + 2, OP_LOAD, ver(c))
-        put(g + 3, OP_LOAD, c)
-        put(g + 5, OP_ATOMIC, own(c))
-        put(g + 7, OP_LOAD, c)
-        put(g + 8, OP_STORE, c)
-        # d_read(keys[0..pos]), each with its branch
-        n_keys = self.pos + 1
-        req = np.repeat(np.arange(n), n_keys)
-        slot = np.arange(req.size) - np.repeat(np.cumsum(n_keys) - n_keys, n_keys)
-        key = base[req] + OFF_KEYS + slot
-        at = g[req] + 9 + 5 * slot
-        put(at, OP_LOAD, own(key))
-        put(at + 2, OP_LOAD, ver(key))
-        put(at + 3, OP_LOAD, key)
-        # d_read(value), d_write(value)
-        r = g + 9 + 5 * n_keys
-        put(r, OP_LOAD, own(v))
-        put(r + 2, OP_LOAD, ver(v))
-        put(r + 3, OP_LOAD, v)
-        put(r + 5, OP_ATOMIC, own(v))
-        put(r + 7, OP_LOAD, v)
-        put(r + 8, OP_STORE, v)
-        # d_commit: validate version, count, keys, value
-        val = b + self.v0
-        put(val, OP_LOAD, ver(vw))
-        put(val + 2, OP_LOAD, ver(c))
-        put(val[req] + 4 + 2 * slot, OP_LOAD, ver(key))
-        put(val + 4 + 2 * n_keys, OP_LOAD, ver(v))
-        # publish, then the abort's undo stores and releases, in set order
-        first = np.where(self.c_first, c, v)
-        second = np.where(self.c_first, v, c)
-        pub = b + self.p
-        put(pub, OP_ATOMIC, ver(first))
-        put(pub + 1, OP_STORE, own(first))
-        put(pub + 2, OP_ATOMIC, ver(second))
-        put(pub + 3, OP_STORE, own(second))
-        put(pub + 4, OP_STORE, c)
-        put(pub + 5, OP_STORE, v)
-        put(pub + 6, OP_STORE, own(first))
-        put(pub + 7, OP_STORE, own(second))
-        put(pub + 8, OP_LOAD, base + OFF_RF)
-        put(pub + 9, OP_MARK, 0)
-        self.record_start = self._add(kinds, addrs) + rec
+        A record's addresses are laid out relative to its leaf's base (the
+        owner and version tables lie at a fixed distance from the words
+        they guard), so overwrites of one slot, with one set order and one
+        next leaf as far away, share one laid-out pattern; :meth:`gather`
+        adds the base back."""
+        n_recs = self.keys.size + len(self._recs)
+        req, cnt, pos, hit, (v0, p, k) = self._rec_params(np.arange(n_recs))
+        self.rec_v0, self.rec_p, self.rec_k = v0, p, k
+        base = self.base[req]
+        c_first = np.fromiter((o[0] == c for o, c in zip(self._orders,
+                                                         (base + OFF_COUNT).tolist())),
+                              dtype=bool, count=n_recs)
+        far = np.where(self.has_next[req], self.next_base[req] - base, 0)
+        key = np.where(hit == 1, ((far * 64 + pos) * 2 + c_first) * 2 + self.has_next[req],
+                       np.iinfo(np.int64).min + np.arange(n_recs))
+        _, first, pattern = np.unique(key, return_index=True, return_inverse=True)
+        types, words, _, _, _ = self._tokens(first)
+        kinds, addrs = self._expand(types, words)
+        rec_ops = 1 + p + 4 * k + 2
+        if kinds.size != int(rec_ops[first].sum()):
+            raise SimulationError("update record tokens disagree with their offsets")
+        rel = (kinds != OP_BRANCH) & (kinds != OP_MARK)
+        addrs[rel] -= np.repeat(base[first], rec_ops[first])[rel]
+        start = self._add(kinds, addrs, rel)
+        self.record_start = (start + np.cumsum(rec_ops[first]) - rec_ops[first])[pattern]
+        self.record_base = base
 
-    def gather(self, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def accesses(self, rec: int) -> list[tuple[int, int, int]]:
+        """What record ``rec`` does to its leaf's words once it owns the
+        ``count`` word, up to its validation, in op order: ``(offset, what,
+        word)``, ``what`` an owner load (``RW``), a compare-and-swap
+        (``WW``) or ``OK`` for a write it has acquired; offsets count from
+        the transaction's first op."""
+        if rec not in self._accesses:
+            types, words, _, _, head = self._tokens(np.array([rec]))
+            lens = _PLEN[types]
+            at = np.cumsum(lens) - lens - 1  # Load version is op -1
+            out = []
+            first = int(head[0]) + 2  # past d_read/d_write(count)
+            for t, w, o in zip(types[first:].tolist(), words[first:].tolist(),
+                               at[first:].tolist()):
+                if t in (_RD, _RE):
+                    out.append((o, RW, w))
+                elif t == _WR:
+                    out.append((o + 1, WW, w))
+                    out.append((o + 1, OK, w))
+                elif t == _VAL:
+                    break
+            self._accesses[rec] = out
+        return self._accesses[rec]
+
+    def writes_of(self, rec: int) -> list[int]:
+        """Record ``rec``'s written words in set order."""
+        return self._orders[rec]
+
+    def add_abort(self, written: list[int]) -> tuple[int, int]:
+        """Lay out the abort of a transaction that wrote ``written`` (in
+        write order): its undo stores and its releases in set order.
+        Returns where it starts and its length."""
+        types = np.array([_UNDO] * len(written) + [_REL] * len(written), dtype=np.int8)
+        kinds, addrs = self._expand(
+            types, np.array(written + write_order(written), dtype=np.int64))
+        return self._add(kinds, addrs), int(kinds.size)
+
+    def gather(self, starts: np.ndarray, lengths: np.ndarray,
+               bases: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The ops of the store slices ``[starts[i], starts[i] + lengths[i])``,
-        concatenated."""
+        concatenated, a record's addresses rebased to leaf ``bases[i]``."""
         kinds = np.concatenate(self._kinds)
         addrs = np.concatenate(self._addrs)
         ends = np.cumsum(lengths)
         small = np.int32 if self._size <= np.iinfo(np.int32).max else np.int64
         at = np.repeat((starts - (ends - lengths)).astype(small), lengths)
         at += np.arange(at.size, dtype=at.dtype)
-        return kinds[at], addrs[at]
+        out = addrs[at]
+        if bases is not None:
+            shift = np.repeat(bases.astype(out.dtype), lengths)
+            shift *= np.concatenate(self._rel)[at]
+            out += shift
+        return kinds[at], out
 
     def trace(self, lay, req_ids: np.ndarray, sched) -> OpTrace:
         """The launch's trace: request ``q`` runs in ``lay`` (a
         :class:`~repro.core.eirene.LaneLayout`) as ``sched`` (a played
         :class:`~repro.core.update_schedule.UpdateSchedule`) has it: its
         attempts fail with the outcomes ``sched.fails[q]`` (if any), then
-        commit.
+        commit. A request that derives its records names, per attempt, in
+        ``sched.records[q]``, its record and, where the attempt failed at
+        another word than ``count``, how many of the record's ops it ran and
+        its abort piece (:meth:`add_abort`); -1 keeps what the outcome says.
 
         Attempt ``r`` runs a traversal — the walk for a ``horizontal``
         request's first, else the descent, STM-protected from ``r =
@@ -343,10 +549,18 @@ class UpdateTemplates:
         code = np.full(q.size, OK, dtype=np.int8)
         for req, f in sched.fails.items():
             code[att_base[req] : att_base[req] + len(f)] = f
+        rec = q.copy()
+        head = np.full(q.size, -1, dtype=np.int64)
+        abort_start = np.full(q.size, -1, dtype=np.int64)
+        abort_len = np.full(q.size, -1, dtype=np.int64)
+        for req, atts in sched.records.items():
+            at = slice(att_base[req], att_base[req] + len(atts))
+            rec[at], head[at], abort_start[at], abort_len[at] = zip(*atts)
         n_seg = 3 * per_req + 1
         seg_base = np.cumsum(n_seg) - n_seg
         seg_start = np.zeros(int(n_seg.sum()), dtype=np.int64)
         seg_len = np.zeros_like(seg_start)
+        seg_leaf = np.zeros_like(seg_start)  # a record's leaf base
         at = np.repeat(seg_base, per_req) + 3 * r
         stm_desc = r >= threshold
         seg_start[at] = np.where(stm_desc, self.sdesc_start[q], self.desc_start[q])
@@ -354,29 +568,44 @@ class UpdateTemplates:
         walk = (r == 0) & sched.horizontal[q]
         seg_start[at[walk]] = self.walk_start[q[walk]]
         seg_len[at[walk]] = self.walk_len[q[walk]]
-        rec = self.record_start[q]
-        pre, v0, p = self.pre[q], self.v0[q], self.p[q]
-        seg_start[at + 1] = rec
-        seg_len[at + 1] = np.select(
-            [code == OK, code == RW, code == WW], [p + 5, pre + 3, pre + 8], v0 + 5
-        )
-        seg_start[at + 2] = rec + p + 5
-        seg_len[at + 2] = np.where(code == VAL, 4, 0)
-        # then Load rf (an RG's last request) and the Mark
+        start = self.record_start[rec]
+        pre, v0, p, k = self.pre[q], self.rec_v0[rec], self.rec_p[rec], self.rec_k[rec]
+        seg_start[at + 1] = start
+        seg_leaf[at + 1] = seg_leaf[at + 2] = self.record_base[rec]
+        seg_len[at + 1] = np.where(head >= 0, head, np.select(
+            [code == OK, code == RW, code == WW], [p + 2 * k + 1, pre + 3, pre + 8], v0 + 5
+        ))
+        seg_start[at + 2] = np.where(abort_start >= 0, abort_start, start + p + 2 * k + 1)
+        seg_len[at + 2] = np.where(abort_len >= 0, abort_len, np.where(code == VAL, 2 * k, 0))
+        # then Load rf (an RG's last request) and the Mark, from the
+        # committed record
         fin = seg_base + 3 * per_req
         last = sched.rg_last[order]
-        seg_start[fin] = self.record_start[order] + self.p[order] + np.where(last, 9, 10)
+        done = rec[att_base[order] + per_req - 1]
+        seg_start[fin] = (self.record_start[done] + self.rec_p[done] + 4 * self.rec_k[done]
+                          + np.where(last, 1, 2))
         seg_len[fin] = np.where(last, 2, 1)
+        seg_leaf[fin] = self.record_base[done]
+        self.committed = np.empty(n, dtype=np.int64)
+        self.committed[order] = done
 
         n_ops = sched.n_ops[order]
         if not np.array_equal(np.add.reduceat(seg_len, seg_base), n_ops):
             raise SimulationError("lowered update trace disagrees with its schedule")
-        kinds, addrs = self.gather(seg_start, seg_len)
-        self._kinds = self._addrs = []  # the store is spent
+        kinds, addrs = self.gather(seg_start, seg_len, seg_leaf)
+        self._kinds = self._addrs = self._rel = []  # the store is spent
         cas_fail = np.zeros(kinds.size, dtype=bool)
         ww = code == WW
-        cas_fail[(np.cumsum(seg_len) - seg_len)[at[ww] + 1] + 1 + pre[ww] + 5] = True
+        # a failed compare-and-swap is followed by its branch, then the abort
+        cas_fail[np.cumsum(seg_len)[at[ww] + 1] - 2] = True
         lane_streams = np.concatenate(([0], np.cumsum(np.bincount(lay.lane))))
         offsets = np.concatenate(([0], np.cumsum(n_ops)))[lane_streams]
         return OpTrace(offsets, kinds, addrs, req_ids[order], lay.warp_lanes, lay.iters,
                        cas_fail)
+
+    def committed_writes(self) -> np.ndarray:
+        """The words the committed transactions wrote, one entry per
+        transaction and word (after :meth:`trace`)."""
+        orders = self._orders
+        return np.fromiter((w for r in self.committed.tolist() for w in orders[r]),
+                           dtype=np.int64)

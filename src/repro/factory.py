@@ -16,6 +16,7 @@ from .btree.layout import NodeLayout
 from .btree.tree import BPlusTree
 from .config import COMBINING_ONLY, DeviceConfig, EireneConfig, FULL_EIRENE, TreeConfig
 from .device import DeviceContext
+from .errors import MemoryError_
 from .memory import MemoryArena
 from .stm import StmRegion
 
@@ -62,6 +63,32 @@ def build_device_tree(
         region = StmRegion(arena, tree.layout.base, node_words)
     smo_lock_addr = arena.alloc(1)
     return devctx, tree, region, smo_lock_addr
+
+
+def grow_node_block(tree: BPlusTree, region: StmRegion, smo_lock_addr: int,
+                    max_nodes: int) -> int:
+    """Grow the node block of a tree laid out by :func:`build_device_tree`
+    to ``max_nodes`` nodes, in place: the STM owner and version tables and
+    the SMO latch word behind it move up, the tables grow with it, and
+    ``region`` and ``tree.max_nodes`` follow. Node addresses stay. Returns
+    the latch word's new address."""
+    lay = tree.layout
+    old = lay.arena_words(tree.max_nodes)
+    delta = lay.arena_words(max_nodes) - old
+    if not (region.data_base == lay.base and region.nwords == old
+            and lay.base + old <= region.owner_base
+            and region.owner_base + old <= region.version_base
+            and region.version_base + old <= smo_lock_addr):
+        raise MemoryError_("the arena is not laid out as build_device_tree lays it out")
+    arena = tree.arena
+    arena.insert(lay.base + old, delta)
+    arena.insert(region.owner_base + delta + old, delta)
+    arena.insert(region.version_base + 2 * delta + old, delta)
+    region.owner_base += delta
+    region.version_base += 2 * delta
+    region.nwords += delta
+    tree.max_nodes = max_nodes
+    return smo_lock_addr + 3 * delta
 
 
 def build_tree(

@@ -85,6 +85,23 @@ class MemoryArena:
         self._brk = base + nwords
         return base
 
+    def insert(self, at: int, nwords: int) -> None:
+        """Open ``nwords`` zero words at address ``at`` (at most the bump
+        pointer): every word at or above ``at`` moves ``nwords`` up, and the
+        capacity and the bump pointer grow by as much. The caller rebases
+        whatever addresses it holds above ``at``; an arena holding system
+        words (their owners keep addresses too) cannot grow."""
+        if nwords < 0 or not 0 <= at <= self._brk:
+            raise MemoryError_(f"cannot insert {nwords} words at {at}")
+        if self.system_words:
+            raise MemoryError_("cannot grow an arena that holds system words")
+        data = self._data
+        self._data = np.concatenate(
+            [data[:at], np.zeros(nwords, dtype=WORD_DTYPE), data[at:]]
+        )
+        self._user_capacity += nwords
+        self._brk += nwords
+
     def alloc_system(self, nwords: int) -> int:
         """Reserve ``nwords`` *system* words above the device heap.
 

@@ -7,10 +7,11 @@ before the launch runs. Two kinds of Eirene launches qualify:
   no state but their own warp's barriers: each stream depends only on the
   arena at launch time (see :func:`~repro.btree.traversal.batch_range_scan`
   and :func:`~repro.btree.traversal.batch_point_query`);
-* **split-free update kernels**, whose lanes do store and run atomics but
-  can collide only on a leaf's STM-guarded ``count`` word: the caller
-  resolves those guards itself and hands over the finished streams, with
-  the failed compare-and-swaps flagged (see
+* **split-free update kernels** (overwrites, and absent-key inserts into
+  leaves that cannot fill), whose lanes do store and run atomics but meet
+  at a leaf's STM-guarded ``count`` word before any other word of it: the
+  caller resolves those guards itself and hands over the finished
+  streams, with the failed compare-and-swaps flagged (see
   :meth:`~repro.core.eirene.EireneTree._lower_updates`).
 
 The caller builds the whole :class:`OpTrace` before the launch runs: the
@@ -309,13 +310,19 @@ def run_lowered(
     running = n_warps - np.cumsum(returning)  # warps that run a slot in each round
     run = np.empty(int(running.sum()), dtype=np.int64)
     pos = 0
-    for r, n_run in enumerate(running.tolist()):
-        if rng is not None and active.size > 1:
-            rng.shuffle(active)
-        if returning[r]:
+    r = 0
+    n_runs, returns = running.tolist(), returning.tolist()
+    while r < len(n_runs) and rng is not None and active.size > 1:
+        rng.shuffle(active)
+        if returns[r]:
             active = active[active >= (r + 1) << shift]
-        run[pos : pos + n_run] = active
-        pos += n_run
+        run[pos : pos + n_runs[r]] = active
+        pos += n_runs[r]
+        r += 1
+    # the rounds that draw nothing run the active warps in their order, each
+    # until it returns
+    runs = (active >> shift)[None, :] > np.arange(r, running.size)[:, None]
+    run[pos:] = np.broadcast_to(active, runs.shape)[runs]
     warp = run & ((1 << shift) - 1)
     run_sid = slot_base[warp] + np.repeat(np.arange(running.size), running)
     del run

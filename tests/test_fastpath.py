@@ -405,8 +405,8 @@ def test_system_batches_equivalent(system):
 
 def test_eirene_range_batches_equivalent():
     """YCSB-E: Eirene launches every range request as a one-lane warp in a
-    range-only query kernel, so these batches run that launch lowered and
-    interpret only the update kernel."""
+    range-only query kernel, which these batches run lowered, beside an
+    insert-only update kernel."""
     from repro.workloads import YCSB_E
 
     ref_outs, ref_items = _run_system_batches("eirene", SEQUENTIAL, YCSB_E)
@@ -651,7 +651,9 @@ def test_lowered_barrier_grid_equivalent(seed, n_warps):
 @pytest.mark.parametrize("distribution", ["zipfian", "uniform"])
 def test_lowered_range_launches_equivalent(launch_spy, fanout, distribution):
     low = assert_lowered_matches_reference(launch_spy, fanout=fanout, distribution=distribution)
-    assert low[4] == 2  # the query kernel of each batch holds only ranges
+    # the query kernel of each batch holds only ranges; the update kernels
+    # insert, and lower where no leaf overfills
+    assert low[4] - launch_spy["updates"] == 2
     assert all(out.results.range_keys.size for out in low[0])
 
 
@@ -663,7 +665,7 @@ def test_mixed_query_kernel_runs_lowered(launch_spy):
     mix = YcsbMix(query=0.45, update=0.0, insert=0.05, range_=0.5)
     ref = _run_range_batches(SEQUENTIAL, launch_spy, mix=mix)
     fast = _run_range_batches(ExecutionConfig(), launch_spy, mix=mix)
-    assert fast[4] == 2, "a mixed query kernel was interpreted"
+    assert fast[4] - launch_spy["updates"] == 2, "a mixed query kernel was interpreted"
     for out in fast[0]:  # the batches really hold hits and scanned ranges
         assert np.any(out.results.values != NULL_VALUE)
         assert out.results.range_keys.size
@@ -706,7 +708,7 @@ def test_lowered_query_kernel_equivalent(launch_spy, fanout, distribution, rgs, 
         launch_spy, fanout=fanout, distribution=distribution, device=TWO_SMS,
         mix=YcsbMix(**QUERY_MIX_KW), config=config,
     )
-    assert low[4] == 2, "a query kernel was interpreted"
+    assert low[4] - launch_spy["updates"] == 2, "a query kernel was interpreted"
 
 
 def test_lowered_query_kernel_makes_the_rf_updates(launch_spy, monkeypatch):
@@ -818,7 +820,7 @@ def test_probes_keep_the_interpreter_for_query_kernels(launch_spy, monkeypatch, 
 
     kwargs = dict(mix=YcsbMix(**QUERY_MIX_KW), device=TWO_SMS)
     lowered = _run_range_batches(ExecutionConfig(), launch_spy, **kwargs)
-    assert lowered[4] == 2
+    assert lowered[4] - launch_spy["updates"] == 2
     if how == "slow-path-env":
         monkeypatch.setenv("REPRO_SLOW_PATH", "1")
         set_execution_config(None)
@@ -899,7 +901,7 @@ class LaunchCountingProbe(CountingProbe):
 @pytest.mark.parametrize("how", ["probe", "slow-path-env"])
 def test_probes_keep_the_interpreter_for_range_launches(launch_spy, monkeypatch, how):
     lowered = _run_range_batches(ExecutionConfig(), launch_spy)
-    assert lowered[4] == 2
+    assert lowered[4] - launch_spy["updates"] == 2
     if how == "slow-path-env":
         monkeypatch.setenv("REPRO_SLOW_PATH", "1")
         set_execution_config(None)
@@ -1084,8 +1086,8 @@ def test_update_templates_match_the_program(guard):
     assert tpl.valid.all() and tpl.c_first.any() and not tpl.c_first.all()
     tpl.add_records()
 
-    def piece(start, n):
-        kinds, addrs = tpl.gather(np.array([start]), np.array([n]))
+    def piece(start, n, base=0):
+        kinds, addrs = tpl.gather(np.array([start]), np.array([n]), np.array([base]))
         return list(zip(kinds.tolist(), addrs.tolist()))
 
     for i, key in enumerate(keys.tolist()):
@@ -1114,12 +1116,13 @@ def test_update_templates_match_the_program(guard):
                      data, before)
         rec, pre, v0, p = (int(x[i]) for x in (tpl.record_start, tpl.pre, tpl.v0, tpl.p))
         desc = piece(int(tpl.desc_start[i]), int(tpl.desc_len[i]))
-        committed = piece(rec, p + 5)  # Load version, the transaction, the publish
+        base = int(tpl.record_base[i])
+        committed = piece(rec, p + 5, base)  # Load version, the transaction, the publish
         failed = {
             "commit": [],
-            "read-write": piece(rec, pre + 3),
-            "write-write": piece(rec, pre + 8),
-            "validation": piece(rec, v0 + 5) + piece(rec + p + 5, 4),
+            "read-write": piece(rec, pre + 3, base),
+            "write-write": piece(rec, pre + 8, base),
+            "validation": piece(rec, v0 + 5, base) + piece(rec + p + 5, 4, base),
         }[guard]
         expected = desc + failed + (desc if failed else []) + committed
         assert ops == expected, f"key {key}: ops differ from the templates"
@@ -1308,23 +1311,24 @@ def test_cross_warp_rf_hazard_keeps_the_update_interpreter(launch_spy):
 
 @pytest.mark.parametrize("case", ["delete", "absent", "injector", "probe", "slow-path-env"])
 def test_update_kernel_fallbacks_match(launch_spy, monkeypatch, case):
-    """Launches that must keep the interpreter: a delete or an absent key
-    (the leaf may shift or split), the abort injector, a probe,
+    """Launches that must keep the interpreter: a delete, absent keys that
+    overfill a leaf by one (it splits), the abort injector, a probe,
     ``REPRO_SLOW_PATH=1``."""
     from repro._types import OpKind
 
     device = DeviceConfig(num_sms=1)
-    present, _ = _small_system(8, device).tree.items()
+    tree = _small_system(8, device).tree
+    present, _ = tree.items()
     keys = present[40:104]
     kinds = np.full(keys.size, OpKind.UPDATE)
     kwargs = dict(fanout=8, device=device)
     if case == "delete":
         kinds[5] = OpKind.DELETE
     elif case == "absent":
-        kinds[5] = OpKind.INSERT
-        keys = keys.copy()
-        keys[5] = keys[4] + 1
-        assert keys[5] < keys[6]
+        leaf = tree.find_leaf(int(keys[5]))[0]
+        fresh = _absent_keys(tree, leaf, 8 - tree.views.host(leaf).count + 1)
+        keys = np.concatenate([keys, fresh])
+        kinds = np.concatenate([kinds, np.full(fresh.size, OpKind.INSERT)])
     elif case == "injector":
         from repro.core.eirene import EireneTree
 
@@ -1349,8 +1353,184 @@ def test_update_kernel_fallbacks_match(launch_spy, monkeypatch, case):
         assert deep_eq(lowered[0], probed[0]) and np.array_equal(lowered[1], probed[1])
         assert deep_eq(lowered[2], probed[2]) and lowered[3] == probed[3]
         return
-    assert_updates_match_reference(launch_spy, expect_lowered=False, batches=[batch],
-                                   **kwargs)
+    low = assert_updates_match_reference(launch_spy, expect_lowered=False, batches=[batch],
+                                         **kwargs)
+    # the SIMT engine reports the update launch's splits
+    assert low[0][0].extras["splits"] == (1 if case == "absent" else 0)
+
+
+def _absent_keys(tree, leaf: int, n: int) -> np.ndarray:
+    """``n`` keys absent from ``leaf`` that route to it: the successors of
+    its first keys."""
+    row = tree.views.host(leaf)
+    keys = row.keys[:row.count]
+    fresh = keys[:-1][np.diff(keys) > 1][:n] + 1
+    assert fresh.size == n
+    return fresh
+
+
+@pytest.fixture
+def insert_spy(monkeypatch):
+    """Counts the absent keys that lowered update launches insert."""
+    from repro.core.eirene import EireneTree
+
+    seen = {"inserts": 0}
+    lower = EireneTree._lower_updates
+
+    def spy(self, *args):
+        lowered = lower(self, *args)
+        if lowered is not None:
+            seen["inserts"] += int(np.count_nonzero(lowered.values == NULL_VALUE))
+        return lowered
+
+    monkeypatch.setattr(EireneTree, "_lower_updates", spy)
+    return seen
+
+
+#: fanout x RF x locality x retry threshold; the insert share keeps some
+#: launches from overfilling a leaf (fanout 4 leaves have one free slot)
+INSERT_MATRIX = [
+    (fanout, rf, locality, threshold)
+    for fanout in (4, 8, 32) for rf in (True, False) for locality in (True, False)
+    for threshold in (0, 1, 3)
+]
+
+
+@pytest.mark.parametrize("fanout, rf, locality, threshold", INSERT_MATRIX)
+def test_lowered_insert_kernel_equivalent(launch_spy, insert_spy, fanout, rf, locality,
+                                          threshold):
+    """Updates and absent-key inserts on two SMs: every launch in which no
+    leaf takes more inserts than it has free slots lowers, the others split
+    on the interpreter. At fanout 32 many leaves take several inserts, so
+    lanes derive their records from rows other writers changed and meet
+    other transactions' publish tails."""
+    from repro.config import EireneConfig
+    from repro.workloads import YcsbMix
+
+    share = {4: 0.02, 8: 0.05, 32: 0.2}[fanout]
+    config = EireneConfig(enable_rf_decision=rf, enable_locality=locality,
+                          stm_retry_threshold=threshold)
+    assert_updates_match_reference(
+        launch_spy, fanout=fanout, distribution="uniform", device=TWO_SMS, config=config,
+        mix=YcsbMix(query=0.5 - share / 2, update=0.5 - share / 2, insert=share),
+    )
+    assert insert_spy["inserts"]
+
+
+def _leaf_batch(tree, at: int, n_over: int, n_ins: int):
+    """Overwrites of ``n_over`` keys of the chain leaf ``at`` and ``n_ins``
+    inserts into it, in one batch."""
+    from repro._types import OpKind
+
+    leaf = int(tree.leaf_ids()[at])
+    row = tree.views.host(leaf)
+    over = row.keys[:n_over]
+    fresh = _absent_keys(tree, leaf, n_ins)
+    return _update_batch(np.repeat([OpKind.UPDATE, OpKind.INSERT], [over.size, fresh.size]),
+                         np.concatenate([over, fresh]))
+
+
+@pytest.mark.parametrize("free", [2, 0])
+def test_inserts_into_one_leaf_in_one_rg(launch_spy, insert_spy, free):
+    """Overwrites and inserts into one fanout-32 leaf, all lanes of one RG:
+    they collide at the count word, each attempt derives its record from
+    the row the earlier writers left, and a lane that takes the count word
+    while the last writer still releases its shifted words fails at one of
+    them. With ``free == 0`` the inserts fill the leaf to exactly
+    ``fanout``, which still lowers."""
+    device = DeviceConfig(num_sms=1)
+    tree = _small_system(32, device).tree
+    leaf = int(tree.leaf_ids()[9])
+    n_ins = 32 - tree.views.host(leaf).count - free
+    batch = _leaf_batch(tree, 9, 6, n_ins)
+    low = assert_updates_match_reference(launch_spy, fanout=32, device=device,
+                                         batches=[batch])
+    assert insert_spy["inserts"] == n_ins
+    assert low[0][0].extras["stm"].aborts
+    assert launch_spy["system"].tree.views.host(leaf).count == 32 - free
+
+
+def test_warps_meeting_at_a_leaf_that_takes_inserts(launch_spy, insert_spy):
+    """One RG per warp, both from round 0: RG0's last lanes and RG1's
+    first overwrite and insert into one leaf, so the rng's round order
+    decides which warp's lanes take the count word first and which row
+    each attempt sees."""
+    from repro._types import OpKind
+    from repro.config import EireneConfig
+
+    config = EireneConfig(rgs_per_iteration_warp=1)
+    device = DeviceConfig(num_sms=2)
+    tree = _small_system(32, device, config=config).tree
+    present, _ = tree.items()
+    leaf = tree.find_leaf(int(present[300]))[0]
+    fresh = _absent_keys(tree, leaf, 6)
+    at = int(np.searchsorted(present, fresh[2]))
+    keys = np.concatenate([present[at - 32:at + 32], fresh])
+    kinds = np.repeat([OpKind.UPDATE, OpKind.INSERT], [64, fresh.size])
+    low = assert_updates_match_reference(launch_spy, fanout=32, device=device, config=config,
+                                         batches=[_update_batch(kinds, keys)])
+    assert insert_spy["inserts"] == fresh.size
+    assert low[0][0].extras["stm"].aborts
+
+
+def test_lowered_inserts_with_value_first_writes(launch_spy, insert_spy):
+    """Inserts and overwrites on the unaligned fanout-8 layout, where the
+    sets of written words iterate in orders the aligned layouts never
+    produce."""
+    from repro import build_key_pool
+    from repro._types import OpKind
+
+    sys_ = _unaligned_eirene(*build_key_pool(2**10, np.random.default_rng(8)))
+    tree = sys_.tree
+    chain = tree.leaf_ids()
+    fresh = np.concatenate([_absent_keys(tree, int(leaf), 1) for leaf in chain[::5][:20]])
+    present, _ = tree.items()
+    keys = np.concatenate([present[::7][:64], fresh])
+    kinds = np.repeat([OpKind.UPDATE, OpKind.INSERT], [64, fresh.size])
+    assert_updates_match_reference(
+        launch_spy, system=_unaligned_eirene, fanout=8,
+        batches=[_update_batch(kinds, keys)],
+    )
+    assert insert_spy["inserts"] == fresh.size
+
+
+@pytest.mark.parametrize("engine, execution", [
+    ("simt", ExecutionConfig()), ("simt", SEQUENTIAL), ("vector", ExecutionConfig()),
+], ids=["simt-lowered", "simt-interpreted", "vector"])
+def test_node_block_grows_past_twice_its_capacity(engine, execution):
+    """Insert batches drive a small tree past twice the nodes its arena was
+    built for: the node block grows between batches (moving the STM tables
+    and the SMO latch behind it), every batch matches the sequential
+    reference, and the tree stays valid."""
+    from repro import build_key_pool, make_system
+    from repro._types import OpKind
+    from repro.config import TreeConfig
+    from repro.lincheck import SequentialReference, check_linearizable
+    from repro.workloads.requests import RequestBatch
+
+    set_execution_config(execution)
+    rng = np.random.default_rng(17)
+    keys, values = build_key_pool(2**8, rng)
+    sys_ = make_system("eirene", keys, values, TreeConfig(fanout=4),
+                       device=DeviceConfig(num_sms=2), seed=2)
+    tree = sys_.tree
+    capacity = tree.max_nodes
+    ref = SequentialReference(keys, values)
+    splits = 0
+    while tree.node_count <= 2 * capacity:
+        fresh = rng.choice(1 << 20, size=96, replace=False)
+        ops = [(OpKind.INSERT, int(k), int(k) + 1) for k in fresh]
+        ops += [(OpKind.QUERY, int(k)) for k in rng.choice(keys, size=32)]
+        batch = RequestBatch.from_ops(ops)
+        out = sys_.process_batch(batch, engine=engine)
+        splits += out.extras["splits"]
+        report = check_linearizable(batch, out.results, ref.execute(batch))
+        assert report.ok, report.describe(batch)
+    tree.validate()
+    assert splits == len(tree.split_events)
+    assert tree.max_nodes > 2 * capacity
+    assert np.array_equal(tree.items()[0], ref.items()[0])
+    assert np.array_equal(tree.items()[1], ref.items()[1])
 
 
 # --------------------------------------------------------------------- #
