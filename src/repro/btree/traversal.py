@@ -21,7 +21,7 @@ import numpy as np
 
 from .._types import NO_NODE, NULL_VALUE
 from ..errors import SimulationError
-from ..simt.lowered import OP_BRANCH, OP_LOAD, OP_MARK, OpTrace
+from ..simt.lowered import TOK_CHECK, TOK_HIT, TOK_LOAD, TOK_MARK, OpTrace, expand
 from .layout import OFF_COUNT, OFF_FENCE, OFF_KEYS, OFF_LEAF, OFF_NEXT, OFF_RF
 
 if TYPE_CHECKING:  # tree.py imports this module
@@ -77,21 +77,14 @@ def batch_range_spans(tree: BPlusTree, lo: np.ndarray, hi: np.ndarray) -> np.nda
     return chain_pos[hi_leaves] - chain_pos[lo_leaves] + 1
 
 
-#: op-stream tokens of the trace builders and their lengths: a checked word
-#: (``Load``, ``Branch``), a matched key (``Load``, ``Branch`` and the
-#: ``Load`` of the value in the same slot of the payload row), a lone
-#: ``Load`` and a ``Mark``. A token's first op is its Load (or Mark), and
-#: its second op, if any, is its Branch.
-_CHECK, _HIT, _LOAD, _MARK = 0, 1, 2, 3
-_TOKEN_LEN = np.array([2, 3, 1, 1])
-
 #: safety valve for leaf-chain walks (a correct walk is bounded by the leaf
 #: count; hitting this indicates a broken chain, not contention).
 MAX_HORIZONTAL_STEPS = 1_000_000
 
 
 class _Tokens:
-    """Tokens of ``n`` op streams, appended in program order per stream."""
+    """Tokens (:data:`~repro.simt.lowered.PATTERNS`) of ``n`` op streams,
+    appended in program order per stream."""
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -103,33 +96,28 @@ class _Tokens:
         self.addrs: list[np.ndarray] = []
 
     def emit(self, streams: np.ndarray, code, addrs) -> None:
-        """One token per entry of ``streams``, whose first op reads
-        ``addrs`` (0 for a Mark)."""
+        """One token per entry of ``streams``, on the words ``addrs`` (0 for
+        a Mark)."""
         n = streams.size
         self.streams.append(streams.astype(self.dtype))
         self.codes.append(np.full(n, code, dtype=np.int8) if np.isscalar(code)
                           else code.astype(np.int8))
         self.addrs.append(np.full(n, addrs, dtype=np.int64) if np.isscalar(addrs) else addrs)
 
+    def sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The tokens in stream order: where each stream's tokens start (and
+        the last ends), and every token's type and word."""
+        stream = np.concatenate(self.streams)
+        order = np.argsort(stream, kind="stable")
+        bounds = np.searchsorted(stream[order], np.arange(self.n + 1))
+        return bounds, np.concatenate(self.codes)[order], np.concatenate(self.addrs)[order]
+
     def ops(self, value_off: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The streams as CSR ``(offsets, kinds, addrs)``; a matched key's
         value lies ``value_off`` words past the key."""
-        n = self.n
-        stream = np.concatenate(self.streams)
-        order = np.argsort(stream, kind="stable")
-        code = np.concatenate(self.codes)[order]
-        addr = np.concatenate(self.addrs)[order]
-        starts = np.concatenate(([0], np.cumsum(np.take(_TOKEN_LEN, code))))
-        offsets = starts[np.searchsorted(stream[order], np.arange(n + 1))]
-        first = starts[:-1]
-        kinds = np.full(starts[-1], OP_LOAD, dtype=np.int8)
-        kinds[first[code <= _HIT] + 1] = OP_BRANCH
-        kinds[first[code == _MARK]] = OP_MARK
-        addrs = np.zeros(starts[-1], dtype=np.int64)
-        addrs[first] = addr  # a Mark token carries address 0
-        hit = code == _HIT
-        addrs[first[hit] + 2] = addr[hit] + value_off
-        return offsets, kinds, addrs
+        bounds, types, words = self.sorted()
+        kinds, addrs, ends = expand(types, words, (0, 0, value_off))
+        return np.concatenate(([0], ends))[bounds], kinds, addrs
 
 
 def _load(data: np.ndarray, addrs: np.ndarray) -> np.ndarray:
@@ -197,7 +185,7 @@ def _descend(tree: BPlusTree, keys: np.ndarray, streams: np.ndarray,
     while lanes.size:
         base = _node_bases(tree, node[lanes], OFF_LEAF)
         inner = _load(data, base + OFF_LEAF) == 0
-        tokens.emit(streams[lanes], _CHECK, base + OFF_LEAF)
+        tokens.emit(streams[lanes], TOK_CHECK, base + OFF_LEAF)
         lanes, base = lanes[inner], base[inner]
         # the row may run past the arena; only the words scanned are checked
         rows = data[np.minimum(base[:, None] + OFF_KEYS + width, size - 1)]
@@ -205,10 +193,10 @@ def _descend(tree: BPlusTree, keys: np.ndarray, streams: np.ndarray,
         slot = np.where(above.any(axis=1), above.argmax(axis=1), lay.fanout)
         scanned = np.minimum(slot + 1, lay.fanout)
         _check_runs(data, base + OFF_KEYS, scanned)
-        tokens.emit(np.repeat(streams[lanes], scanned), _CHECK, _runs(base + OFF_KEYS, scanned))
+        tokens.emit(np.repeat(streams[lanes], scanned), TOK_CHECK, _runs(base + OFF_KEYS, scanned))
         child = base + lay.payload_off + slot
         node[lanes] = _load(data, child)
-        tokens.emit(streams[lanes], _LOAD, child)
+        tokens.emit(streams[lanes], TOK_LOAD, child)
         steps[lanes] += 1
     return node, steps
 
@@ -230,12 +218,12 @@ def _walk(tree: BPlusTree, keys: np.ndarray, starts: np.ndarray, streams: np.nda
             raise SimulationError("leaf chain walk did not terminate")
         at = _node_bases(tree, node[lanes], OFF_NEXT) + OFF_NEXT
         nxt = _load(data, at)
-        tokens.emit(streams[lanes], _CHECK, at)
+        tokens.emit(streams[lanes], TOK_CHECK, at)
         go = nxt != NO_NODE
         lanes, nxt = lanes[go], nxt[go]
         at = _node_bases(tree, nxt, OFF_FENCE) + OFF_FENCE
         fence = _load(data, at)
-        tokens.emit(streams[lanes], _CHECK, at)
+        tokens.emit(streams[lanes], TOK_CHECK, at)
         go = fence <= keys[lanes]
         lanes = lanes[go]
         node[lanes] = nxt[go]
@@ -288,7 +276,7 @@ def batch_range_scan(
     while lanes.size:
         base = _node_bases(tree, node[lanes], OFF_COUNT)
         count = _load(data, base + OFF_COUNT)
-        tokens.emit(lanes, _CHECK, base + OFF_COUNT)
+        tokens.emit(lanes, TOK_CHECK, base + OFF_COUNT)
         first = base + OFF_KEYS
         # keys the lane may scan without leaving the arena
         avail = np.minimum(np.maximum(count, 0), np.maximum(size - first, 0))
@@ -307,16 +295,16 @@ def batch_range_scan(
         read = slot <= stop[seg]
         seg, key_at, keys = seg[read], key_at[read], keys[read]
         hit = (keys >= lo[lanes][seg]) & (keys <= hi[lanes][seg])
-        tokens.emit(lanes[seg], np.where(hit, _HIT, _CHECK), key_at)
+        tokens.emit(lanes[seg], np.where(hit, TOK_HIT, TOK_CHECK), key_at)
         values = _load(data, key_at[hit] + (lay.payload_off - OFF_KEYS))
         found.append((lanes[seg[hit]], keys[hit], values))
         nxt = _load(data, base + OFF_NEXT)
-        tokens.emit(lanes, _CHECK, base + OFF_NEXT)
+        tokens.emit(lanes, TOK_CHECK, base + OFF_NEXT)
         go = ~done & (nxt != NO_NODE)
         lanes = lanes[go]
         node[lanes] = nxt[go]
 
-    tokens.emit(np.arange(n), _MARK, 0)
+    tokens.emit(np.arange(n), TOK_MARK, 0)
     offsets, kinds, addrs = tokens.ops(lay.payload_off - OFF_KEYS)
     trace = OpTrace(offsets, kinds, addrs, request_ids, np.arange(n + 1),
                     np.zeros(n, dtype=np.int64))
@@ -386,8 +374,8 @@ def batch_point_query(
     scanned = slot + 1
     _check_runs(data, first, scanned)
     hit = stop & (rows[np.arange(n), slot] == keys)
-    code = np.full(int(scanned.sum()), _CHECK, dtype=np.int8)
-    code[np.cumsum(scanned)[hit] - 1] = _HIT
+    code = np.full(int(scanned.sum()), TOK_CHECK, dtype=np.int8)
+    code[np.cumsum(scanned)[hit] - 1] = TOK_HIT
     tokens.emit(np.repeat(streams, scanned), code, _runs(first, scanned))
     values = np.full(n, NULL_VALUE, dtype=np.int64)
     values[hit] = _load(data, base[hit] + lay.payload_off + slot[hit])
@@ -395,8 +383,8 @@ def batch_point_query(
     rf = np.flatnonzero(load_rf)
     at = base[rf] + OFF_RF
     _load(data, at)
-    tokens.emit(streams[rf], _LOAD, at)
-    tokens.emit(streams, _MARK, 0)
+    tokens.emit(streams[rf], TOK_LOAD, at)
+    tokens.emit(streams, TOK_MARK, 0)
     return tokens.ops(lay.payload_off - OFF_KEYS), (values, node, steps)
 
 

@@ -47,9 +47,6 @@ class IterationPlan:
     def n_warps(self) -> int:
         return int(self.warp_offsets.size) - 1
 
-    def rgs_of_warp(self, w: int) -> np.ndarray:
-        return np.arange(self.warp_offsets[w], self.warp_offsets[w + 1])
-
 
 def build_iteration_plan(
     n: int, warp_size: int, rgs_per_warp: int, num_sms: int | None = None

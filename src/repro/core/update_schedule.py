@@ -40,8 +40,8 @@ interpreter, its iteration warps use:
   write one leaf in overlapping rounds, or two warps write one leaf that
   takes inserts, the launch is played again as one event loop over all
   warps, iteration starts included, ordering each round's events by the
-  warp order the launch's scheduling rng will draw (:class:`RoundOrder`,
-  on a copy of the rng).
+  warp order the launch's scheduling rng will draw
+  (:class:`~repro.simt.lowered.RoundOrder`, on a copy of the rng).
 
 RF words are the one other thing warps could share: with the RF decision
 on, a launch in which two warps load a rewritten RF for a later RG's
@@ -62,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..simt.lowered import barrier
+from ..simt.lowered import RoundOrder, barrier
 from .kernels import MAX_RETRIES
 from .locality import cross_warp_rf_hazard
 from .update_trace import OK, RW, VAL, WW, UpdateTemplates, write_order
@@ -115,38 +115,6 @@ class Lane(NamedTuple):
 #: events of a transaction on its leaf's ``count`` word, and a scheduled
 #: callback (an iteration start)
 _G1, _VER, _CAS, _G3, _BUMP, _REL, _CALL = range(7)
-
-
-class RoundOrder:
-    """The order in which a launch's warps run each round, drawn from a copy
-    of its scheduling rng as :func:`~repro.simt.lowered.run_lowered` will
-    draw it: each round shuffles the warps still active, and a warp leaves
-    after the round its return slot names (:meth:`close`). Rounds are drawn
-    lazily, which is exact: a warp not closed yet still has events at or
-    after the round being drawn, so it is active there."""
-
-    def __init__(self, rng, n_warps: int) -> None:
-        self.rng = copy.deepcopy(rng)
-        self.order = np.arange(n_warps)
-        self.drawn = 0  # rounds drawn so far
-        self.leaving: dict[int, list[int]] = {}
-
-    def close(self, warp: int, returns: int) -> None:
-        self.leaving.setdefault(returns, []).append(warp)
-
-    def positions(self, r: int) -> dict[int, int]:
-        """Each warp's place in the order of round ``r`` (not drawn yet)."""
-        while True:
-            q = self.drawn
-            self.drawn += 1
-            if self.rng is not None and self.order.size > 1:
-                self.rng.shuffle(self.order)
-            at = {w: i for i, w in enumerate(self.order.tolist())} if q == r else None
-            gone = self.leaving.pop(q, None)
-            if gone:
-                self.order = self.order[~np.isin(self.order, gone)]
-            if at is not None:
-                return at
 
 
 class CountWordPlay:
@@ -405,8 +373,7 @@ class UpdateSchedule:
     def play(self) -> bool:
         """Play the launch; False when the interpreter must run it."""
         try:
-            if not self._by_iteration():
-                return False
+            self._by_iteration()
             if self.warps_meet or overlapping_leaves(self.tpl.leaves, self.lay.warp,
                                                      self.touch_first, self.touch_last):
                 self._in_round_order()
@@ -466,9 +433,6 @@ class UpdateSchedule:
             shapes, self.derives[reqs].tolist(),
         )]
 
-    def _play(self, on_commit, order: RoundOrder | None = None) -> CountWordPlay:
-        return CountWordPlay(self.threshold, on_commit, order, self.tpl, self.rows)
-
     def _commit(self, reqs, end) -> None:
         """Requests ``reqs`` committed, ending their transactions before
         slot ``end``."""
@@ -481,27 +445,30 @@ class UpdateSchedule:
             self.n_fails[q] = len(f)
         self.records.update(play.records)
 
-    def _begin(self, rgs: np.ndarray, it: int, reqs: np.ndarray) -> bool:
+    def _begin(self, rgs: np.ndarray, it: int, reqs: np.ndarray) -> np.ndarray:
         """Start iteration ``it`` of the RGs ``rgs`` (requests ``reqs``):
-        walk from the buffered leaf where the RG's decision says so."""
+        walk from the buffered leaf where the RG's decision says so, and
+        note each request as committing on its first attempt. Returns where
+        their transactions start."""
         lay, tpl = self.lay, self.tpl
-        self.start[reqs] = self.release[lay.lane[reqs]]
-        if lay.iplan is None or it == 0:
-            return True
         iplan = lay.iplan
-        go = np.ones(rgs.size, dtype=bool)
-        if self.enable_rf:
-            go = tpl.keys[iplan.rg_end[rgs] - 1] <= self.rg_rf[rgs - 1]
-        walkers = reqs[go[np.searchsorted(rgs, lay.rg[reqs])]]
-        if walkers.size:
-            buffered = tpl.leaves[iplan.rg_end[lay.rg[walkers] - 1] - 1]
-            walked, steps = tpl.add_walks(walkers, buffered)
-            if not np.array_equal(walked, tpl.leaves[walkers]):
-                return False
-            self.horizontal[walkers] = True
-            self.first_len[walkers] = tpl.walk_len[walkers]
-            self.first_steps[walkers] = steps
-        return True
+        self.start[reqs] = self.release[lay.lane[reqs]]
+        if iplan is not None and it > 0:
+            go = np.ones(rgs.size, dtype=bool)
+            if self.enable_rf:
+                go = tpl.keys[iplan.rg_end[rgs] - 1] <= self.rg_rf[rgs - 1]
+            walkers = reqs[go[np.searchsorted(rgs, lay.rg[reqs])]]
+            if walkers.size:
+                buffered = tpl.leaves[iplan.rg_end[lay.rg[walkers] - 1] - 1]
+                walked, steps = tpl.add_walks(walkers, buffered)
+                if not np.array_equal(walked, tpl.leaves[walkers]):
+                    raise _Fallback
+                self.horizontal[walkers] = True
+                self.first_len[walkers] = tpl.walk_len[walkers]
+                self.first_steps[walkers] = steps
+        att = self.start[reqs] + self.first_len[reqs] + 1
+        self._commit(reqs, att + tpl.p[reqs] + 2 * tpl.n_writes[reqs])
+        return att
 
     def _finish(self, rgs: np.ndarray, it: int, reqs: np.ndarray) -> np.ndarray:
         """End iteration ``it`` of the RGs ``rgs`` of iteration warps
@@ -529,7 +496,7 @@ class UpdateSchedule:
         return np.where(lay.iters[warps] == it + 1, returns[warps], -1)
 
     # ------------------------------------------------------------------ #
-    def _by_iteration(self) -> bool:
+    def _by_iteration(self) -> None:
         """Every warp's iteration ``it`` at once, warps assumed apart; notes
         each request's window on its ``count`` word."""
         self._reset()
@@ -542,10 +509,7 @@ class UpdateSchedule:
             rgs = None
             if lay.iplan is not None:
                 rgs = lay.iplan.warp_offsets[:-1][lay.iters > it] + it
-            if not self._begin(rgs, it, reqs):
-                return False
-            att = self.start[reqs] + self.first_len[reqs] + 1
-            self._commit(reqs, att + tpl.p[reqs] + 2 * tpl.n_writes[reqs])
+            att = self._begin(rgs, it, reqs)
             self.touch_first[reqs] = att + tpl.pre[reqs]
             self.touch_last[reqs] = att + tpl.release[reqs]
             # lanes writing one leaf in one RG (one warp) are adjacent in
@@ -561,7 +525,8 @@ class UpdateSchedule:
             group_of = np.repeat(np.arange(size.size), size)
             members = reqs[np.repeat(g0[played] - (np.cumsum(size) - size), size)
                            + np.arange(int(size.sum()))]
-            plays = [self._play(self._commit_touching) for _ in range(size.size)]
+            plays = [CountWordPlay(self.threshold, self._commit_touching, None, tpl, self.rows)
+                     for _ in range(size.size)]
             for g, q, ln in zip(group_of.tolist(), members.tolist(), self._lanes(members)):
                 plays[g].add(q, ln)
             for play in plays:
@@ -569,7 +534,6 @@ class UpdateSchedule:
                 self._play_fails(play)
             if lay.iplan is not None:
                 self._finish(rgs, it, reqs)
-        return True
 
     def _commit_touching(self, q: int, a: int, sh: Shape) -> None:
         self._commit(q, a + sh.p + 2 * sh.k)
@@ -583,7 +547,7 @@ class UpdateSchedule:
         self._reset()
         lay, tpl = self.lay, self.tpl
         n_warps = lay.n_warps
-        order = RoundOrder(self.rng, n_warps)
+        order = RoundOrder(copy.deepcopy(self.rng), n_warps)
         leaves = tpl.leaves
         # leaves written by more than one warp
         pairs = np.unique(np.stack([leaves, lay.warp]), axis=1)
@@ -601,10 +565,7 @@ class UpdateSchedule:
                 rg = int(iplan.warp_offsets[w]) + it
                 reqs = np.arange(iplan.rg_start[rg], iplan.rg_end[rg])
                 rgs = np.array([rg])
-            if not self._begin(rgs, it, reqs):
-                raise _Fallback
-            att = self.start[reqs] + self.first_len[reqs] + 1
-            self._commit(reqs, att + tpl.p[reqs] + 2 * tpl.n_writes[reqs])
+            self._begin(rgs, it, reqs)
             leaf = leaves[reqs]
             shared = self.derives[reqs] | np.isin(leaf, met)
             same = leaf[1:] == leaf[:-1]
@@ -639,7 +600,7 @@ class UpdateSchedule:
                 play.call(int(self.release[lay.warp_lanes[w]:lay.warp_lanes[w + 1]].min()),
                           w, lambda: begin(w, it + 1))
 
-        play = self._play(commit, order)
+        play = CountWordPlay(self.threshold, commit, order, tpl, self.rows)
         for w in range(n_warps):
             play.call(0, w, lambda w=w: begin(w, 0))
         play.run()

@@ -53,10 +53,14 @@ import numpy as np
 
 from .._types import NO_NODE, NULL_VALUE
 from ..btree.layout import OFF_COUNT, OFF_FENCE, OFF_KEYS, OFF_NEXT, OFF_RF, OFF_VERSION
-from ..btree.traversal import _descend, _Tokens, _walk
+from ..btree.traversal import _descend, _runs, _Tokens, _walk
 from ..btree.tree import BPlusTree
 from ..errors import SimulationError
-from ..simt.lowered import OP_ATOMIC, OP_BRANCH, OP_LOAD, OP_MARK, OP_STORE, OpTrace
+from ..simt.lowered import (
+    OP_BRANCH, OP_MARK, PATTERN_LEN, TOK_BRANCH, TOK_CHECK, TOK_LOAD, TOK_MARK, TOK_PUBLISH,
+    TOK_READ, TOK_RELEASE, TOK_REREAD, TOK_REWRITE, TOK_UNDO, TOK_VALIDATE, TOK_WRITE, OpTrace,
+    expand,
+)
 from ..stm import FREE, StmRegion
 
 #: attempt outcomes: committed, then the three guards on the leaf's
@@ -64,54 +68,41 @@ from ..stm import FREE, StmRegion
 #: compare-and-swap (write-write conflict) and its commit-time validation
 OK, RW, WW, VAL = 0, 1, 2, 3
 
-#: record tokens, each a fixed op pattern on one word ``w``: a plain load,
-#: a branch, ``d_read`` (first read: owner load, branch, version load,
-#: load; a re-read skips the version), ``d_write`` (first write: branch,
-#: compare-and-swap, branch, undo load, store; a re-write: branch, store),
-#: a validation (version load, branch), a publish (version bump, release),
-#: an undo store, a release and the Mark
-_LD, _BR, _RD, _RE, _WR, _WO, _VAL, _PUB, _UNDO, _REL, _MK = range(11)
-_D, _O, _V, _Z = range(4)  # the op's word: w, owner(w), version(w), none
-_PATTERNS = (
-    ((OP_LOAD, _D),),
-    ((OP_BRANCH, _Z),),
-    ((OP_LOAD, _O), (OP_BRANCH, _Z), (OP_LOAD, _V), (OP_LOAD, _D)),
-    ((OP_LOAD, _O), (OP_BRANCH, _Z), (OP_LOAD, _D)),
-    ((OP_BRANCH, _Z), (OP_ATOMIC, _O), (OP_BRANCH, _Z), (OP_LOAD, _D), (OP_STORE, _D)),
-    ((OP_BRANCH, _Z), (OP_STORE, _D)),
-    ((OP_LOAD, _V), (OP_BRANCH, _Z)),
-    ((OP_ATOMIC, _V), (OP_STORE, _O)),
-    ((OP_STORE, _D),),
-    ((OP_STORE, _O),),
-    ((OP_MARK, _Z),),
-)
-_PLEN = np.array([len(p) for p in _PATTERNS])
+#: op counts of the record's tokens (:data:`~repro.simt.lowered.PATTERNS`)
+_LD, _BR, _RD, _RE, _WR, _WO, _VAL, _PUB = PATTERN_LEN[[
+    TOK_LOAD, TOK_BRANCH, TOK_READ, TOK_REREAD, TOK_WRITE, TOK_REWRITE, TOK_VALIDATE, TOK_PUBLISH
+]].tolist()
 
 
 def write_order(written: list[int]) -> list[int]:
     """``tx.writes`` in iteration order for a transaction that wrote
     ``written``, in write order: the set built as the transaction builds
-    it."""
-    writes: set[int] = set()
-    for w in written:
-        writes.add(w)
-    return list(writes)
+    it (``set`` adds a list's items one by one, as ``d_write`` does)."""
+    return list(set(written))
 
 
-def record_offsets(pre, cnt, pos, hit):
+def record_offsets(pre, cnt, pos, hit, c_at=0):
     """A record's offsets within its transaction (plain integers or arrays):
     ``v0`` (the commit's validation loads; the ``count`` word's is 2 ops
-    later), ``p`` (the publish) and ``k`` (the words written). A committed
-    attempt runs ``p + 2k`` ops, a failed validation ``v0 + 4 + 2k``."""
+    later), ``p`` (the publish), ``k`` (the words written), and, with the
+    ``count`` word at place ``c_at`` of :func:`write_order`, its version
+    bump and release in the publish and its release after a failed
+    validation. A committed attempt runs ``p + 2k`` ops, a failed
+    validation ``v0 + 4 + 2k``."""
     ins = 1 - hit
     nscan = pos + 1 - ins * (pos >= cnt)  # keys read before the slot is found
     shifted = ins * (cnt - pos)
-    moves = shifted > 0
+    moves = shifted > 0  # the shift loop re-reads keys[pos]
     k = 2 + ins * (2 * shifted + 1)
     n_read = hit * (pos + 4) + ins * (2 + nscan + 2 * shifted - moves)
-    body = 5 * nscan + 10 + ins * (4 + 18 * shifted - moves)
-    v0 = pre + 9 + body
-    return v0, v0 + 2 * n_read, k
+    # d_read/d_write(count), the key scan, then an overwrite's d_read and
+    # d_write of its value and the branch, or an insert's fanout branch,
+    # shift loop, writes of keys[pos], values[pos] and count and the branch
+    v0 = (pre + _RD + _WR + nscan * (_RD + _BR) + hit * (_RD + _WR + _BR)
+          + ins * (_BR + shifted * 2 * (_RD + _WR) - moves * (_RD - _RE) + 2 * _WR + _WO + _BR))
+    p = v0 + _VAL * n_read
+    bump = p + _PUB * c_at
+    return v0, p, k, bump, bump + 1, v0 + 2 * _VAL + k + c_at
 
 
 class UpdateTemplates:
@@ -140,7 +131,6 @@ class UpdateTemplates:
 
     def __init__(self, tree: BPlusTree, region: StmRegion, keys: np.ndarray) -> None:
         self.tree = tree
-        self.region = region
         keys = np.asarray(keys, dtype=np.int64)
         self.keys = keys
         n = int(keys.size)
@@ -153,17 +143,22 @@ class UpdateTemplates:
         #: the store keeps addresses in 32 bits when the arena allows
         self._addr_dtype = np.int32 if data.size <= np.iinfo(np.int32).max else np.int64
 
+        #: distances from a word to its owner and version entries and its value
+        self._shifts = (region.owner_base - region.data_base,
+                        region.version_base - region.data_base, lay.payload_off - OFF_KEYS)
+
         tokens = _Tokens(n)
         self.leaves, self.desc_steps = _descend(tree, keys, np.arange(n), tokens)
-        offsets, kinds, addrs = tokens.ops(lay.payload_off - OFF_KEYS)
-        self._desc = (offsets, kinds, addrs)
+        # the descents' tokens are kept for add_stm_descents
+        bounds, types, words = self._desc = tokens.sorted()
+        kinds, addrs, ends = expand(types, words, self._shifts)
+        offsets = np.concatenate(([0], ends))[bounds]
         self.desc_start = self._add(kinds, addrs) + offsets[:-1]
         self.desc_len = np.diff(offsets)
-        loads = np.bincount(np.repeat(np.arange(n), self.desc_len)[kinds == OP_LOAD],
-                            minlength=n)
-        # d_find_leaf_stm: 4 ops per word read, the branches, and 2 per
-        # word in the commit's validation
-        self.sdesc_len = self.desc_len + 5 * loads
+        # d_find_leaf_stm: a d_read per token, a check's branch, and the
+        # commit's validation per word read
+        stm_len = _RD + _VAL + _BR * (types == TOK_CHECK)
+        self.sdesc_len = np.diff(np.concatenate(([0], np.cumsum(stm_len)))[bounds])
         self.sdesc_start = np.full(n, -1, dtype=np.int64)
         self.walk_start = np.full(n, -1, dtype=np.int64)
         self.walk_len = np.zeros(n, dtype=np.int64)
@@ -192,9 +187,9 @@ class UpdateTemplates:
         self.value_addr = base + lay.payload_off + pos
         self.old_values = np.where(self.hit, data[np.where(self.hit, self.value_addr, 0)],
                                    NULL_VALUE)
-        self.pre = 9 + 2 * self.has_next
-        self.v0, self.p, self.n_writes = record_offsets(
-            self.pre, count, pos, self.hit.astype(np.int64))
+        # Load version, then d_read(version), the fence and next checks (and
+        # the next leaf's fence) and the covers branch
+        self.pre = _RD + 2 * (_LD + _BR) + _BR + (_LD + _BR) * self.has_next
         #: every record: the request it belongs to, its leaf's count and
         #: the key's slot; the first ``n`` are the launch-time records
         self._recs: list[tuple[int, int, int]] = []
@@ -209,9 +204,8 @@ class UpdateTemplates:
         c_at = np.fromiter((o.index(c) for o, c in zip(self._orders, self.count_addr.tolist())),
                            dtype=np.int64, count=n)
         self.c_first = c_at == 0
-        self.bump = self.p + 2 * c_at
-        self.release = self.bump + 1
-        self.abort_release = self.v0 + 4 + self.n_writes + c_at
+        (self.v0, self.p, self.n_writes, self.bump, self.release, self.abort_release
+         ) = record_offsets(self.pre, count, pos, self.hit.astype(np.int64), c_at)
         #: where each record starts in the store (set by :meth:`add_records`)
         self.record_start = np.zeros(n, dtype=np.int64)
 
@@ -252,10 +246,8 @@ class UpdateTemplates:
             rec = self._rec_ids[key] = len(self.keys) + len(self._recs)
             self._recs.append(key)
             self._orders.append(self._order(q, cnt, pos))
-        pre = int(self.pre[q])
-        v0, p, k = record_offsets(pre, cnt, pos, int(self.hit[q]))
         c_at = self._orders[rec].index(int(self.count_addr[q]))
-        return rec, v0, p, k, p + 2 * c_at, p + 2 * c_at + 1, v0 + 4 + k + c_at
+        return (rec, *record_offsets(int(self.pre[q]), cnt, pos, int(self.hit[q]), c_at))
 
     def add_walks(self, idx: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Trace the horizontal walks of requests ``idx`` from their
@@ -268,46 +260,29 @@ class UpdateTemplates:
         return leaves, steps
 
     def add_stm_descents(self, idx: np.ndarray) -> None:
-        """Lay out ``d_find_leaf_stm`` and its commit for requests ``idx``:
-        each load of the unprotected descent becomes a ``d_read`` (owner
-        load, branch, version load, the load), each branch stays, and the
-        commit validates every word read, in order (version load, branch)."""
+        """Lay out ``d_find_leaf_stm`` and its commit for requests ``idx``
+        from their descents' tokens: a check becomes a ``d_read`` and a
+        branch, a load a ``d_read``, and the commit validates every word
+        read, in order."""
         if not idx.size:
             return
-        offsets, kinds, addrs = self._desc
-        region = self.region
-        n_ops = self.desc_len[idx]
-        first_op = np.cumsum(n_ops) - n_ops
-        lane = np.repeat(np.arange(idx.size), n_ops)
-        ops = np.repeat(offsets[idx] - first_op, n_ops) + np.arange(int(n_ops.sum()))
-        kind = kinds[ops]
-        addr = addrs[ops]
-        load = kind == OP_LOAD
-        width = np.where(load, 4, 1)
+        bounds, types, words = self._desc
+        n_tok = bounds[idx + 1] - bounds[idx]
+        tok = _runs(bounds[idx], n_tok)
+        lane_end = np.cumsum(n_tok)  # where each lane's tokens end, flat
+        width = 1 + (types[tok] == TOK_CHECK)
+        ends = np.cumsum(width)
+        # a lane's reads come after the earlier lanes' reads and validations,
+        # and its validations after its reads
+        at = ends - width + np.repeat(lane_end - n_tok, n_tok)
+        val = np.repeat(ends[lane_end - 1], n_tok) + np.arange(tok.size)
+        out_types = np.full(int(ends[-1]) + tok.size, TOK_BRANCH, dtype=np.int8)
+        out_words = np.zeros(out_types.size, dtype=np.int64)
+        out_types[at], out_words[at] = TOK_READ, words[tok]
+        out_types[val], out_words[val] = TOK_VALIDATE, words[tok]
+        kinds, addrs, _ = expand(out_types, out_words, self._shifts)
         size = self.sdesc_len[idx]
-        lane_start = np.cumsum(size) - size
-        # the read part: each op's position is its lane's start plus the
-        # widths of the lane's earlier ops
-        at = np.cumsum(width) - width
-        at += (lane_start - at[first_op])[lane]
-        out_kinds = np.full(int(size.sum()), OP_BRANCH, dtype=np.int8)
-        out_addrs = np.zeros(out_kinds.size, dtype=np.int64)
-        word = addr[load]
-        at_load = at[load]
-        out_kinds[at_load] = OP_LOAD
-        out_addrs[at_load] = region.owner_base + word - region.data_base
-        out_kinds[at_load + 2] = OP_LOAD
-        out_addrs[at_load + 2] = region.version_base + word - region.data_base
-        out_kinds[at_load + 3] = OP_LOAD
-        out_addrs[at_load + 3] = word
-        # the commit: one (version load, branch) per word read, after the reads
-        load_lane = lane[load]
-        n_loads = np.bincount(load_lane, minlength=idx.size)
-        rank = np.arange(word.size) - np.repeat(np.cumsum(n_loads) - n_loads, n_loads)
-        at_val = lane_start[load_lane] + (size - 2 * n_loads)[load_lane] + 2 * rank
-        out_kinds[at_val] = OP_LOAD
-        out_addrs[at_val] = region.version_base + word - region.data_base
-        self.sdesc_start[idx] = self._add(out_kinds, out_addrs) + lane_start
+        self.sdesc_start[idx] = self._add(kinds, addrs) + np.cumsum(size) - size
 
     def _rec_params(self, recs: np.ndarray):
         """Request, ``count``, slot, presence and offsets of records ``recs``."""
@@ -316,11 +291,12 @@ class UpdateTemplates:
         cnt = np.concatenate((self.count, extra[:, 1]))[recs]
         pos = np.concatenate((self.pos, extra[:, 2]))[recs]
         hit = self.hit[req].astype(np.int64)
-        return req, cnt, pos, hit, record_offsets(self.pre[req], cnt, pos, hit)
+        return req, cnt, pos, hit, record_offsets(self.pre[req], cnt, pos, hit)[:3]
 
     def _tokens(self, recs: np.ndarray):
         """The tokens of records ``recs``, back to back: per token its type
-        and word, and where each record's tokens start."""
+        and word, and per record where its ``count`` word's tokens start
+        (within the record)."""
         req, cnt, pos, hit, (v0, p, k) = self._rec_params(recs)
         hn = self.has_next[req].astype(np.int64)
         order = np.fromiter((w for r in recs.tolist() for w in self._orders[r]),
@@ -333,7 +309,7 @@ class UpdateTemplates:
         nscan = pos + 1 - ins * (pos >= cnt)
         shifted = ins * (cnt - pos)
         n_body = np.where(ins, 5 + 4 * shifted, 3)
-        n_read = (p - v0) // 2
+        n_read = (p - v0) // _VAL
         head = 7 + 2 * hn
         scan = head + 2
         body = scan + 2 * nscan
@@ -342,7 +318,7 @@ class UpdateTemplates:
         size = pub + 3 * k + 2  # tokens per record
         start = np.cumsum(size) - size
         n_tok = int(size.sum())
-        types = np.full(n_tok, _BR, dtype=np.int8)
+        types = np.full(n_tok, TOK_BRANCH, dtype=np.int8)
         words = np.zeros(n_tok, dtype=np.int64)
 
         def put(at, t, w):
@@ -355,75 +331,49 @@ class UpdateTemplates:
             return r, np.arange(r.size) - (np.cumsum(counts) - counts)[r]
 
         # Load version, d_read(version), d_leaf_covers, the covers branch
-        put(start, _LD, vw)
-        put(start + 1, _RD, vw)
-        put(start + 2, _LD, base + OFF_FENCE)
-        put(start + 4, _LD, base + OFF_NEXT)
+        put(start, TOK_LOAD, vw)
+        put(start + 1, TOK_READ, vw)
+        put(start + 2, TOK_LOAD, base + OFF_FENCE)
+        put(start + 4, TOK_LOAD, base + OFF_NEXT)
         nb = np.flatnonzero(hn)
-        put(start[nb] + 6, _LD, self.next_base[req[nb]] + OFF_FENCE)
+        put(start[nb] + 6, TOK_LOAD, self.next_base[req[nb]] + OFF_FENCE)
         # d_read(count), d_write(count), then the key scan
-        put(start + head, _RD, c)
-        put(start + head + 1, _WR, c)
+        put(start + head, TOK_READ, c)
+        put(start + head + 1, TOK_WRITE, c)
         r, j = each(nscan)
-        put(start[r] + scan[r] + 2 * j, _RD, key0[r] + j)
+        put(start[r] + scan[r] + 2 * j, TOK_READ, key0[r] + j)
         # an overwrite: d_read(value), d_write(value), the split branch
         ow = np.flatnonzero(hit)
         at = start[ow] + body[ow]
-        put(at, _RD, value0[ow] + pos[ow])
-        put(at + 1, _WR, value0[ow] + pos[ow])
+        put(at, TOK_READ, value0[ow] + pos[ow])
+        put(at + 1, TOK_WRITE, value0[ow] + pos[ow])
         # an insert: the fanout branch, the shift loop from the top entry
         # down, the writes of keys[pos], values[pos] and count, the branch
         r, t = each(shifted)
         i = cnt[r] - 1 - t
         at = start[r] + body[r] + 1 + 4 * t
-        put(at, np.where(i == pos[r], _RE, _RD), key0[r] + i)
-        put(at + 1, _RD, value0[r] + i)
-        put(at + 2, _WR, key0[r] + i + 1)
-        put(at + 3, _WR, value0[r] + i + 1)
+        put(at, np.where(i == pos[r], TOK_REREAD, TOK_READ), key0[r] + i)
+        put(at + 1, TOK_READ, value0[r] + i)
+        put(at + 2, TOK_WRITE, key0[r] + i + 1)
+        put(at + 3, TOK_WRITE, value0[r] + i + 1)
         iw = np.flatnonzero(ins)
         at = start[iw] + body[iw] + 1 + 4 * shifted[iw]
-        put(at, _WR, key0[iw] + pos[iw])
-        put(at + 1, _WR, value0[iw] + pos[iw])
-        put(at + 2, _WO, c[iw])
-        # d_commit's validation in read order: version, count, the scanned
-        # keys, then the value (overwrite) or the shifted entries (insert)
+        put(at, TOK_WRITE, key0[iw] + pos[iw])
+        put(at + 1, TOK_WRITE, value0[iw] + pos[iw])
+        put(at + 2, TOK_REWRITE, c[iw])
+        # d_commit validates each word read (its first d_read loaded the
+        # version), in read order; d_abort undoes each word written (its
+        # first d_write took the undo load), in write order
         r, t = each(n_read)
-        rest = t - 2 - nscan[r]
-        i = np.where(hit[r] == 1, pos[r], cnt[r] - 1 - rest // 2)
-        shifted_key = (hit[r] == 0) & (rest % 2 == 0) & (rest < 2 * (shifted[r] - 1))
-        w = np.select([t == 0, t == 1, rest < 0, shifted_key],
-                      [vw[r], c[r], key0[r] + t - 2, key0[r] + i], value0[r] + i)
-        put(start[r] + val[r] + t, _VAL, w)
-        # publish, undo (the words in write order) and release
+        put(start[r] + val[r] + t, TOK_VALIDATE, words[types == TOK_READ])
         r, t = each(k)
-        put(start[r] + pub[r] + t, _PUB, order)
-        j = cnt[r] - (t - 1) // 2
-        undo = np.select([t == 0, hit[r] == 1, (t - 1) % 2 == 0],
-                         [c[r], value0[r] + pos[r], key0[r] + j], value0[r] + j)
-        put(start[r] + pub[r] + k[r] + t, _UNDO, undo)
-        put(start[r] + pub[r] + 2 * k[r] + t, _REL, order)
-        put(start + size - 2, _LD, rf)
-        put(start + size - 1, _MK, 0)
-        return types, words, start, (v0, p, k), head
-
-    def _expand(self, types: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The ops of a token sequence, placed pattern op by pattern op."""
-        lens = _PLEN[types]
-        first = np.cumsum(lens) - lens  # each token's first op
-        kinds = np.empty(int(lens.sum()), dtype=np.int8)
-        addrs = np.zeros(kinds.size, dtype=np.int64)
-        region = self.region
-        shift = (0, region.owner_base - region.data_base, region.version_base - region.data_base)
-        for t, pattern in enumerate(_PATTERNS):
-            tok = np.flatnonzero(types == t)
-            if not tok.size:
-                continue
-            at, w = first[tok], words[tok]
-            for i, (kind, mode) in enumerate(pattern):
-                kinds[at + i] = kind
-                if mode != _Z:
-                    addrs[at + i] = w + shift[mode]
-        return kinds, addrs
+        put(start[r] + pub[r] + k[r] + t, TOK_UNDO, words[types == TOK_WRITE])
+        # publish and release the words in set order
+        put(start[r] + pub[r] + t, TOK_PUBLISH, order)
+        put(start[r] + pub[r] + 2 * k[r] + t, TOK_RELEASE, order)
+        put(start + size - 2, TOK_LOAD, rf)
+        put(start + size - 1, TOK_MARK, 0)
+        return types, words, head
 
     def add_records(self) -> None:
         """Lay out every record: ``Load version``, the transaction up to its
@@ -448,8 +398,8 @@ class UpdateTemplates:
         key = np.where(hit == 1, ((far * 64 + pos) * 2 + c_first) * 2 + self.has_next[req],
                        np.iinfo(np.int64).min + np.arange(n_recs))
         _, first, pattern = np.unique(key, return_index=True, return_inverse=True)
-        types, words, _, _, _ = self._tokens(first)
-        kinds, addrs = self._expand(types, words)
+        types, words, _ = self._tokens(first)
+        kinds, addrs, _ = expand(types, words, self._shifts)
         rec_ops = 1 + p + 4 * k + 2
         if kinds.size != int(rec_ops[first].sum()):
             raise SimulationError("update record tokens disagree with their offsets")
@@ -466,19 +416,19 @@ class UpdateTemplates:
         (``WW``) or ``OK`` for a write it has acquired; offsets count from
         the transaction's first op."""
         if rec not in self._accesses:
-            types, words, _, _, head = self._tokens(np.array([rec]))
-            lens = _PLEN[types]
+            types, words, head = self._tokens(np.array([rec]))
+            lens = PATTERN_LEN[types]
             at = np.cumsum(lens) - lens - 1  # Load version is op -1
             out = []
             first = int(head[0]) + 2  # past d_read/d_write(count)
             for t, w, o in zip(types[first:].tolist(), words[first:].tolist(),
                                at[first:].tolist()):
-                if t in (_RD, _RE):
+                if t in (TOK_READ, TOK_REREAD):
                     out.append((o, RW, w))
-                elif t == _WR:
+                elif t == TOK_WRITE:
                     out.append((o + 1, WW, w))
                     out.append((o + 1, OK, w))
-                elif t == _VAL:
+                elif t == TOK_VALIDATE:
                     break
             self._accesses[rec] = out
         return self._accesses[rec]
@@ -491,9 +441,9 @@ class UpdateTemplates:
         """Lay out the abort of a transaction that wrote ``written`` (in
         write order): its undo stores and its releases in set order.
         Returns where it starts and its length."""
-        types = np.array([_UNDO] * len(written) + [_REL] * len(written), dtype=np.int8)
-        kinds, addrs = self._expand(
-            types, np.array(written + write_order(written), dtype=np.int64))
+        types = np.array([TOK_UNDO] * len(written) + [TOK_RELEASE] * len(written), dtype=np.int8)
+        kinds, addrs, _ = expand(types, np.array(written + write_order(written), dtype=np.int64),
+                                 self._shifts)
         return self._add(kinds, addrs), int(kinds.size)
 
     def gather(self, starts: np.ndarray, lengths: np.ndarray,

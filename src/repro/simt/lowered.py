@@ -16,7 +16,10 @@ before the launch runs. Two kinds of Eirene launches qualify:
 
 The caller builds the whole :class:`OpTrace` before the launch runs: the
 lanes of a query kernel's point queries, then its range lanes
-(:meth:`OpTrace.append`), or an update kernel's lanes.
+(:meth:`OpTrace.append`), or an update kernel's lanes. Both trace builders
+(:mod:`repro.btree.traversal` and :mod:`repro.core.update_trace`) spell
+their streams as tokens, each a fixed op pattern on one word, and
+:func:`expand` spells the tokens out from one table, :data:`PATTERNS`.
 
 :func:`run_lowered` replays :meth:`KernelLaunch.run`'s round loop over
 those streams. Warps may have any width; a warp may run its lanes through
@@ -43,7 +46,9 @@ reference ``Warp._step_slow``.
 * **Rounds.** Each round draws one ``rng.permutation(len(active))`` while
   more than one warp is active; the next round's active list is this
   round's order minus the warps that returned. A warp runs its slot ``r``
-  in round ``r``.
+  in round ``r``. :class:`RoundOrder` is this draw, the one place it is
+  replayed: here, once per launch, and in the update kernel's guard
+  resolution, lazily.
 * **Charges.** A slot issues one instruction per op kind present (the
   popcount of the Load 1 / Store 2 / Atomic 4 / Branch 16 / Mark 32 mask;
   ``divergent_slots`` counts the extra ones). Its loads cost one
@@ -73,6 +78,60 @@ OP_BRANCH = 1
 OP_MARK = 2
 OP_STORE = 3
 OP_ATOMIC = 4
+
+#: op-stream tokens of the trace builders, each a fixed pattern of ops on
+#: one word ``w`` (:data:`PATTERNS`, spelled out by :func:`expand`): a
+#: checked word, a matched key (with the value in the same slot of the
+#: payload row), a lone load, the Mark, a branch; the STM's ``d_read`` (a
+#: re-read skips the version load), ``d_write`` (a re-write skips the
+#: acquire and the undo load), the commit's validation and publish, and
+#: the abort's undo store and release
+(TOK_CHECK, TOK_HIT, TOK_LOAD, TOK_MARK, TOK_BRANCH, TOK_READ, TOK_REREAD, TOK_WRITE,
+ TOK_REWRITE, TOK_VALIDATE, TOK_PUBLISH, TOK_UNDO, TOK_RELEASE) = range(13)
+#: the word a pattern's op touches: ``w``, its STM owner entry, its STM
+#: version entry, the payload word of ``w``'s slot, or none (address 0)
+AT_WORD, AT_OWNER, AT_VERSION, AT_VALUE, AT_NONE = range(5)
+PATTERNS = (
+    ((OP_LOAD, AT_WORD), (OP_BRANCH, AT_NONE)),
+    ((OP_LOAD, AT_WORD), (OP_BRANCH, AT_NONE), (OP_LOAD, AT_VALUE)),
+    ((OP_LOAD, AT_WORD),),
+    ((OP_MARK, AT_NONE),),
+    ((OP_BRANCH, AT_NONE),),
+    ((OP_LOAD, AT_OWNER), (OP_BRANCH, AT_NONE), (OP_LOAD, AT_VERSION), (OP_LOAD, AT_WORD)),
+    ((OP_LOAD, AT_OWNER), (OP_BRANCH, AT_NONE), (OP_LOAD, AT_WORD)),
+    ((OP_BRANCH, AT_NONE), (OP_ATOMIC, AT_OWNER), (OP_BRANCH, AT_NONE), (OP_LOAD, AT_WORD),
+     (OP_STORE, AT_WORD)),
+    ((OP_BRANCH, AT_NONE), (OP_STORE, AT_WORD)),
+    ((OP_LOAD, AT_VERSION), (OP_BRANCH, AT_NONE)),
+    ((OP_ATOMIC, AT_VERSION), (OP_STORE, AT_OWNER)),
+    ((OP_STORE, AT_WORD),),
+    ((OP_STORE, AT_OWNER),),
+)
+PATTERN_LEN = np.array([len(p) for p in PATTERNS], dtype=np.int8)
+_OP_KIND = np.array([k for p in PATTERNS for k, _ in p], dtype=np.int8)
+_OP_MODE = np.array([m for p in PATTERNS for _, m in p])
+_OP_HAS_WORD = _OP_MODE != AT_NONE
+_PATTERN_FIRST = np.cumsum(PATTERN_LEN) - PATTERN_LEN
+
+
+def expand(types: np.ndarray, words: np.ndarray, shifts: tuple[int, int, int]
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ops of the tokens ``types`` on the words ``words``, back to back:
+    each op's kind and address, and where each token's ops end. ``shifts``
+    are the distances from a word to its owner entry, to its version entry
+    and to its payload word."""
+    lens = np.take(PATTERN_LEN, types)
+    ends = np.cumsum(lens)
+    op = np.repeat(np.take(_PATTERN_FIRST, types) - (ends - lens), lens)
+    op += np.arange(op.size, dtype=np.int32)
+    kinds = np.take(_OP_KIND, op)
+    has_word = np.take(_OP_HAS_WORD, op)
+    shift = np.take(np.array((0, *shifts, 0))[_OP_MODE], op)
+    del op  # the largest temporary
+    addrs = np.repeat(words, lens)
+    addrs *= has_word
+    addrs += shift
+    return kinds, addrs, ends
 
 
 @dataclass(frozen=True)
@@ -180,10 +239,12 @@ def _barrier_schedule(trace: OpTrace, marks: np.ndarray, m_lane: np.ndarray,
     return shift
 
 
-def _segments_per_slot(sid: np.ndarray, seg: np.ndarray, n_sids: int
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Per slot: how many of the ops at slots ``sid`` (touching segments
-    ``seg``) it holds, and the distinct segments they touch."""
+def _segments_per_slot(sid: np.ndarray, addrs: np.ndarray, words_per_segment: int,
+                       n_sids: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per slot: how many of the ops at slots ``sid`` (touching words
+    ``addrs``, a copy this divides in place) it holds, and the distinct
+    segments they touch."""
+    seg = np.floor_divide(addrs, words_per_segment, out=addrs)
     count = np.bincount(sid, minlength=n_sids)
     trans = np.minimum(count, 1)
     shared = (count > 1)[sid]
@@ -202,6 +263,94 @@ def _segments_per_slot(sid: np.ndarray, seg: np.ndarray, n_sids: int
         pairs //= span
         trans = np.where(count > 1, np.bincount(pairs, minlength=n_sids), trans)
     return count, trans
+
+
+#: launches of at most this many warps keep them in a list: numpy shuffles a
+#: short list about twice as fast as an array, with the same draws
+_LIST_WARPS = 32
+
+
+class RoundOrder:
+    """The order in which a launch's warps run each round, drawn from the
+    scheduling ``rng`` as :meth:`~repro.simt.launcher.KernelLaunch.run`
+    draws it: while more than one warp is active, each round shuffles the
+    active warps (drawing what ``rng.permutation(len(active))`` would), and
+    a warp leaves after its return round, the slot it returns in.
+
+    :func:`run_lowered` knows every return round up front (``returns``) and
+    draws a launch's rounds at once (:meth:`runs`). The update kernel's
+    guard resolution learns them as it plays
+    (:class:`~repro.core.update_schedule.UpdateSchedule`, on a copy of the
+    rng): it draws rounds lazily (:meth:`positions`) and names each return
+    round as it becomes known (:meth:`close`). That is exact: a warp not
+    closed yet has events at or after the round being drawn, so it is
+    active there."""
+
+    def __init__(self, rng, n_warps: int, returns: np.ndarray | None = None) -> None:
+        self.rng = rng
+        #: each active warp is packed with its return round above its id, so
+        #: one comparison drops the warps that leave after a round; a warp
+        #: not closed yet has a round past any slot
+        self.shift = max(n_warps.bit_length(), 1)
+        self.mask = (1 << self.shift) - 1
+        #: the rounds after which some warp leaves
+        self.leaving = set() if returns is None else set(returns.tolist())
+        if returns is None:
+            returns = np.full(n_warps, 1 << (62 - self.shift))
+        packed = (returns.astype(np.int64) << self.shift) | np.arange(n_warps)
+        self.active = packed.tolist() if n_warps <= _LIST_WARPS else packed
+        self.drawn = 0  # rounds drawn so far
+
+    def close(self, warp: int, returns: int) -> None:
+        """Warp ``warp`` returns in round ``returns``."""
+        at = [w & self.mask for w in self.active].index(warp)
+        self.active[at] = (returns << self.shift) | warp
+        self.leaving.add(returns)
+
+    def draw(self, rounds: int, out=None) -> int:
+        """Draw rounds until ``rounds`` are drawn or at most one warp is
+        active (no later round draws); each drawn round's running warps, in
+        order and packed, go to ``out`` (a list, or an array when the warps
+        are kept in one) back to back. Returns how many it wrote."""
+        active, shift, rng, leaving = self.active, self.shift, self.rng, self.leaving
+        r, pos, k = self.drawn, 0, len(active)
+        few = isinstance(active, list)
+        while r < rounds and rng is not None and k > 1:
+            rng.shuffle(active)
+            r += 1
+            if r - 1 in leaving:
+                bound = r << shift
+                active = [w for w in active if w >= bound] if few else active[active >= bound]
+                k = len(active)
+            if out is not None:
+                out[pos : pos + k] = active
+                pos += k
+        self.active, self.drawn = active, r
+        return pos
+
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every round's running warps, in execution order, back to back,
+        and how many run in each round (every return round known)."""
+        active = np.asarray(self.active, dtype=np.int64)
+        running = active.size - np.cumsum(np.bincount(active >> self.shift, minlength=1))
+        run = np.empty(int(running.sum()), dtype=np.int64)
+        drawn = [] if isinstance(self.active, list) else run
+        pos = self.draw(running.size, drawn)
+        if drawn is not run:
+            run[:pos] = drawn
+        # the rounds that draw nothing run the active warps in their order,
+        # each until it returns
+        active = np.asarray(self.active, dtype=np.int64)
+        later = (active >> self.shift)[None, :] > np.arange(self.drawn, running.size)[:, None]
+        run[pos:] = np.broadcast_to(active, later.shape)[later]
+        run &= self.mask
+        return run, running
+
+    def positions(self, r: int) -> dict[int, int]:
+        """Each running warp's place in the order of round ``r``, drawing
+        the rounds up to it."""
+        self.draw(r + 1)
+        return {w & self.mask: i for i, w in enumerate(self.active)}
 
 
 def run_lowered(
@@ -274,19 +423,14 @@ def run_lowered(
         mark_sid = sid[mark_pos]
         # per slot: issued op kinds and the distinct segments its loads and
         # (apart from them) its stores touch, plus one per atomic
-        seg = addrs[load]
-        seg //= words_per_segment
-        loads, trans = _segments_per_slot(sid[load], seg, n_sids)
-        del seg
+        loads, trans = _segments_per_slot(sid[load], addrs[load], words_per_segment, n_sids)
         issue = (loads > 0).astype(np.int64)
         issue += np.bincount(sid[kinds == OP_BRANCH], minlength=n_sids) > 0
         issue += np.bincount(mark_sid, minlength=n_sids) > 0
         conflicts = 0
         if n_store:
-            seg = addrs[store]
-            seg //= words_per_segment
-            stores, store_trans = _segments_per_slot(sid[store], seg, n_sids)
-            del seg
+            stores, store_trans = _segments_per_slot(sid[store], addrs[store],
+                                                     words_per_segment, n_sids)
             issue += stores > 0
             trans += store_trans
         if n_atomic:
@@ -300,32 +444,9 @@ def run_lowered(
         n_trans = int(trans.sum())
         counters.divergent_slots += n_issued - int(np.count_nonzero(issue))
 
-    # the round loop: which warp runs a slot, in execution order. A warp is
-    # packed with its return round above its id, so one comparison drops
-    # the warps that return this round; shuffling in place draws what
-    # ``rng.permutation`` would.
-    shift = max(n_warps.bit_length(), 1)
-    active = (rounds.astype(np.int64) << shift) | np.arange(n_warps)
-    returning = np.bincount(rounds, minlength=1)
-    running = n_warps - np.cumsum(returning)  # warps that run a slot in each round
-    run = np.empty(int(running.sum()), dtype=np.int64)
-    pos = 0
-    r = 0
-    n_runs, returns = running.tolist(), returning.tolist()
-    while r < len(n_runs) and rng is not None and active.size > 1:
-        rng.shuffle(active)
-        if returns[r]:
-            active = active[active >= (r + 1) << shift]
-        run[pos : pos + n_runs[r]] = active
-        pos += n_runs[r]
-        r += 1
-    # the rounds that draw nothing run the active warps in their order, each
-    # until it returns
-    runs = (active >> shift)[None, :] > np.arange(r, running.size)[:, None]
-    run[pos:] = np.broadcast_to(active, runs.shape)[runs]
-    warp = run & ((1 << shift) - 1)
+    # the round loop: which warp runs a slot, in execution order
+    warp, running = RoundOrder(rng, n_warps, rounds).runs()
     run_sid = slot_base[warp] + np.repeat(np.arange(running.size), running)
-    del run
 
     # from here on slots are grouped by SM, in execution order within each
     # (a stable sort of small integers is a radix sort); each SM's charges

@@ -647,6 +647,64 @@ def test_lowered_barrier_grid_equivalent(seed, n_warps):
     assert ref[2] == low[2], "scheduling-rng stream diverged"
 
 
+@pytest.mark.parametrize("case", ["one-warp", "one-round", "ragged", "ragged-wide", "no-rng"])
+def test_round_order_draws_what_the_launcher_draws(case):
+    """:class:`RoundOrder` drawn eagerly (as ``run_lowered`` draws it) and
+    lazily, each warp's return round named as it becomes known (as the
+    update kernel's guard resolution draws it), against
+    ``KernelLaunch.run``'s ``rng.permutation`` per round: the same warps
+    run in the same order in every round, and the rng ends in one state."""
+    from repro.simt.lowered import RoundOrder
+
+    returns = np.array({
+        "one-warp": [7],
+        "one-round": [4] * 9,
+        "ragged": np.random.default_rng(5).integers(0, 12, size=40).tolist(),
+        "ragged-wide": np.random.default_rng(5).integers(0, 30, size=150).tolist(),
+        "no-rng": [3, 0, 5, 5, 1, 2],
+    }[case])
+
+    def rng():
+        return None if case == "no-rng" else np.random.default_rng(99)
+
+    # the reference: warp w is one lane running returns[w] branches, noting
+    # its id in each slot it runs
+    log = []
+
+    def prog(w, n):
+        for _ in range(n):
+            log.append(w)
+            yield Branch()
+
+    set_execution_config(SEQUENTIAL)
+    launch = KernelLaunch(ODD_COSTS, MemoryArena(DATA_WORDS), 0, rng=rng())
+    for w, n in enumerate(returns.tolist()):
+        launch.add_warp([prog(w, n)])
+    launch.run()
+    running = [int(np.count_nonzero(returns > r)) for r in range(int(returns.max()) + 1)]
+    ends = np.cumsum(running).tolist()
+    by_round = [log[e - n : e] for n, e in zip(running, ends)]
+
+    eager_rng = rng()
+    run, eager_running = RoundOrder(eager_rng, returns.size, returns).runs()
+    assert eager_running.tolist() == running
+    assert run.tolist() == log
+
+    lazy_rng = rng()
+    lazy = RoundOrder(lazy_rng, returns.size)
+    # each return round becomes known in a round at or before it
+    known = np.random.default_rng(6).integers(0, returns + 1)
+    for r in range(len(running)):
+        for w in np.flatnonzero(known == r).tolist():
+            lazy.close(w, int(returns[w]))
+        at = lazy.positions(r)
+        assert [w for w in sorted(at, key=at.get) if returns[w] > r] == by_round[r]
+    if case != "no-rng":
+        state = launch.rng.bit_generator.state
+        assert eager_rng.bit_generator.state == state
+        assert lazy_rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("fanout", [8, 16, 32])
 @pytest.mark.parametrize("distribution", ["zipfian", "uniform"])
 def test_lowered_range_launches_equivalent(launch_spy, fanout, distribution):
@@ -1063,14 +1121,17 @@ def _drive(gen, data, before):
             ops.append((OP_BRANCH, 0))
 
 
-@pytest.mark.parametrize("guard", ["commit", "read-write", "write-write", "validation"])
+@pytest.mark.parametrize("guard", ["commit", "read-write", "write-write", "validation",
+                                   "stm-descent"])
 def test_update_templates_match_the_program(guard):
     """``d_update`` op by op, addresses included, against the templates:
     its first attempt fails at one guard on the count word (another owner
     at the owner load or at the compare-and-swap, or a version bump before
     the commit), then it commits — with ``tx.writes`` iterating either
     word first. The offsets the guard resolution schedules by name the
-    ops they should."""
+    ops they should. With retry threshold 0 (``stm-descent``) the first
+    traversal is ``d_find_leaf_stm`` and its commit, the templates' STM
+    descent piece."""
     from repro import build_key_pool
     from repro._types import OpKind
     from repro.core.kernels import d_update
@@ -1085,6 +1146,10 @@ def test_update_templates_match_the_program(guard):
     tpl = UpdateTemplates(tree, region, keys)
     assert tpl.valid.all() and tpl.c_first.any() and not tpl.c_first.all()
     tpl.add_records()
+    threshold = 10
+    if guard == "stm-descent":
+        threshold = 0
+        tpl.add_stm_descents(np.arange(keys.size))
 
     def piece(start, n, base=0):
         kinds, addrs = tpl.gather(np.array([start]), np.array([n]), np.array([base]))
@@ -1112,14 +1177,17 @@ def test_update_templates_match_the_program(guard):
                 state["armed"] = False
                 data[ver] += 1
 
-        ops = _drive(d_update(tree, stm, sys_.smo_lock_addr, 10, 0, OpKind.UPDATE, key, 5),
-                     data, before)
+        ops = _drive(d_update(tree, stm, sys_.smo_lock_addr, threshold, 0, OpKind.UPDATE, key,
+                              5), data, before)
         rec, pre, v0, p = (int(x[i]) for x in (tpl.record_start, tpl.pre, tpl.v0, tpl.p))
         desc = piece(int(tpl.desc_start[i]), int(tpl.desc_len[i]))
+        if guard == "stm-descent":
+            desc = piece(int(tpl.sdesc_start[i]), int(tpl.sdesc_len[i]))
         base = int(tpl.record_base[i])
         committed = piece(rec, p + 5, base)  # Load version, the transaction, the publish
         failed = {
             "commit": [],
+            "stm-descent": [],
             "read-write": piece(rec, pre + 3, base),
             "write-write": piece(rec, pre + 8, base),
             "validation": piece(rec, v0 + 5, base) + piece(rec + p + 5, 4, base),

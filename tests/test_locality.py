@@ -35,8 +35,7 @@ class TestIterationPlan:
     def test_warp_grouping(self):
         plan = build_iteration_plan(32 * 8, warp_size=32, rgs_per_warp=4)
         assert plan.n_warps == 2
-        assert np.array_equal(plan.rgs_of_warp(0), [0, 1, 2, 3])
-        assert np.array_equal(plan.rgs_of_warp(1), [4, 5, 6, 7])
+        assert plan.warp_offsets.tolist() == [0, 4, 8]  # warp 0: RGs 0-3, warp 1: 4-7
 
     def test_empty(self):
         plan = build_iteration_plan(0, 32, 4)
@@ -51,7 +50,8 @@ class TestIterationPlan:
             # RG r runs on warp r * n_warps // n_rgs
             warp_of_rg = np.arange(plan.n_rgs) * plan.n_warps // max(plan.n_rgs, 1)
             for w in range(plan.n_warps):
-                assert np.array_equal(plan.rgs_of_warp(w), np.flatnonzero(warp_of_rg == w))
+                assert np.array_equal(np.arange(*plan.warp_offsets[w : w + 2]),
+                                      np.flatnonzero(warp_of_rg == w))
             assert plan.n_warps == (int(warp_of_rg.max()) + 1 if plan.n_rgs else 0)
 
 
@@ -95,7 +95,7 @@ class TestVectorLocalitySteps:
         plan = build_iteration_plan(issued.size, 32, 4)
         ls = vector_locality_steps(tree, plan, issued)
         for w in range(plan.n_warps):
-            first_rg = plan.rgs_of_warp(w)[0]
+            first_rg = plan.warp_offsets[w]
             lo, hi = int(plan.rg_start[first_rg]), int(plan.rg_end[first_rg])
             assert not ls.horizontal[lo:hi].any()
             assert np.all(ls.steps[lo:hi] == tree.height)
@@ -113,7 +113,7 @@ class TestVectorLocalitySteps:
         ls = vector_locality_steps(tree, plan, issued, enable_rf=False)
         # every non-first RG goes horizontal regardless of distance
         for w in range(plan.n_warps):
-            for r in plan.rgs_of_warp(w)[1:]:
+            for r in range(plan.warp_offsets[w] + 1, plan.warp_offsets[w + 1]):
                 lo, hi = int(plan.rg_start[r]), int(plan.rg_end[r])
                 assert ls.horizontal[lo:hi].all()
 
@@ -159,7 +159,7 @@ def loop_locality_steps(tree, plan, keys, enable_rf=True, update_rf=True):
     for w in range(plan.n_warps):
         buffered_idx = -1
         buffered_rf = -1
-        for r in plan.rgs_of_warp(w):
+        for r in range(plan.warp_offsets[w], plan.warp_offsets[w + 1]):
             lo, hi = int(plan.rg_start[r]), int(plan.rg_end[r])
             rg_max_key = int(keys[hi - 1])
             go_horizontal = buffered_idx >= 0 and (not enable_rf or rg_max_key <= buffered_rf)
